@@ -6,51 +6,4 @@ pixel-level segmentation metrics, and collage rendering, tied together by a
 staged pipeline and CLI.
 """
 
-from .annindex import AnnIndex, IndexConfig, RetrievalResult, RpNode, build, query, split_plane
-from .collage import CollageItem, CollageSpec, compose, default_slots, layout, make_collage
-from .descriptors import load_descriptors, patch_descriptor, save_descriptors
-from .embedder import (
-    EncoderParams,
-    LabeledDescriptors,
-    PairSample,
-    TrainConfig,
-    TrainResult,
-    contrastive_loss,
-    forward,
-    forward_batch,
-    init_params,
-    load_model,
-    loss_gradient,
-    mine_hard_pairs,
-    sample_pairs,
-    save_model,
-    sgd_step,
-    train,
-    zeros_like_params,
-)
-from .errors import (
-    BadMagicError,
-    ConfigError,
-    DecodeError,
-    StageError,
-    TrainingDiverged,
-    TruncatedError,
-    VersionError,
-)
-from .geometry import BoundingBox, Proposal, dedup_near, iou, load_proposals, nms, save_proposals, top_k
-from .metrics import ClassMetrics, MetricsReport, evaluate, jaccard, precision
-from .pipeline import (
-    IngestResult,
-    ItemRecord,
-    ManifestRecord,
-    ingest,
-    load_config,
-    load_manifest,
-    run_pipeline,
-    run_stage,
-    save_manifest,
-    split_dataset,
-)
-from .retrieval import SimilarityGroup, embed_all, filter_candidates, load_groups, retrieve_similar, save_groups
-
 __version__ = "0.1.0"

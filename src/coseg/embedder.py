@@ -187,13 +187,6 @@ def init_params(input_dim: int, layer_sizes: Sequence[int], seed: int) -> Encode
     return EncoderParams(weights=tuple(weights), biases=tuple(biases))
 
 
-def zeros_like_params(params: EncoderParams) -> EncoderParams:
-    return EncoderParams(
-        weights=tuple(np.zeros_like(w) for w in params.weights),
-        biases=tuple(np.zeros_like(b) for b in params.biases),
-    )
-
-
 def _forward_activations(params: EncoderParams, batch: np.ndarray) -> list[np.ndarray]:
     """All layer outputs for a (n, input_dim) batch, input included."""
     acts = [batch]
@@ -251,27 +244,6 @@ def contrastive_loss(
     return 0.5 * max(0.0, margin - d2)
 
 
-def _pair_grad_coeff(
-    d2: np.ndarray, labels: np.ndarray, margin: float, classical_hinge: bool
-) -> np.ndarray:
-    """Per-pair scale c such that d(loss)/d(fa) = c * (fa - fb).
-
-    The hinge kink and the zero-distance point of the classical variant use
-    subgradient 0.
-    """
-    pos = labels == 1
-    coeff = np.where(pos, 1.0, 0.0)
-    if classical_hinge:
-        d = np.sqrt(d2)
-        active = (~pos) & (d < margin) & (d > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            neg_coeff = np.where(active, -(margin - d) / np.where(d > 0, d, 1.0), 0.0)
-        coeff = coeff + neg_coeff
-    else:
-        coeff = coeff + np.where((~pos) & (d2 < margin), -1.0, 0.0)
-    return coeff
-
-
 def _batch_gradient(
     params: EncoderParams,
     xa: np.ndarray,
@@ -280,21 +252,30 @@ def _batch_gradient(
     margin: float,
     classical_hinge: bool,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean loss and mean-loss gradients over a batch of pairs."""
+    """Mean loss and mean-loss gradients over a batch of pairs.
+
+    Each pair's gradient is c * (fa - fb) with respect to fa and the negation
+    with respect to fb. The hinge kink and the zero-distance point of the
+    classical variant use subgradient 0.
+    """
     acts_a = _forward_activations(params, xa)
     acts_b = _forward_activations(params, xb)
     diff = acts_a[-1] - acts_b[-1]
     d2 = np.sum(diff * diff, axis=1)
-    labels = np.asarray(labels)
+    pos = np.asarray(labels) == 1
     if classical_hinge:
         d = np.sqrt(d2)
-        per_pair = np.where(labels == 1, 0.5 * d2, 0.5 * np.maximum(0.0, margin - d) ** 2)
+        per_pair = np.where(pos, 0.5 * d2, 0.5 * np.maximum(0.0, margin - d) ** 2)
+        active = (~pos) & (d < margin) & (d > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            neg_coeff = np.where(active, -(margin - d) / np.where(d > 0, d, 1.0), 0.0)
     else:
-        per_pair = np.where(labels == 1, 0.5 * d2, 0.5 * np.maximum(0.0, margin - d2))
+        per_pair = np.where(pos, 0.5 * d2, 0.5 * np.maximum(0.0, margin - d2))
+        neg_coeff = np.where((~pos) & (d2 < margin), -1.0, 0.0)
     n = xa.shape[0]
     loss = float(np.mean(per_pair))
 
-    coeff = _pair_grad_coeff(d2, labels, margin, classical_hinge) / n
+    coeff = (np.where(pos, 1.0, 0.0) + neg_coeff) / n
     grad_w = [np.zeros_like(w) for w in params.weights]
     grad_b = [np.zeros_like(b) for b in params.biases]
     # shared weights: accumulate both branches; d(loss)/d(fb) = -d(loss)/d(fa)
@@ -330,32 +311,6 @@ def loss_gradient(
         classical_hinge,
     )
     return EncoderParams(weights=tuple(grad_w), biases=tuple(grad_b))
-
-
-def sgd_step(
-    params: EncoderParams,
-    velocity: EncoderParams,
-    grad: EncoderParams,
-    cfg: TrainConfig,
-) -> tuple[EncoderParams, EncoderParams]:
-    """One momentum update: v <- momentum*v - lr*g; params <- params + v."""
-    for name, other in (("velocity", velocity), ("grad", grad)):
-        if other.layer_sizes != params.layer_sizes or other.input_dim != params.input_dim:
-            raise ValueError(f"{name} shape does not match params")
-    new_v = tuple(
-        cfg.momentum * v - cfg.learning_rate * g
-        for v, g in zip(velocity.weights, grad.weights)
-    )
-    new_vb = tuple(
-        cfg.momentum * v - cfg.learning_rate * g
-        for v, g in zip(velocity.biases, grad.biases)
-    )
-    new_w = tuple(w + v for w, v in zip(params.weights, new_v))
-    new_b = tuple(b + v for b, v in zip(params.biases, new_vb))
-    return (
-        EncoderParams(weights=new_w, biases=new_b),
-        EncoderParams(weights=new_v, biases=new_vb),
-    )
 
 
 def _class_members(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -427,7 +382,6 @@ def _mine_hard_indices(
     params: EncoderParams,
     dataset: LabeledDescriptors,
     count: int,
-    margin: float,
     rng: np.random.Generator,
     pool_factor: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -451,7 +405,6 @@ def mine_hard_pairs(
     params: EncoderParams,
     dataset: LabeledDescriptors,
     count: int,
-    margin: float,
     rng_seed: int,
     pool_factor: int = 10,
 ) -> list[PairSample]:
@@ -460,10 +413,8 @@ def mine_hard_pairs(
     smallest. Deterministic for a given seed."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if not margin > 0:
-        raise ValueError(f"margin must be positive, got {margin}")
     rng = np.random.default_rng(rng_seed)
-    ia, ib, y = _mine_hard_indices(params, dataset, count, margin, rng, pool_factor)
+    ia, ib, y = _mine_hard_indices(params, dataset, count, rng, pool_factor)
     return _pairs_from_indices(dataset, ia, ib, y)
 
 
@@ -473,27 +424,25 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     Batch gradients average the per-pair losses. The pair stream draws from a
     generator seeded with cfg.seed + 1 so it is independent of the cfg.seed
     weight init. Aborts with TrainingDiverged if a batch loss goes non-finite.
+
+    Each step is one momentum update, applied in place to the initial params:
+    v <- momentum*v - lr*g; params <- params + v.
     """
     if len(dataset) < 2:
         raise ValueError("training needs at least 2 descriptors")
     _sample_pair_indices(dataset.labels, 2, np.random.default_rng(0))  # validate classes
     params = init_params(dataset.dim, cfg.layer_sizes, cfg.seed)
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    arrays = (*params.weights, *params.biases)
+    velocity = [np.zeros_like(a) for a in arrays]
     rng = np.random.default_rng(cfg.seed + 1)
     trace: list[float] = []
     for it in range(cfg.iterations):
-        cur = EncoderParams(weights=tuple(weights), biases=tuple(biases))
         if cfg.mining == "aggressive":
-            ia, ib, y = _mine_hard_indices(
-                cur, dataset, cfg.batch_size, cfg.margin, rng, cfg.pool_factor
-            )
+            ia, ib, y = _mine_hard_indices(params, dataset, cfg.batch_size, rng, cfg.pool_factor)
         else:
             ia, ib, y = _sample_pair_indices(dataset.labels, cfg.batch_size, rng)
         loss, grad_w, grad_b = _batch_gradient(
-            cur,
+            params,
             dataset.vectors[ia],
             dataset.vectors[ib],
             y,
@@ -502,16 +451,12 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
         )
         if not math.isfinite(loss):
             raise TrainingDiverged(iteration=it, value=loss)
-        for l in range(len(weights)):
-            vel_w[l] = cfg.momentum * vel_w[l] - cfg.learning_rate * grad_w[l]
-            vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * grad_b[l]
-            weights[l] = weights[l] + vel_w[l]
-            biases[l] = biases[l] + vel_b[l]
+        for p, v, g in zip(arrays, velocity, (*grad_w, *grad_b)):
+            v *= cfg.momentum
+            v -= cfg.learning_rate * g
+            p += v
         trace.append(loss)
-    return TrainResult(
-        params=EncoderParams(weights=tuple(weights), biases=tuple(biases)),
-        loss_trace=tuple(trace),
-    )
+    return TrainResult(params=params, loss_trace=tuple(trace))
 
 
 def save_model(params: EncoderParams) -> bytes:

@@ -85,7 +85,6 @@ DEFAULTS = {
     "retrieve.k": "10",
     "retrieve.search_k": "50",
     "retrieve.iou_filter": "0.5",
-    "evaluate.mask_mode": "box",
     "collage.background": "135,206,235",
     "collage.limit": "8",
 }
@@ -350,14 +349,13 @@ def ingest(
     dedup_threshold: float = 0.95,
     nms_threshold: float = 0.7,
     keep_top: int = 10,
-    image_root: Path | None = None,
 ) -> IngestResult:
     """Reduce each image's proposals (near-duplicate removal, then NMS, then
     top-k by score) and crop a descriptor for every survivor.
 
-    Image paths in the manifest resolve relative to image_root when given.
-    Proposals naming an image absent from the manifest are an error; images
-    without proposals are skipped with a warning.
+    Image paths in the manifest are read as written. Proposals naming an
+    image absent from the manifest are an error; images without proposals
+    are skipped with a warning.
     """
     by_image: dict[str, list[Proposal]] = {}
     for p in proposals:
@@ -378,8 +376,6 @@ def ingest(
             continue
         survivors = top_k(nms(dedup_near(props, dedup_threshold), nms_threshold), keep_top)
         path = Path(record.image_path)
-        if image_root is not None and not path.is_absolute():
-            path = image_root / path
         if not path.exists():
             raise FileNotFoundError(f"image file missing for {record.item_id!r}: {path}")
         image = read_image(path)
@@ -419,9 +415,22 @@ def _class_labels(items: list[ItemRecord]) -> tuple[np.ndarray, list[str]]:
     return np.array([index[it.class_name] for it in items], dtype=np.int64), names
 
 
+def _resolve_paths(record: ManifestRecord, base: Path) -> ManifestRecord:
+    """The record with its image and mask paths made absolute against base."""
+    mask = record.gt_mask_path
+    return replace(
+        record,
+        image_path=str((base / record.image_path).resolve()),
+        gt_mask_path=str((base / mask).resolve()) if mask else None,
+    )
+
+
 def stage_ingest(cfg: dict[str, str]) -> None:
+    """Later stages read images and masks through manifest_used.csv, whose
+    paths are resolved here, against the manifest's directory."""
     out = _out_dir(cfg)
-    manifest = load_manifest(_cfg_path(cfg, "data.manifest"))
+    manifest_path = _cfg_path(cfg, "data.manifest")
+    manifest = [_resolve_paths(r, manifest_path.parent) for r in load_manifest(manifest_path)]
     if _cfg_bool(cfg, "split.resplit"):
         train_recs, test_recs = split_dataset(
             manifest, _cfg_float(cfg, "split.train_fraction"), _cfg_int(cfg, "seed")
@@ -436,7 +445,6 @@ def stage_ingest(cfg: dict[str, str]) -> None:
         dedup_threshold=_cfg_float(cfg, "ingest.dedup_threshold"),
         nms_threshold=_cfg_float(cfg, "ingest.nms_threshold"),
         keep_top=_cfg_int(cfg, "ingest.top_k"),
-        image_root=_cfg_path(cfg, "data.manifest").parent,
     )
     save_items(result.items, out / "items.csv")
     for split in SPLITS:
@@ -530,9 +538,6 @@ def stage_evaluate(cfg: dict[str, str]) -> None:
     groups = load_groups(out / "groups.jsonl")
     items = {it.item_id: it for it in load_items(out / "items.csv")}
     manifest = {r.item_id: r for r in load_manifest(out / "manifest_used.csv")}
-    mask_mode = cfg["evaluate.mask_mode"]
-    if mask_mode != "box":
-        raise ConfigError(f"evaluate.mask_mode supports only 'box', got {mask_mode!r}")
 
     masks: dict[str, np.ndarray] = {}
     gt_masks: dict[str, np.ndarray] = {}
@@ -546,10 +551,7 @@ def stage_evaluate(cfg: dict[str, str]) -> None:
             continue
         if record.gt_mask_path:
             if record.gt_mask_path not in gt_cache:
-                path = Path(record.gt_mask_path)
-                if not path.is_absolute():
-                    path = Path(cfg["data.out_dir"]).parent / path
-                gt_cache[record.gt_mask_path] = read_pbm(path)
+                gt_cache[record.gt_mask_path] = read_pbm(record.gt_mask_path)
             gt_masks[item_id] = gt_cache[record.gt_mask_path]
         elif record.gt_box is not None:
             gt_masks[item_id] = _box_mask(it.img_w, it.img_h, record.gt_box)
@@ -574,7 +576,6 @@ def stage_collage(cfg: dict[str, str]) -> None:
     collage_dir = out / "collages"
     collage_dir.mkdir(exist_ok=True)
     image_cache: dict[str, np.ndarray] = {}
-    manifest_dir = _cfg_path(cfg, "data.manifest").parent if cfg["data.manifest"] else None
 
     for group in groups[: max(limit, 0)]:
         collage_items: list[CollageItem] = []
@@ -586,10 +587,7 @@ def stage_collage(cfg: dict[str, str]) -> None:
             if record is None:
                 raise ValueError(f"image {it.proposal.image_id!r} missing from manifest")
             if record.image_path not in image_cache:
-                path = Path(record.image_path)
-                if manifest_dir is not None and not path.is_absolute():
-                    path = manifest_dir / path
-                image = read_image(path)
+                image = read_image(record.image_path)
                 if image.ndim == 2:
                     image = np.stack([image] * 3, axis=2)
                 image_cache[record.image_path] = image

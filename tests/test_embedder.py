@@ -6,6 +6,8 @@ from coseg.embedder import (
     LabeledDescriptors,
     PairSample,
     TrainConfig,
+    _batch_gradient,
+    _sample_pair_indices,
     contrastive_loss,
     forward,
     forward_batch,
@@ -17,9 +19,7 @@ from coseg.embedder import (
     sample_pairs,
     save_model,
     save_model_file,
-    sgd_step,
     train,
-    zeros_like_params,
 )
 from coseg.errors import BadMagicError, ConfigError, TruncatedError, VersionError
 
@@ -235,47 +235,50 @@ class TestLossGradient:
             loss_gradient(params, pair, margin=1.0)
 
 
-class TestSgdStep:
-    def test_zero_momentum_is_plain_descent(self):
-        cfg = TrainConfig(learning_rate=0.1, momentum=0.0)
-        params = tiny_params()
-        vel = zeros_like_params(params)
-        grad = EncoderParams(
-            weights=(np.ones((2, 2)), np.ones((1, 2))),
-            biases=(np.ones(2), np.ones(1)),
+class TestTrainUpdate:
+    """train() applies v <- momentum*v - lr*g; params <- params + v to the
+    seeded init, with g from _batch_gradient on the pairs it draws."""
+
+    @pytest.mark.parametrize(
+        "momentum,iterations", [(0.0, 1), (0.0, 2), (0.9, 1), (0.9, 2)]
+    )
+    def test_matches_hand_update(self, momentum, iterations):
+        ds = small_dataset(seed=4)
+        cfg = TrainConfig(
+            learning_rate=0.05, momentum=momentum, batch_size=6, iterations=iterations,
+            layer_sizes=(3, 2), seed=2, mining="random",
         )
-        new_p, new_v = sgd_step(params, vel, grad, cfg)
-        assert np.allclose(new_p.weights[0], params.weights[0] - 0.1)
-        assert np.allclose(new_v.weights[0], -0.1)
+        init = init_params(ds.dim, cfg.layer_sizes, cfg.seed)
+        weights, biases = list(init.weights), list(init.biases)
+        vel_w = [np.zeros_like(w) for w in weights]
+        vel_b = [np.zeros_like(b) for b in biases]
+        rng = np.random.default_rng(cfg.seed + 1)
+        for _ in range(iterations):
+            ia, ib, y = _sample_pair_indices(ds.labels, cfg.batch_size, rng)
+            _, grad_w, grad_b = _batch_gradient(
+                EncoderParams(weights=tuple(weights), biases=tuple(biases)),
+                ds.vectors[ia], ds.vectors[ib], y, cfg.margin, cfg.classical_hinge,
+            )
+            for l in range(len(weights)):
+                vel_w[l] = momentum * vel_w[l] - cfg.learning_rate * grad_w[l]
+                vel_b[l] = momentum * vel_b[l] - cfg.learning_rate * grad_b[l]
+                weights[l] = weights[l] + vel_w[l]
+                biases[l] = biases[l] + vel_b[l]
 
-    def test_momentum_accumulates_across_two_steps(self):
-        cfg = TrainConfig(learning_rate=0.1, momentum=0.9)
-        params = tiny_params()
-        vel = zeros_like_params(params)
-        grad = EncoderParams(
-            weights=(np.ones((2, 2)), np.ones((1, 2))),
-            biases=(np.ones(2), np.ones(1)),
-        )
-        p1, v1 = sgd_step(params, vel, grad, cfg)
-        p2, v2 = sgd_step(p1, v1, grad, cfg)
-        # v2 = 0.9*(-0.1) - 0.1 = -0.19
-        assert np.allclose(v2.weights[0], -0.19)
-        assert np.allclose(p2.weights[0], params.weights[0] - 0.1 - 0.19)
+        got = train(ds, cfg).params
+        assert all(np.array_equal(a, b) for a, b in zip(got.weights, weights))
+        assert all(np.array_equal(a, b) for a, b in zip(got.biases, biases))
+        assert not np.array_equal(got.weights[0], init.weights[0])
 
-    def test_zero_gradient_zero_velocity_is_fixed_point(self):
-        cfg = TrainConfig()
-        params = tiny_params()
-        zeros = zeros_like_params(params)
-        new_p, new_v = sgd_step(params, zeros, zeros, cfg)
-        assert all(np.array_equal(a, b) for a, b in zip(new_p.weights, params.weights))
-        assert all(np.all(v == 0.0) for v in new_v.weights)
-
-    def test_shape_mismatch_rejected(self):
-        cfg = TrainConfig()
-        params = tiny_params()
-        other = init_params(3, (2,), seed=0)
-        with pytest.raises(ValueError):
-            sgd_step(params, zeros_like_params(other), zeros_like_params(params), cfg)
+    def test_zero_gradient_leaves_weights_fixed(self):
+        # every descriptor identical: all pair differences vanish, so every
+        # gradient, velocity and update is zero however long training runs
+        ds = LabeledDescriptors(vectors=np.ones((6, 3)), labels=np.array([0, 0, 0, 1, 1, 1]))
+        cfg = TrainConfig(iterations=5, batch_size=4, layer_sizes=(3, 2), seed=1)
+        result = train(ds, cfg)
+        init = init_params(ds.dim, cfg.layer_sizes, cfg.seed)
+        assert all(np.array_equal(a, b) for a, b in zip(result.params.weights, init.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(result.params.biases, init.biases))
 
 
 class TestTrainConfig:
@@ -357,7 +360,7 @@ class TestMineHardPairs:
         labels = np.array([0, 0, 0, 1, 1])
         ds = LabeledDescriptors(vectors=vectors, labels=labels)
         params = EncoderParams(weights=(np.eye(2),), biases=(np.zeros(2),))
-        pairs = mine_hard_pairs(params, ds, count=4, margin=1.0, rng_seed=0, pool_factor=20)
+        pairs = mine_hard_pairs(params, ds, count=4, rng_seed=0, pool_factor=20)
         negs = [p for p in pairs if p.label == 0]
         assert negs, "mining must return negatives"
         hardest = negs[0]
@@ -370,7 +373,7 @@ class TestMineHardPairs:
         params = EncoderParams(
             weights=(np.zeros((2, ds.dim)),), biases=(np.array([1.0, 1.0]),)
         )
-        mined = mine_hard_pairs(params, ds, count=6, margin=1.0, rng_seed=9, pool_factor=4)
+        mined = mine_hard_pairs(params, ds, count=6, rng_seed=9, pool_factor=4)
         sampled = sample_pairs(ds, 24, rng_seed=9)  # same seed, pool_factor*count draws
         pos_pool = [p for p in sampled if p.label == 1]
         neg_pool = [p for p in sampled if p.label == 0]
@@ -383,7 +386,7 @@ class TestMineHardPairs:
     def test_selected_positives_dominate_rejected(self):
         ds = small_dataset(seed=3, n_classes=4, per_class=6, dim=5)
         params = init_params(5, (3,), seed=1)
-        mined = mine_hard_pairs(params, ds, count=10, margin=1.0, rng_seed=11, pool_factor=10)
+        mined = mine_hard_pairs(params, ds, count=10, rng_seed=11, pool_factor=10)
         pos_d2 = [np.sum((forward(params, p.a) - forward(params, p.b)) ** 2) for p in mined if p.label == 1]
         # positives arrive hardest (largest distance) first
         assert pos_d2 == sorted(pos_d2, reverse=True)
@@ -394,9 +397,7 @@ class TestMineHardPairs:
         ds = small_dataset()
         params = init_params(ds.dim, (2,), seed=0)
         with pytest.raises(ValueError):
-            mine_hard_pairs(params, ds, count=0, margin=1.0, rng_seed=0)
-        with pytest.raises(ValueError):
-            mine_hard_pairs(params, ds, count=2, margin=0.0, rng_seed=0)
+            mine_hard_pairs(params, ds, count=0, rng_seed=0)
 
 
 class TestTrain:

@@ -1,5 +1,7 @@
 import json
 import shutil
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from coseg.pipeline import (
     save_manifest,
     split_dataset,
 )
-from coseg.pnm import read_ppm
+from coseg.pnm import read_image, read_ppm, write_pbm
 from coseg.retrieval import load_groups
 
 FAST_OVERRIDES = {
@@ -262,13 +264,14 @@ def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("ingest_ds")
     manifest, proposals = synthdata.make_image_dataset(root, n_classes=2, per_class=3,
                                                        train_per_class=2, seed=1)
-    return root, load_manifest(manifest), load_proposals(proposals)
+    records = [replace(r, image_path=str(root / r.image_path)) for r in load_manifest(manifest)]
+    return root, records, load_proposals(proposals)
 
 
 class TestIngest:
     def test_survivor_chain_matches_composition(self, dataset):
         root, manifest, proposals = dataset
-        result = ingest(manifest, proposals, 0.95, 0.7, 10, image_root=root)
+        result = ingest(manifest, proposals, 0.95, 0.7, 10)
         by_image = {}
         for p in proposals:
             by_image.setdefault(p.image_id, []).append(p)
@@ -279,7 +282,7 @@ class TestIngest:
 
     def test_item_ids_number_survivors(self, dataset):
         root, manifest, proposals = dataset
-        result = ingest(manifest, proposals, 0.95, 0.7, 10, image_root=root)
+        result = ingest(manifest, proposals, 0.95, 0.7, 10)
         per_image: dict[str, list[str]] = {}
         for it in result.items:
             per_image.setdefault(it.proposal.image_id, []).append(it.item_id)
@@ -288,13 +291,13 @@ class TestIngest:
 
     def test_descriptor_matrix_aligned(self, dataset):
         root, manifest, proposals = dataset
-        result = ingest(manifest, proposals, 0.95, 0.7, 10, image_root=root)
+        result = ingest(manifest, proposals, 0.95, 0.7, 10)
         assert result.vectors.shape == (len(result.items), 1024)
         assert result.vectors.dtype == np.float32
 
     def test_top_k_caps_survivors(self, dataset):
         root, manifest, proposals = dataset
-        result = ingest(manifest, proposals, 0.95, 0.7, 2, image_root=root)
+        result = ingest(manifest, proposals, 0.95, 0.7, 2)
         per_image: dict[str, int] = {}
         for it in result.items:
             per_image[it.proposal.image_id] = per_image.get(it.proposal.image_id, 0) + 1
@@ -304,17 +307,18 @@ class TestIngest:
         root, manifest, proposals = dataset
         bad = proposals + [Proposal("ghost", BoundingBox(0, 0, 4, 4), 0.5, "x")]
         with pytest.raises(ValueError, match="ghost"):
-            ingest(manifest, bad, 0.95, 0.7, 10, image_root=root)
+            ingest(manifest, bad, 0.95, 0.7, 10)
 
     def test_missing_image_file_rejected(self, dataset, tmp_path):
         root, manifest, proposals = dataset
+        moved = [replace(r, image_path=str(tmp_path / Path(r.image_path).name)) for r in manifest]
         with pytest.raises(FileNotFoundError):
-            ingest(manifest, proposals, 0.95, 0.7, 10, image_root=tmp_path)
+            ingest(moved, proposals, 0.95, 0.7, 10)
 
     def test_empty_proposals_warn_and_empty_result(self, dataset, caplog):
         root, manifest, _ = dataset
         with caplog.at_level("WARNING"):
-            result = ingest(manifest, [], 0.95, 0.7, 10, image_root=root)
+            result = ingest(manifest, [], 0.95, 0.7, 10)
         assert result.items == []
         assert result.vectors.shape == (0, 1024)
         assert "no proposals" in caplog.text
@@ -403,6 +407,56 @@ class TestFullPipeline:
             assert (out / name).read_bytes() == data, f"{name} changed on re-run"
 
 
+class TestManifestPaths:
+    """Ingest resolves manifest paths once; later stages read only data.out_dir."""
+
+    def test_relative_mask_path_with_out_dir_away_from_manifest(self, pipeline_run, tmp_path):
+        root, out, cfg, _ = pipeline_run
+        data = tmp_path / "data"
+        shutil.copytree(root, data, ignore=shutil.ignore_patterns("out"))
+        (data / "masks").mkdir()
+        records = []
+        for r in load_manifest(data / "manifest.csv"):
+            mask = np.zeros(read_image(data / r.image_path).shape[:2], dtype=bool)
+            b = r.gt_box
+            mask[b.y : b.y + b.h, b.x : b.x + b.w] = True
+            write_pbm(data / "masks" / f"{r.item_id}.pbm", mask)
+            records.append(replace(r, gt_mask_path=f"masks/{r.item_id}.pbm"))
+        save_manifest(records, data / "manifest.csv")
+        new_out = tmp_path / "elsewhere" / "deep" / "out"
+        shutil.copytree(out, new_out)
+        new_cfg = {
+            **cfg,
+            "data.manifest": str(data / "manifest.csv"),
+            "data.proposals": str(data / "proposals.csv"),
+            "data.out_dir": str(new_out),
+        }
+        run_stage("ingest", new_cfg)
+        run_stage("evaluate", new_cfg)
+        # masks equal to the ground-truth boxes score exactly as the boxes do
+        assert (new_out / "report.json").read_bytes() == (out / "report.json").read_bytes()
+        used = load_manifest(new_out / "manifest_used.csv")
+        assert all(Path(r.image_path).is_absolute() for r in used)
+        assert all(Path(r.gt_mask_path).is_absolute() and Path(r.gt_mask_path).exists() for r in used)
+        # and evaluate reads them: a missing mask fails the stage
+        (data / "masks" / f"{records[-1].item_id}.pbm").unlink()
+        with pytest.raises(StageError):
+            run_stage("evaluate", new_cfg)
+
+    def test_collage_runs_without_manifest_setting(self, pipeline_run, tmp_path):
+        _, out, cfg, _ = pipeline_run
+        new_out = tmp_path / "out"
+        shutil.copytree(out, new_out)
+        shutil.rmtree(new_out / "collages")
+        run_stage("collage", merge_config({
+            "data.out_dir": str(new_out), "collage.limit": cfg["collage.limit"],
+        }))
+        made = sorted(p.name for p in (new_out / "collages").glob("*.ppm"))
+        assert made == sorted(p.name for p in (out / "collages").glob("*.ppm"))
+        for name in made:
+            assert (new_out / "collages" / name).read_bytes() == (out / "collages" / name).read_bytes()
+
+
 class TestRunStage:
     def test_unknown_stage(self):
         with pytest.raises(ConfigError, match="unknown stage"):
@@ -417,9 +471,9 @@ class TestRunStage:
 
     def test_config_error_not_wrapped(self, pipeline_run, tmp_path):
         _, cfg = fresh_copy(pipeline_run, tmp_path)
-        cfg["evaluate.mask_mode"] = "oval"
+        cfg["collage.background"] = "1,2"
         with pytest.raises(ConfigError):
-            run_stage("evaluate", cfg)
+            run_stage("collage", cfg)
 
     def test_bad_numeric_value_is_config_error(self, tmp_path):
         cfg = merge_config({"data.out_dir": str(tmp_path), "ingest.top_k": "many"})
