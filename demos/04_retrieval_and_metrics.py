@@ -3,14 +3,15 @@ From embeddings to groups to a quality report
 =============================================
 
 Retrieval turns an index over item embeddings into one similarity group per
-item; the metrics stage scores predicted masks against ground truth and
-averages per class. This walk runs both on small synthetic data.
+item; the metrics stage scores each item's proposal box against its
+ground-truth mask and averages per class. This walk runs both on small synthetic data.
 """
 
 import numpy as np
 
 from coseg.annindex import IndexConfig, build
 from coseg.embedder import LabeledDescriptors, TrainConfig, train
+from coseg.geometry import BoundingBox
 from coseg.metrics import evaluate, jaccard, precision
 from coseg.retrieval import embed_all, retrieve_similar
 
@@ -45,13 +46,16 @@ pred[4:14, 6:16] = True
 print(f"\nshifted square: precision {precision(pred, gt):.2f}, jaccard {jaccard(pred, gt):.2f}")
 
 # 4. The report machinery scores every item a group references, averages per
-#    class, then averages the classes with equal weight. Items missing a mask
-#    or a class label are skipped and listed, not silently dropped.
-masks = {i: pred for i in ids}
+#    class, then averages the classes with equal weight. An item's
+#    segmentation is its proposal box: the shifted square above as a box
+#    scores exactly as the drawn mask does, without drawing it. Items missing
+#    a box, a ground-truth mask or a class label are skipped and listed, not
+#    silently dropped.
+boxes = {i: BoundingBox(x=6, y=4, w=10, h=10) for i in ids}
 gt_masks = {i: gt for i in ids}
 class_map = {i: f"class{label}" for i, label in zip(ids, labels)}
-del masks[ids[0]]  # provoke one skip
-report = evaluate(groups, masks, gt_masks, class_map)
+del boxes[ids[0]]  # provoke one skip
+report = evaluate(groups, boxes, gt_masks, class_map)
 print(f"per-class jaccard: {{ {', '.join(f'{c}: {m.jaccard:.2f}' for c, m in sorted(report.per_class.items()))} }}")
 print(f"averages: precision {report.avg_precision:.2f}, jaccard {report.avg_jaccard:.2f}")
 print(f"skipped: {report.skipped}")

@@ -266,14 +266,15 @@ def _read_node(r: _binio.Reader, dim: int) -> RpNode:
     raise DecodeError(f"unknown node kind {kind}")
 
 
-def _read_tree(r: _binio.Reader, dim: int) -> RpNode:
+def _read_tree(r: _binio.Reader, dim: int, n: int) -> RpNode:
+    """Read one pre-order tree; its leaves must hold each of the n items once."""
     root = _read_node(r, dim)
-    if root.is_leaf:
-        return root
-    pending = [root]  # internal nodes still missing a child; left fills first
+    nodes = [root]
+    pending = [] if root.is_leaf else [root]  # internal nodes missing a child; left fills first
     while pending:
         parent = pending[-1]
         child = _read_node(r, dim)
+        nodes.append(child)
         if parent.left is None:
             parent.left = child
         else:
@@ -281,6 +282,9 @@ def _read_tree(r: _binio.Reader, dim: int) -> RpNode:
             pending.pop()
         if not child.is_leaf:
             pending.append(child)
+    ids = np.sort(np.concatenate([v.item_indices for v in nodes if v.is_leaf]))
+    if not np.array_equal(ids, np.arange(n)):
+        raise DecodeError(f"tree leaves do not hold each of the {n} items exactly once")
     return root
 
 
@@ -300,7 +304,7 @@ def load(data: bytes) -> AnnIndex:
     dim = r.u32()
     n = r.u64()
     items = r.f32_array(n * dim).reshape(n, dim)
-    trees = [_read_tree(r, dim) for _ in range(n_trees)]
+    trees = [_read_tree(r, dim, n) for _ in range(n_trees)]
     r.expect_eof()
     return AnnIndex(config=cfg, items=items, trees=trees)
 

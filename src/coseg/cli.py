@@ -22,7 +22,7 @@ _STAGE_HELP = {
     "embed": "embed test-split descriptors with the trained encoder",
     "index": "build the nearest-neighbor index over test embeddings",
     "retrieve": "query the index for each item's similarity group",
-    "evaluate": "score segmentation masks and write the metrics report",
+    "evaluate": "score proposal boxes against ground-truth masks and write the report",
     "collage": "render summary collages for the retrieved groups",
     "pipeline": "run every stage in order",
 }

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._binio import Reader, pack_u16, pack_u32, pack_u64
+from .errors import DecodeError, TruncatedError
 from .geometry import BoundingBox
 
 DESCRIPTOR_MAGIC = b"CSGD"
@@ -52,14 +53,10 @@ def patch_descriptor(image: np.ndarray, box: BoundingBox) -> np.ndarray:
     """
     gray = to_gray(image)
     h, w = gray.shape
-    x0 = max(box.x, 0)
-    y0 = max(box.y, 0)
-    x1 = min(box.x + box.w, w)
-    y1 = min(box.y + box.h, h)
-    if x1 <= x0 or y1 <= y0:
+    cut = box.clip(w, h)
+    if cut is None:
         raise ValueError(f"box {box} lies outside a {w}x{h} image")
-    patch = gray[y0:y1, x0:x1]
-    small = resize_nearest(patch, PATCH_SIDE, PATCH_SIDE)
+    small = resize_nearest(gray[cut], PATCH_SIDE, PATCH_SIDE)
     return (small.reshape(-1) / 255.0).astype(np.float32)
 
 
@@ -93,7 +90,9 @@ def load_descriptors(data: bytes) -> tuple[list[str], np.ndarray]:
     dim = r.u32()
     count = r.u64()
     if dim == 0:
-        raise ValueError("descriptor file declares zero dimension")
+        raise DecodeError("descriptor file declares zero dimension")
+    if count * (2 + 4 * dim) > len(data) - r.pos:  # a u16 id length and dim floats each
+        raise TruncatedError(f"{count} records of dim {dim} overrun {len(data) - r.pos} bytes")
     ids: list[str] = []
     vectors = np.empty((count, dim), dtype=np.float32)
     for i in range(count):

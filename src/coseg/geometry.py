@@ -23,6 +23,14 @@ class BoundingBox:
     def area(self) -> int:
         return self.w * self.h
 
+    def clip(self, width: int, height: int) -> tuple[slice, slice] | None:
+        """(rows, cols) slices of the box cut to a width x height image; None if none is left."""
+        x0, y0 = max(self.x, 0), max(self.y, 0)
+        x1, y1 = min(self.x + self.w, width), min(self.y + self.h, height)
+        if x1 <= x0 or y1 <= y0:
+            return None
+        return slice(y0, y1), slice(x0, x1)
+
 
 @dataclass(frozen=True)
 class Proposal:

@@ -1,7 +1,7 @@
 """Pixel-level segmentation scoring: precision and Jaccard similarity against
 ground-truth masks, averaged per class and then across classes.
 
-Masks are 2-d arrays where nonzero means foreground.
+Masks are 2-d arrays where nonzero means foreground; evaluate() scores boxes.
 """
 
 from __future__ import annotations
@@ -11,20 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def _as_mask(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d mask, got shape {m.shape}")
-    return m != 0
+from .geometry import BoundingBox
 
 
 def _check_same_shape(seg: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    seg = _as_mask(seg, "seg")
-    gt = _as_mask(gt, "gt")
-    if seg.shape != gt.shape:
-        raise ValueError(f"mask shapes differ: seg {seg.shape} vs gt {gt.shape}")
-    return seg, gt
+    seg, gt = np.asarray(seg), np.asarray(gt)
+    if seg.ndim != 2 or seg.shape != gt.shape:
+        raise ValueError(f"masks must be 2-d and of one shape: seg {seg.shape} vs gt {gt.shape}")
+    return seg != 0, gt != 0
 
 
 def precision(seg: np.ndarray, gt: np.ndarray) -> float:
@@ -99,25 +93,25 @@ def _group_item_ids(groups) -> list[str]:
 
 def evaluate(
     groups,
-    masks: dict[str, np.ndarray],
+    boxes: dict[str, BoundingBox],
     gt_masks: dict[str, np.ndarray],
     class_map: dict[str, str],
 ) -> MetricsReport:
-    """Score every item referenced by the groups.
+    """Score every item referenced by the groups: its box, clipped to its
+    ground-truth mask, gets the precision() and jaccard() of that box drawn.
 
-    Each item needs a segmentation mask, a ground-truth mask, and a class.
-    Items missing any of those are excluded and recorded in the report.
-    Scores average per class over items, then the report averages are the
-    unweighted means over the classes present.
+    Items missing a box, a ground-truth mask (None counts as missing) or a
+    class are excluded and recorded in the report. Scores average per class
+    over items; the report averages are unweighted means over the classes.
     """
     per_item: dict[str, tuple[str, float, float]] = {}
     skipped: list[tuple[str, str]] = []
     empty_seg: list[str] = []
     for item_id in _group_item_ids(groups):
-        seg = masks.get(item_id)
+        box = boxes.get(item_id)
         gt = gt_masks.get(item_id)
         cls = class_map.get(item_id)
-        if seg is None:
+        if box is None:
             skipped.append((item_id, "no segmentation mask"))
             continue
         if gt is None:
@@ -126,10 +120,15 @@ def evaluate(
         if cls is None:
             skipped.append((item_id, "no class label"))
             continue
-        p = precision(seg, gt)
-        j = jaccard(seg, gt)
-        if int(np.count_nonzero(seg)) == 0:
+        height, width = np.shape(gt)  # ValueError unless gt is 2-d
+        cut = box.clip(width, height)
+        inside = gt[cut] if cut else gt[:0]
+        inter = int(np.count_nonzero(inside))
+        union = inside.size + int(np.count_nonzero(gt)) - inter
+        if inside.size == 0:
             empty_seg.append(item_id)
+        p = inter / inside.size if inside.size else 0.0
+        j = inter / union if union else 1.0
         per_item[item_id] = (cls, p, j)
 
     by_class: dict[str, list[tuple[float, float]]] = {}

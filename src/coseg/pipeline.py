@@ -524,38 +524,36 @@ def stage_retrieve(cfg: dict[str, str]) -> None:
     save_groups(groups, out / "groups.jsonl")
 
 
-def _box_mask(img_w: int, img_h: int, box: BoundingBox) -> np.ndarray:
-    mask = np.zeros((img_h, img_w), dtype=bool)
-    x0, y0 = max(box.x, 0), max(box.y, 0)
-    x1, y1 = min(box.x + box.w, img_w), min(box.y + box.h, img_h)
-    if x1 > x0 and y1 > y0:
-        mask[y0:y1, x0:x1] = True
-    return mask
+def _gt_mask(record: ManifestRecord | None, img_w: int, img_h: int) -> np.ndarray | None:
+    """An image's ground truth as a mask: its PBM, else its box drawn, else None."""
+    if record is not None and record.gt_mask_path:
+        gt = read_pbm(record.gt_mask_path)
+        if gt.shape != (img_h, img_w):
+            raise ValueError(f"ground-truth mask {record.gt_mask_path} is "
+                             f"{gt.shape[1]}x{gt.shape[0]}, its image {img_w}x{img_h}")
+        return gt
+    if record is None or record.gt_box is None:
+        return None
+    gt = np.zeros((img_h, img_w), dtype=bool)
+    cut = record.gt_box.clip(img_w, img_h)
+    if cut is not None:
+        gt[cut] = True
+    return gt
 
 
 def stage_evaluate(cfg: dict[str, str]) -> None:
     out = _out_dir(cfg)
     groups = load_groups(out / "groups.jsonl")
-    items = {it.item_id: it for it in load_items(out / "items.csv")}
+    items = load_items(out / "items.csv")
     manifest = {r.item_id: r for r in load_manifest(out / "manifest_used.csv")}
-
-    masks: dict[str, np.ndarray] = {}
-    gt_masks: dict[str, np.ndarray] = {}
-    class_map: dict[str, str] = {}
-    gt_cache: dict[str, np.ndarray] = {}
-    for item_id, it in items.items():
-        masks[item_id] = _box_mask(it.img_w, it.img_h, it.proposal.box)
-        class_map[item_id] = it.class_name
-        record = manifest.get(it.proposal.image_id)
-        if record is None:
-            continue
-        if record.gt_mask_path:
-            if record.gt_mask_path not in gt_cache:
-                gt_cache[record.gt_mask_path] = read_pbm(record.gt_mask_path)
-            gt_masks[item_id] = gt_cache[record.gt_mask_path]
-        elif record.gt_box is not None:
-            gt_masks[item_id] = _box_mask(it.img_w, it.img_h, record.gt_box)
-    report = evaluate(groups, masks, gt_masks, class_map)
+    sizes = {it.proposal.image_id: (it.img_w, it.img_h) for it in items}
+    gt_by_image = {i: _gt_mask(manifest.get(i), w, h) for i, (w, h) in sizes.items()}
+    report = evaluate(
+        groups,
+        {it.item_id: it.proposal.box for it in items},
+        {it.item_id: gt_by_image[it.proposal.image_id] for it in items},
+        {it.item_id: it.class_name for it in items},
+    )
     save_report_file(report, out / "report.json")
 
 
@@ -592,20 +590,12 @@ def stage_collage(cfg: dict[str, str]) -> None:
                     image = np.stack([image] * 3, axis=2)
                 image_cache[record.image_path] = image
             image = image_cache[record.image_path]
-            b = it.proposal.box
-            x0, y0 = max(b.x, 0), max(b.y, 0)
-            x1 = min(b.x + b.w, image.shape[1])
-            y1 = min(b.y + b.h, image.shape[0])
-            if x1 <= x0 or y1 <= y0:
+            cut = it.proposal.box.clip(image.shape[1], image.shape[0])
+            if cut is None:
                 continue
-            region = image[y0:y1, x0:x1]
-            collage_items.append(
-                CollageItem(
-                    region=region,
-                    mask=np.ones(region.shape[:2], dtype=bool),
-                    distance=dist,
-                )
-            )
+            region = image[cut]
+            mask = np.ones(region.shape[:2], dtype=bool)
+            collage_items.append(CollageItem(region=region, mask=mask, distance=dist))
         if not collage_items:
             continue
         canvas = make_collage(collage_items, spec)

@@ -4,6 +4,7 @@ import pytest
 from coseg.annindex import (
     AnnIndex,
     IndexConfig,
+    RpNode,
     build,
     load,
     load_file,
@@ -313,3 +314,28 @@ class TestSerialization:
         data = save(self.build_sample())
         with pytest.raises(ValueError):
             load(data + b"\x00")
+
+    def test_leaf_id_beyond_item_count_rejected(self):
+        # once loaded silently, then failed with IndexError in query
+        idx = build(np.eye(3, dtype=np.float32), IndexConfig(n_trees=1, leaf_capacity=4))
+        data = save(idx)
+        assert int.from_bytes(data[-4:], "little") == 2  # the single leaf's last id
+        with pytest.raises(DecodeError):
+            load(data[:-4] + (999).to_bytes(4, "little"))
+
+    @staticmethod
+    def two_leaf_index(left, right):
+        def leaf(ids):
+            return RpNode(item_indices=np.array(ids, dtype=np.uint32))
+
+        tree = RpNode(normal=np.ones(3), offset=0.5, left=leaf(left), right=leaf(right))
+        return AnnIndex(config=IndexConfig(n_trees=1), items=np.eye(3, dtype=np.float32), trees=[tree])
+
+    @pytest.mark.parametrize("left,right", [([0, 1], [1, 2]), ([0], [2]), ([0, 1], [2, 2]), ([0, 1], [2, 3])])
+    def test_tree_must_hold_every_item_once(self, left, right):
+        with pytest.raises(DecodeError):
+            load(save(self.two_leaf_index(left, right)))
+
+    def test_hand_built_tree_covering_items_loads(self):
+        data = save(self.two_leaf_index([2, 0], [1]))
+        assert save(load(data)) == data

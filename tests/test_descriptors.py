@@ -12,7 +12,7 @@ from coseg.descriptors import (
     save_descriptors_file,
     to_gray,
 )
-from coseg.errors import BadMagicError, TruncatedError
+from coseg.errors import BadMagicError, DecodeError, TruncatedError
 from coseg.geometry import BoundingBox
 
 
@@ -174,6 +174,19 @@ class TestDescriptorFiles:
         data = save_descriptors(["a"], np.zeros((1, 2), dtype=np.float32))
         with pytest.raises(TruncatedError):
             load_descriptors(data[:-3])
+
+    def test_corrupt_count_rejected_before_allocating(self):
+        # a count of 2**40 once reached np.empty and raised MemoryError
+        data = bytearray(save_descriptors(["a"], np.zeros((1, 3), dtype=np.float32)))
+        data[12:20] = (2**40).to_bytes(8, "little")
+        with pytest.raises(DecodeError):
+            load_descriptors(bytes(data))
+
+    def test_zero_dimension_rejected(self):
+        data = bytearray(save_descriptors([], np.zeros((0, 3), dtype=np.float32)))
+        data[8:12] = (0).to_bytes(4, "little")
+        with pytest.raises(DecodeError):
+            load_descriptors(bytes(data))
 
     def test_trailing_bytes_rejected(self):
         data = save_descriptors(["a"], np.zeros((1, 2), dtype=np.float32))

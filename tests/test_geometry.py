@@ -42,6 +42,32 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             box(0, 0, w, h)
 
+    def test_clip_inside_is_the_box(self):
+        assert box(2, 3, 4, 5).clip(10, 10) == (slice(3, 8), slice(2, 6))
+
+    def test_clip_cuts_at_every_edge(self):
+        assert box(-2, -3, 20, 30).clip(10, 8) == (slice(0, 8), slice(0, 10))
+        assert box(7, 6, 5, 5).clip(10, 8) == (slice(6, 8), slice(7, 10))
+
+    @pytest.mark.parametrize("x,y", [(10, 0), (0, 8), (-3, 0), (0, -5), (12, 9)])
+    def test_clip_outside_is_none(self, x, y):
+        assert box(x, y, 3, 5).clip(10, 8) is None
+
+    def test_clip_matches_pixel_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            w, h = (int(v) for v in rng.integers(1, 9, size=2))
+            b = box(int(rng.integers(-10, 12)), int(rng.integers(-10, 12)),
+                    int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+            rows, cols = np.indices((h, w))
+            want = (rows >= b.y) & (rows < b.y + b.h) & (cols >= b.x) & (cols < b.x + b.w)
+            got = np.zeros((h, w), dtype=bool)
+            cut = b.clip(w, h)
+            if cut is not None:
+                got[cut] = True
+            assert np.array_equal(got, want)
+            assert (cut is None) == (not want.any())
+
 
 class TestProposal:
     def test_score_bounds(self):

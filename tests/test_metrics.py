@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coseg.annindex import RetrievalResult
+from coseg.geometry import BoundingBox
 from coseg.metrics import (
     ClassMetrics,
     MetricsReport,
@@ -112,12 +113,18 @@ class TestJaccard:
                 assert jaccard(a, b) <= inter / np.sum(a) + 1e-12
 
 
+def drawn(shape, box):
+    """The box drawn as a full-image mask, cut to the image by comparison."""
+    rows, cols = np.indices(shape)
+    return (rows >= box.y) & (rows < box.y + box.h) & (cols >= box.x) & (cols < box.x + box.w)
+
+
 class TestEvaluate:
     def test_single_class_perfect(self):
         groups = [group("a", ["b"])]
         m = mask((4, 4), rows=(0, 1), cols=(0, 1))
-        masks = {"a": m, "b": m}
-        report = evaluate(groups, masks, masks, {"a": "mug", "b": "mug"})
+        boxes = {"a": BoundingBox(0, 0, 2, 2), "b": BoundingBox(0, 0, 2, 2)}
+        report = evaluate(groups, boxes, {"a": m, "b": m}, {"a": "mug", "b": "mug"})
         assert report.per_class["mug"] == ClassMetrics(precision=1.0, jaccard=1.0, count=2)
         assert report.avg_precision == 1.0
         assert report.avg_jaccard == 1.0
@@ -126,11 +133,10 @@ class TestEvaluate:
     def test_cross_class_average_is_unweighted(self):
         groups = [group("a", ["b", "c"])]
         full = np.ones((2, 2), dtype=bool)
-        half = np.array([[1, 1], [0, 0]], dtype=bool)
-        masks = {"a": full, "b": full, "c": half}
+        boxes = {"a": BoundingBox(0, 0, 2, 2), "b": BoundingBox(0, 0, 2, 2), "c": BoundingBox(0, 0, 2, 1)}
         gt = {"a": full, "b": full, "c": full}
-        # class "x": items a,b perfect. class "y": item c has p=1, j=0.5
-        report = evaluate(groups, masks, gt, {"a": "x", "b": "x", "c": "y"})
+        # class "x": items a,b perfect. class "y": item c (top row) has p=1, j=0.5
+        report = evaluate(groups, boxes, gt, {"a": "x", "b": "x", "c": "y"})
         assert report.per_class["x"].count == 2
         assert report.per_class["y"].jaccard == 0.5
         assert report.avg_jaccard == pytest.approx(0.75)  # (1.0 + 0.5) / 2
@@ -138,29 +144,33 @@ class TestEvaluate:
     def test_items_counted_once_across_groups(self):
         groups = [group("a", ["b"]), group("b", ["a"])]
         m = np.ones((2, 2), dtype=bool)
-        masks = {"a": m, "b": m}
-        report = evaluate(groups, masks, masks, {"a": "c", "b": "c"})
+        boxes = {"a": BoundingBox(0, 0, 2, 2), "b": BoundingBox(0, 0, 2, 2)}
+        report = evaluate(groups, boxes, {"a": m, "b": m}, {"a": "c", "b": "c"})
         assert report.per_class["c"].count == 2
 
     def test_missing_inputs_skip_with_reason(self):
-        groups = [group("a", ["b", "c", "d"])]
+        groups = [group("a", ["b", "c", "d", "e"])]
         m = np.ones((2, 2), dtype=bool)
-        masks = {"a": m, "c": m, "d": m}
-        gt = {"a": m, "b": m, "d": m}
-        classes = {"a": "k", "b": "k", "c": "k"}
-        report = evaluate(groups, masks, gt, classes)
+        b = BoundingBox(0, 0, 2, 2)
+        boxes = {"a": b, "c": b, "d": b, "e": b}
+        gt = {"a": m, "b": m, "d": m, "e": None}
+        classes = {"a": "k", "b": "k", "c": "k", "e": "k"}
+        report = evaluate(groups, boxes, gt, classes)
         assert ("b", "no segmentation mask") in report.skipped
         assert ("c", "no ground-truth mask") in report.skipped
         assert ("d", "no class label") in report.skipped
+        assert ("e", "no ground-truth mask") in report.skipped
         assert report.per_class["k"].count == 1  # only "a" scored
 
     def test_empty_segmentations_flagged_and_scored(self):
-        groups = [group("a", [])]
-        masks = {"a": np.zeros((2, 2), dtype=bool)}
-        gt = {"a": np.ones((2, 2), dtype=bool)}
-        report = evaluate(groups, masks, gt, {"a": "k"})
+        groups = [group("a", ["b"])]
+        gt = {"a": np.ones((2, 2), dtype=bool), "b": np.ones((2, 2), dtype=bool)}
+        # "a" lies wholly outside its 2x2 image, "b" only partly
+        boxes = {"a": BoundingBox(2, 0, 3, 2), "b": BoundingBox(-1, -1, 2, 2)}
+        report = evaluate(groups, boxes, gt, {"a": "k", "b": "j"})
         assert report.empty_segmentations == ("a",)
         assert report.per_class["k"].precision == 0.0
+        assert report.per_class["j"] == ClassMetrics(precision=1.0, jaccard=0.25, count=1)
 
     def test_no_groups_gives_zero_averages(self):
         report = evaluate([], {}, {}, {})
@@ -168,14 +178,44 @@ class TestEvaluate:
         assert report.avg_precision == 0.0
         assert report.avg_jaccard == 0.0
 
+    def test_gt_must_be_2d(self):
+        with pytest.raises(ValueError):
+            evaluate([group("a", [])], {"a": BoundingBox(0, 0, 1, 1)}, {"a": np.ones(4)}, {"a": "k"})
+
+    def test_box_scores_equal_drawn_mask_oracle(self):
+        """Boxes inside, across and wholly outside random images, against random
+        ground truth (some of it empty), score exactly as the drawn mask does."""
+        rng = np.random.default_rng(5)
+        boxes, gt, classes, want, want_empty = {}, {}, {}, {}, []
+        for i in range(300):
+            h, w = (int(v) for v in rng.integers(1, 12, size=2))
+            item = f"i{i}"
+            boxes[item] = BoundingBox(
+                int(rng.integers(-w - 3, w + 3)), int(rng.integers(-h - 3, h + 3)),
+                int(rng.integers(1, w + 6)), int(rng.integers(1, h + 6)),
+            )
+            gt[item] = rng.random((h, w)) < rng.choice([0.0, 0.3, 0.7, 1.0])
+            classes[item] = item  # one item per class: per-class scores are the item's
+            seg = drawn((h, w), boxes[item])
+            want[item] = (precision(seg, gt[item]), jaccard(seg, gt[item]))
+            if not seg.any():
+                want_empty.append(item)
+        report = evaluate([group("i0", list(boxes)[1:])], boxes, gt, classes)
+        got = {c: (m.precision, m.jaccard) for c, m in report.per_class.items()}
+        assert got == want
+        assert list(report.empty_segmentations) == want_empty
+        # the draw covered each kind of case
+        assert 20 < len(want_empty) < 280
+        assert sum(not g.any() for g in gt.values()) > 20
+        assert sum(0 < p < 1 for p, _ in want.values()) > 20
+
 
 class TestReportSerialization:
     def make_report(self):
         groups = [group("a", ["b"])]
         m = np.ones((2, 2), dtype=bool)
-        masks = {"a": m}
         gt = {"a": m, "b": m}
-        return evaluate(groups, masks, gt, {"a": "mug", "b": "mug"})
+        return evaluate(groups, {"a": BoundingBox(0, 0, 2, 2)}, gt, {"a": "mug", "b": "mug"})
 
     def test_to_dict_structure(self):
         d = self.make_report().to_dict()

@@ -457,6 +457,20 @@ class TestManifestPaths:
             assert (new_out / "collages" / name).read_bytes() == (out / "collages" / name).read_bytes()
 
 
+class TestEvaluateStage:
+    def test_mask_size_differing_from_image_fails(self, pipeline_run, tmp_path):
+        new_root, cfg = fresh_copy(pipeline_run, tmp_path)
+        records = load_manifest(new_root / "manifest.csv")
+        target = next(r for r in records if r.split == "test")
+        h, w = read_image(new_root / target.image_path).shape[:2]
+        write_pbm(new_root / "wide.pbm", np.ones((h, w + 1), dtype=bool))
+        records = [replace(r, gt_mask_path="wide.pbm") if r is target else r for r in records]
+        save_manifest(records, new_root / "manifest.csv")
+        run_stage("ingest", cfg)
+        with pytest.raises(StageError, match=f"wide.pbm is {w + 1}x{h}, its image {w}x{h}"):
+            run_stage("evaluate", cfg)
+
+
 class TestRunStage:
     def test_unknown_stage(self):
         with pytest.raises(ConfigError, match="unknown stage"):
