@@ -43,8 +43,9 @@ for slot, item in layout(items, spec):
 # 3. Compose and write. The canvas is plain RGB, so the portable pixmap
 #    writer handles it directly.
 canvas = make_collage(items, spec)
-out = Path(tempfile.mkdtemp()) / "collage.ppm"
-write_ppm(out, canvas)
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "collage.ppm"
+    write_ppm(out, canvas)
+    print(f"\nwrote {out.name} ({out.stat().st_size} bytes)")
 background_share = float(np.mean(np.all(canvas == spec.background, axis=2)))
-print(f"\nwrote {out} ({out.stat().st_size} bytes)")
 print(f"canvas {canvas.shape[1]}x{canvas.shape[0]}, {background_share:.0%} background")

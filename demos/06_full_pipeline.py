@@ -17,7 +17,8 @@ from coseg.geometry import BoundingBox, Proposal, save_proposals
 from coseg.pipeline import ManifestRecord, merge_config, run_pipeline, save_manifest
 from coseg.pnm import write_ppm
 
-root = Path(tempfile.mkdtemp())
+workdir = tempfile.TemporaryDirectory()
+root = Path(workdir.name)
 (root / "images").mkdir()
 rng = np.random.default_rng(0)
 
@@ -80,3 +81,7 @@ print("\nartifacts:")
 for p in sorted(out.rglob("*")):
     if p.is_file():
         print(f"  {p.relative_to(out)}  ({p.stat().st_size} bytes)")
+
+# 4. The data set and everything the pipeline wrote go away with the
+#    temporary directory.
+workdir.cleanup()

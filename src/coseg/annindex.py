@@ -3,7 +3,8 @@
 Each tree recursively halves the item set with hyperplanes placed midway
 between two sampled points. Queries walk all trees best-first, ranked by how
 close the query sits to each splitting plane, then re-rank the collected
-candidates by exact distance.
+candidates by exact distance. A query whose budget covers every item skips
+the walk and scans all items.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _binio
-from .errors import DecodeError
+from .errors import DecodeError, TruncatedError
 
 MAGIC = b"CSGI"
 VERSION = 1
@@ -176,28 +177,13 @@ def build(items, cfg: IndexConfig) -> AnnIndex:
     return AnnIndex(config=cfg, items=arr, trees=trees)
 
 
-def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalResult:
-    """Approximate k nearest neighbors of q, re-ranked by exact distance.
+def _walk_candidates(index: AnnIndex, qv: np.ndarray, budget: int) -> np.ndarray:
+    """Sorted ids the best-first tree walk collects before budget is spent.
 
-    All trees share one best-first queue keyed by the smallest plane distance
-    seen along each path (roots start at +inf). Leaves feed a candidate set
-    until max(search_k, k * n_trees) distinct items were inspected or the
-    queue runs dry; the union is then scored exactly and the k closest
-    returned in ascending distance order, ties broken by item id.
+    All trees share one queue keyed by the smallest plane distance seen along
+    each path (roots start at +inf). Leaves feed a candidate set until budget
+    distinct items were inspected or the queue runs dry.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    qv = np.asarray(q, dtype=np.float64).ravel()
-    if qv.shape[0] != index.dim:
-        raise ValueError(f"query dimension {qv.shape[0]} != index dimension {index.dim}")
-    if search_k is None:
-        search_k = index.config.search_k
-    if index.config.metric == "cosine":
-        norm = float(np.linalg.norm(qv))
-        if norm > 0.0:
-            qv = qv / norm
-
-    budget = max(search_k, k * len(index.trees))
     counter = itertools.count()
     heap: list[tuple[float, int, RpNode]] = []
     for root in index.trees:
@@ -214,8 +200,36 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
         margin = float(node.normal @ qv - node.offset)
         heapq.heappush(heap, (-min(priority, margin), next(counter), node.right))
         heapq.heappush(heap, (-min(priority, -margin), next(counter), node.left))
+    return np.fromiter(sorted(candidates), dtype=np.int64, count=len(candidates))
 
-    ids = np.fromiter(sorted(candidates), dtype=np.int64, count=len(candidates))
+
+def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalResult:
+    """Approximate k nearest neighbors of q, re-ranked by exact distance.
+
+    The query inspects max(search_k, k * n_trees) distinct items. When that
+    budget is at least the number of items, the tree walk would collect every
+    item anyway, so all items are scored directly: an exact scan. Below it,
+    the trees are walked best-first for candidates. Either way the candidates
+    are scored exactly and the k closest returned in ascending distance order,
+    ties broken by item id.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    qv = np.asarray(q, dtype=np.float64).ravel()
+    if qv.shape[0] != index.dim:
+        raise ValueError(f"query dimension {qv.shape[0]} != index dimension {index.dim}")
+    if search_k is None:
+        search_k = index.config.search_k
+    if index.config.metric == "cosine":
+        norm = float(np.linalg.norm(qv))
+        if norm > 0.0:
+            qv = qv / norm
+
+    budget = max(search_k, k * len(index.trees))
+    if budget >= len(index):
+        ids = np.arange(len(index), dtype=np.int64)
+    else:
+        ids = _walk_candidates(index, qv, budget)
     diffs = index.items[ids].astype(np.float64) - qv
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     order = np.argsort(dists, kind="stable")[:k]
@@ -304,6 +318,8 @@ def load(data: bytes) -> AnnIndex:
     dim = r.u32()
     n = r.u64()
     items = r.f32_array(n * dim).reshape(n, dim)
+    if 4 * n * n_trees > len(data) - r.pos:  # every tree lists each item id as a u32
+        raise TruncatedError(f"{n_trees} trees over {n} items overrun {len(data) - r.pos} bytes")
     trees = [_read_tree(r, dim, n) for _ in range(n_trees)]
     r.expect_eof()
     return AnnIndex(config=cfg, items=items, trees=trees)

@@ -45,18 +45,20 @@ def resize_nearest(image: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 def patch_descriptor(image: np.ndarray, box: BoundingBox) -> np.ndarray:
-    """Descriptor for one proposal: crop the box, convert to grayscale,
-    resample to 32x32 by nearest neighbor, flatten row-major, scale to [0, 1].
+    """Descriptor for one proposal: crop the box, resample to 32x32 by nearest
+    neighbor, convert to grayscale, flatten row-major, scale to [0, 1].
 
+    Nearest sampling only picks pixels and luma is computed per pixel, so
+    graying the 32x32 sample equals sampling the grayed crop, bit for bit.
     The box is clipped to the image; a box entirely outside it is an error.
     Returns a float32 vector of length 1024.
     """
-    gray = to_gray(image)
-    h, w = gray.shape
+    image = np.asarray(image)
+    h, w = image.shape[:2]
     cut = box.clip(w, h)
     if cut is None:
         raise ValueError(f"box {box} lies outside a {w}x{h} image")
-    small = resize_nearest(gray[cut], PATCH_SIDE, PATCH_SIDE)
+    small = to_gray(resize_nearest(image[cut], PATCH_SIDE, PATCH_SIDE))
     return (small.reshape(-1) / 255.0).astype(np.float32)
 
 

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coseg import annindex
 from coseg.annindex import (
+    METRICS,
     AnnIndex,
     IndexConfig,
     RpNode,
@@ -18,6 +22,14 @@ from coseg.errors import BadMagicError, DecodeError, TruncatedError, VersionErro
 
 def brute_force(items, q, k):
     d = np.linalg.norm(items.astype(np.float64) - np.asarray(q, dtype=np.float64), axis=1)
+    order = np.argsort(d, kind="stable")[:k]
+    return [(int(i), float(d[i])) for i in order]
+
+
+def exact_scan(items, q, k):
+    """Brute force with the query's own arithmetic, so distances match to the bit."""
+    diffs = items.astype(np.float64) - np.asarray(q, dtype=np.float64)
+    d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     order = np.argsort(d, kind="stable")[:k]
     return [(int(i), float(d[i])) for i in order]
 
@@ -248,6 +260,107 @@ class TestQuery:
             hits += len(want & got)
             total += 10
         assert hits / total >= 0.8
+
+
+class TestExactScan:
+    """A budget of max(search_k, k * n_trees) >= n items scores every item
+    without walking the trees; a smaller budget walks them."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        walk = annindex._walk_candidates
+
+        def counting_walk(*args):
+            calls.append(args[2])
+            return walk(*args)
+
+        monkeypatch.setattr(annindex, "_walk_candidates", counting_walk)
+        return calls
+
+    def test_budget_exactly_n_scans_without_walking(self, walks):
+        rng = np.random.default_rng(20)
+        items = rng.normal(size=(60, 5)).astype(np.float32)
+        idx = build(items, IndexConfig(n_trees=3, leaf_capacity=4, seed=1))
+        for _ in range(10):
+            q = rng.normal(size=5)
+            assert query(idx, q, k=7, search_k=60).neighbors == exact_scan(idx.items, q, 7)
+        assert walks == []
+
+    def test_duplicate_rows_tie_by_id(self, walks):
+        # four values, each repeated in 16 rows scattered over the index; enough
+        # rows that an unstable sort would reorder equal distances
+        rng = np.random.default_rng(21)
+        values = rng.normal(size=(4, 3)).astype(np.float32)
+        items = values[rng.permutation(np.repeat(np.arange(4), 16))]
+        idx = build(items, IndexConfig(n_trees=2, leaf_capacity=4, seed=0))
+        res = query(idx, values[2], k=64, search_k=64)
+        assert res.neighbors == exact_scan(idx.items, values[2], 64)
+        assert res.ids[:16] == sorted(np.flatnonzero((items == values[2]).all(axis=1)).tolist())
+        assert walks == []
+
+    def test_cosine_metric(self, walks):
+        rng = np.random.default_rng(22)
+        items = rng.normal(size=(50, 4)).astype(np.float32)
+        idx = build(items, IndexConfig(n_trees=2, leaf_capacity=4, metric="cosine"))
+        q = rng.normal(size=4) * 7.0
+        got = query(idx, q, k=6, search_k=50)
+        assert got.neighbors == exact_scan(idx.items, q / np.linalg.norm(q), 6)
+        assert walks == []
+
+    def test_k_beyond_item_count(self, walks):
+        rng = np.random.default_rng(23)
+        items = rng.normal(size=(9, 3)).astype(np.float32)
+        idx = build(items, IndexConfig(n_trees=1, search_k=1, leaf_capacity=2))
+        q = rng.normal(size=3)
+        got = query(idx, q, k=20)  # budget 20 * 1 tree covers the 9 items
+        assert got.neighbors == exact_scan(idx.items, q, 9)
+        assert walks == []
+
+    def test_budget_below_n_walks_the_trees(self, walks):
+        # one hand-built tree splitting the line at x = 2.5: left leaf {0, 1, 2},
+        # right leaf {3}. A query at 2.45 sits left of the plane, so a budget of
+        # n - 1 = 3 stops after the left leaf and never sees item 3, its nearest.
+        items = np.array([[0.0], [1.0], [1.5], [3.0]], dtype=np.float32)
+        tree = RpNode(
+            normal=np.array([1.0]), offset=2.5,
+            left=RpNode(item_indices=np.array([0, 1, 2], dtype=np.uint32)),
+            right=RpNode(item_indices=np.array([3], dtype=np.uint32)),
+        )
+        idx = AnnIndex(config=IndexConfig(n_trees=1), items=items, trees=[tree])
+        got = query(idx, [2.45], k=2, search_k=3)  # k * n_trees = 2 < 4
+        assert got.ids == [2, 1]
+        assert got.distances == sorted(got.distances)
+        assert walks == [3]
+        assert query(idx, [2.45], k=2, search_k=4).ids == [3, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        dim=st.integers(1, 4),
+        n_trees=st.integers(1, 4),
+        leaf_capacity=st.integers(2, 8),
+        k=st.integers(1, 12),
+        search_k=st.integers(1, 50),
+        metric=st.sampled_from(METRICS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property_scan_equals_brute_force_walk_equals_its_candidates(
+        self, n, dim, n_trees, leaf_capacity, k, search_k, metric, seed
+    ):
+        rng = np.random.default_rng(seed)
+        # small integer coordinates, so duplicate rows and tied distances occur
+        items = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
+        idx = build(items, IndexConfig(n_trees=n_trees, leaf_capacity=leaf_capacity, seed=seed % 7, metric=metric))
+        q = rng.integers(-2, 3, size=dim).astype(np.float64)
+        got = query(idx, q, k=k, search_k=search_k)
+        qv = q
+        if metric == "cosine" and np.linalg.norm(q) > 0.0:
+            qv = q / np.linalg.norm(q)
+        budget = max(search_k, k * n_trees)
+        pool = np.arange(n) if budget >= n else annindex._walk_candidates(idx, qv, budget)
+        want = [(int(pool[i]), d) for i, d in exact_scan(idx.items[pool], qv, k)]
+        assert got.neighbors == want
 
 
 class TestSerialization:

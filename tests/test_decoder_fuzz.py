@@ -1,0 +1,166 @@
+"""Malformed artifacts are rejected with ValueError (DecodeError is one), never
+another exception: truncations, bit flips and random headers are fed to the
+.csgd, .csgm and .csgi decoders and to the PBM/PGM/PPM readers."""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from coseg import pnm
+from coseg.annindex import IndexConfig, build, load, save
+from coseg.descriptors import load_descriptors, save_descriptors
+from coseg.embedder import EncoderParams, load_model, save_model
+from coseg.errors import TruncatedError
+
+_rng = np.random.default_rng(0)
+
+# name -> (valid bytes, decoder over bytes, header fields after magic and version)
+BINARY = {
+    "csgd": (
+        save_descriptors(["a", "bé", ""], _rng.normal(size=(3, 4))),
+        load_descriptors,
+        "<IQ",  # dim, count
+    ),
+    "csgm": (
+        save_model(EncoderParams(
+            weights=(_rng.normal(size=(3, 4)), _rng.normal(size=(2, 3))),
+            biases=(_rng.normal(size=3), _rng.normal(size=2)),
+        )),
+        load_model,
+        "<III",  # layer count, first layer rows and cols
+    ),
+    "csgi": (
+        save(build(_rng.normal(size=(12, 3)), IndexConfig(n_trees=2, leaf_capacity=4, seed=1))),
+        load,
+        "<IIIQBIQ",  # n_trees, search_k, leaf_capacity, seed, metric, dim, n
+    ),
+}
+
+# name -> (valid file bytes, reader over a path)
+RASTER = {
+    "pbm": (b"P4\n11 5\n" + _rng.integers(0, 256, size=10, dtype=np.uint8).tobytes(), pnm.read_pbm),
+    "pgm": (b"P5\n5 4\n255\n" + _rng.integers(0, 256, size=20, dtype=np.uint8).tobytes(), pnm.read_image),
+    "ppm": (b"P6\n4 3\n255\n" + _rng.integers(0, 256, size=36, dtype=np.uint8).tobytes(), pnm.read_image),
+}
+
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def raster_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("raster")
+
+
+def decode_raster(raster_dir, name):
+    path = raster_dir / f"fuzz.{name}"
+    reader = RASTER[name][1]
+
+    def decode(data: bytes):
+        path.write_bytes(data)
+        return reader(path)
+
+    return decode
+
+
+def flip_bits(data: bytes, bits) -> bytes:
+    out = bytearray(data)
+    for b in bits:
+        out[(b // 8) % len(out)] ^= 1 << (b % 8)
+    return bytes(out)
+
+
+def decodes_or_value_error(decode, data: bytes) -> None:
+    try:
+        decode(data)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+def test_valid_samples_decode(name):
+    data, decode, _ = BINARY[name]
+    decode(data)
+
+
+@pytest.mark.parametrize("name", sorted(RASTER))
+def test_valid_raster_samples_decode(name, raster_dir):
+    decode_raster(raster_dir, name)(RASTER[name][0])
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+@FUZZ
+@given(cut=st.integers(0, 10**6))
+def test_binary_truncation_rejected(name, cut):
+    data, decode, _ = BINARY[name]
+    with pytest.raises(ValueError):
+        decode(data[: cut % len(data)])
+
+
+@pytest.mark.parametrize("name", sorted(RASTER))
+@FUZZ
+@given(cut=st.integers(0, 10**6))
+def test_raster_truncation_rejected(name, cut, raster_dir):
+    data = RASTER[name][0]
+    with pytest.raises(ValueError):
+        decode_raster(raster_dir, name)(data[: cut % len(data)])
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+@FUZZ
+@given(bits=st.lists(st.integers(0, 2**20), min_size=1, max_size=6))
+def test_binary_bit_flips(name, bits):
+    data, decode, _ = BINARY[name]
+    decodes_or_value_error(decode, flip_bits(data, bits))
+
+
+@pytest.mark.parametrize("name", sorted(RASTER))
+@FUZZ
+@given(bits=st.lists(st.integers(0, 2**20), min_size=1, max_size=6))
+def test_raster_bit_flips(name, bits, raster_dir):
+    decodes_or_value_error(decode_raster(raster_dir, name), flip_bits(RASTER[name][0], bits))
+
+
+def header_values(fields: str):
+    """One value per struct field, often an edge value of its width."""
+    bits = [8 * struct.calcsize("<" + code) for code in fields[1:]]
+    return st.tuples(*(
+        st.one_of(st.sampled_from([0, 1, 2, 3, 2**b - 1, 2 ** (b - 1)]), st.integers(0, 2**b - 1))
+        for b in bits
+    ))
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+@FUZZ
+@given(data=st.data(), tail=st.one_of(st.none(), st.binary(max_size=64)))
+def test_binary_random_header(name, data, tail):
+    # valid magic and version, random header fields, then either the valid
+    # body that followed the original header or random bytes
+    valid, decode, fields = BINARY[name]
+    values = data.draw(header_values(fields))
+    body = valid[8 + struct.calcsize(fields) :] if tail is None else tail
+    decodes_or_value_error(decode, valid[:8] + struct.pack(fields, *values) + body)
+
+
+@pytest.mark.parametrize("name", sorted(RASTER))
+@FUZZ
+@given(
+    header=st.text(alphabet="0123456789 \t\n#x-+", max_size=24),
+    raster=st.binary(max_size=64),
+)
+def test_raster_random_header(name, header, raster, raster_dir):
+    magic = RASTER[name][0][:2]
+    decodes_or_value_error(decode_raster(raster_dir, name), magic + header.encode() + raster)
+
+
+def test_index_with_more_items_than_bytes_rejected_before_allocating():
+    # a zero-dimension index declaring 2**40 items once reached np.arange(2**40)
+    # in the leaf check and raised MemoryError
+    data = save(build(np.zeros((3, 0), dtype=np.float32), IndexConfig(n_trees=1)))
+    assert load(data).items.shape == (3, 0)
+    n_at = 8 + struct.calcsize("<IIIQBI")
+    huge = data[:n_at] + struct.pack("<Q", 2**40) + data[n_at + 8 :]
+    with pytest.raises(TruncatedError):
+        load(huge)

@@ -123,6 +123,28 @@ class TestPatchDescriptor:
         assert np.array_equal(a, b)
 
 
+    def test_bit_identical_to_graying_the_whole_image(self):
+        # oracle: the whole image grayed, then cut and resampled; the descriptor
+        # resamples the raw cut and grays only that, which must not change a bit
+        rng = np.random.default_rng(12)
+        sizes = [(480, 640), (479, 639), (33, 31), (1, 1), (2, 97)]
+        for trial in range(1500):
+            h, w = sizes[trial] if trial < len(sizes) else rng.integers(1, 90, size=2)
+            shape = (h, w, 3) if trial % 2 else (h, w)
+            img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            box = BoundingBox(
+                int(rng.integers(-20, w)), int(rng.integers(-20, h)),
+                int(rng.integers(1, w + 40)), int(rng.integers(1, h + 40)),
+            )
+            cut = box.clip(w, h)
+            if cut is None:
+                continue
+            small = resize_nearest(to_gray(img)[cut], PATCH_SIDE, PATCH_SIDE)
+            want = (small.reshape(-1) / 255.0).astype(np.float32)
+            got = patch_descriptor(img, box)
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (shape, box)
+
+
 class TestDescriptorFiles:
     def test_round_trip(self):
         rng = np.random.default_rng(2)
