@@ -51,17 +51,11 @@ class Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
     def f32_array(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(4 * count), dtype="<f4").copy()
 
     def f64_array(self, count: int) -> np.ndarray:
         return np.frombuffer(self.take(8 * count), dtype="<f8").copy()
-
-    def u32_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<u4").copy()
 
 
 def pack_u8(v: int) -> bytes:
@@ -78,7 +72,3 @@ def pack_u32(v: int) -> bytes:
 
 def pack_u64(v: int) -> bytes:
     return struct.pack("<Q", v)
-
-
-def pack_f64(v: float) -> bytes:
-    return struct.pack("<d", v)

@@ -5,22 +5,26 @@ between two sampled points. Queries walk all trees best-first, ranked by how
 close the query sits to each splitting plane, then re-rank the collected
 candidates by exact distance. A query whose budget covers every item skips
 the walk and scans all items.
+
+The forest is a pure function of the items and the config, so it is grown
+only when a query first walks it, and the file form holds the config and the
+items alone.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-import io
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _binio
-from .errors import DecodeError, TruncatedError
+from .errors import DecodeError
 
 MAGIC = b"CSGI"
-VERSION = 1
+VERSION = 2
 METRICS = ("euclidean", "cosine")
 
 
@@ -80,11 +84,20 @@ class RetrievalResult:
 
 @dataclass
 class AnnIndex:
-    """Immutable forest over a fixed item set; item id = row position."""
+    """A fixed item set and the config of the forest over it; item id = row position.
+
+    The trees are grown from the items on first access and kept: tree t draws
+    from its own stream seeded with config.seed + t, so the forest depends only
+    on the items and (n_trees, leaf_capacity, seed).
+    """
 
     config: IndexConfig
     items: np.ndarray  # (n, dim) float32; unit rows under the cosine metric
-    trees: list[RpNode]
+
+    @functools.cached_property
+    def trees(self) -> list[RpNode]:
+        cfg = self.config
+        return [_build_tree(self.items, cfg, np.random.default_rng(cfg.seed + t)) for t in range(cfg.n_trees)]
 
     @property
     def dim(self) -> int:
@@ -156,11 +169,10 @@ def _unit_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def build(items, cfg: IndexConfig) -> AnnIndex:
-    """Grow cfg.n_trees random-projection trees over the items.
+    """Index the items under cfg; the trees are grown when a query first walks them.
 
-    Items are stored as float32 rows; row position is the item id. Each tree
-    draws from its own stream seeded with cfg.seed + tree index, so the build
-    is reproducible and trees are independent.
+    Items are stored as float32 rows (unit rows under the cosine metric); row
+    position is the item id.
     """
     try:
         arr = np.asarray(items, dtype=np.float32)
@@ -170,11 +182,11 @@ def build(items, cfg: IndexConfig) -> AnnIndex:
         raise ValueError(f"items must be a (count, dim) array, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("cannot build an index over zero items")
+    if arr.shape[1] == 0:
+        raise ValueError("cannot build an index over zero-dimension items")
     if cfg.metric == "cosine":
         arr = _unit_rows(arr)
-    arr = np.ascontiguousarray(arr)
-    trees = [_build_tree(arr, cfg, np.random.default_rng(cfg.seed + t)) for t in range(cfg.n_trees)]
-    return AnnIndex(config=cfg, items=arr, trees=trees)
+    return AnnIndex(config=cfg, items=np.ascontiguousarray(arr))
 
 
 def _walk_candidates(index: AnnIndex, qv: np.ndarray, budget: int) -> np.ndarray:
@@ -208,10 +220,10 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
 
     The query inspects max(search_k, k * n_trees) distinct items. When that
     budget is at least the number of items, the tree walk would collect every
-    item anyway, so all items are scored directly: an exact scan. Below it,
-    the trees are walked best-first for candidates. Either way the candidates
-    are scored exactly and the k closest returned in ascending distance order,
-    ties broken by item id.
+    item anyway, so all items are scored directly: an exact scan, which never
+    grows the trees. Below it, the trees are walked best-first for candidates.
+    Either way the candidates are scored exactly and the k closest returned in
+    ascending distance order, ties broken by item id.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -225,7 +237,7 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
         if norm > 0.0:
             qv = qv / norm
 
-    budget = max(search_k, k * len(index.trees))
+    budget = max(search_k, k * index.config.n_trees)
     if budget >= len(index):
         ids = np.arange(len(index), dtype=np.int64)
     else:
@@ -237,73 +249,26 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
 
 
 def save(index: AnnIndex) -> bytes:
-    """Serialize the index: magic, version, config, item block, pre-order trees."""
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(_binio.pack_u32(VERSION))
+    """Serialize the index: magic, version, config, item block. No trees:
+    they are grown again from the items."""
     c = index.config
-    buf.write(_binio.pack_u32(c.n_trees))
-    buf.write(_binio.pack_u32(c.search_k))
-    buf.write(_binio.pack_u32(c.leaf_capacity))
-    buf.write(_binio.pack_u64(c.seed))
-    buf.write(_binio.pack_u8(METRICS.index(c.metric)))
     n, dim = index.items.shape
-    buf.write(_binio.pack_u32(dim))
-    buf.write(_binio.pack_u64(n))
-    buf.write(index.items.astype("<f4", copy=False).tobytes())
-    for tree in index.trees:
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                buf.write(_binio.pack_u8(0))
-                buf.write(_binio.pack_u32(len(node.item_indices)))
-                buf.write(node.item_indices.astype("<u4", copy=False).tobytes())
-            else:
-                buf.write(_binio.pack_u8(1))
-                buf.write(node.normal.astype("<f8", copy=False).tobytes())
-                buf.write(_binio.pack_f64(node.offset))
-                stack.append(node.right)
-                stack.append(node.left)
-    return buf.getvalue()
-
-
-def _read_node(r: _binio.Reader, dim: int) -> RpNode:
-    kind = r.u8()
-    if kind == 0:
-        count = r.u32()
-        return RpNode(item_indices=r.u32_array(count))
-    if kind == 1:
-        normal = r.f64_array(dim)
-        offset = r.f64()
-        return RpNode(normal=normal, offset=offset)
-    raise DecodeError(f"unknown node kind {kind}")
-
-
-def _read_tree(r: _binio.Reader, dim: int, n: int) -> RpNode:
-    """Read one pre-order tree; its leaves must hold each of the n items once."""
-    root = _read_node(r, dim)
-    nodes = [root]
-    pending = [] if root.is_leaf else [root]  # internal nodes missing a child; left fills first
-    while pending:
-        parent = pending[-1]
-        child = _read_node(r, dim)
-        nodes.append(child)
-        if parent.left is None:
-            parent.left = child
-        else:
-            parent.right = child
-            pending.pop()
-        if not child.is_leaf:
-            pending.append(child)
-    ids = np.sort(np.concatenate([v.item_indices for v in nodes if v.is_leaf]))
-    if not np.array_equal(ids, np.arange(n)):
-        raise DecodeError(f"tree leaves do not hold each of the {n} items exactly once")
-    return root
+    return b"".join([
+        MAGIC,
+        _binio.pack_u32(VERSION),
+        _binio.pack_u32(c.n_trees),
+        _binio.pack_u32(c.search_k),
+        _binio.pack_u32(c.leaf_capacity),
+        _binio.pack_u64(c.seed),
+        _binio.pack_u8(METRICS.index(c.metric)),
+        _binio.pack_u32(dim),
+        _binio.pack_u64(n),
+        index.items.astype("<f4", copy=False).tobytes(),
+    ])
 
 
 def load(data: bytes) -> AnnIndex:
-    """Rebuild an index from bytes produced by save()."""
+    """Rebuild an index from bytes produced by save(); grows no tree."""
     r = _binio.Reader(data)
     r.expect_magic(MAGIC)
     r.expect_version(VERSION)
@@ -314,15 +279,17 @@ def load(data: bytes) -> AnnIndex:
     metric_id = r.u8()
     if metric_id >= len(METRICS):
         raise DecodeError(f"unknown metric id {metric_id}")
-    cfg = IndexConfig(n_trees, search_k, leaf_capacity, seed, METRICS[metric_id])
+    try:
+        cfg = IndexConfig(n_trees, search_k, leaf_capacity, seed, METRICS[metric_id])
+    except ValueError as e:
+        raise DecodeError(f"index header: {e}") from e
     dim = r.u32()
     n = r.u64()
+    if n == 0 or dim == 0:
+        raise DecodeError(f"index file declares {n} items of dimension {dim}")
     items = r.f32_array(n * dim).reshape(n, dim)
-    if 4 * n * n_trees > len(data) - r.pos:  # every tree lists each item id as a u32
-        raise TruncatedError(f"{n_trees} trees over {n} items overrun {len(data) - r.pos} bytes")
-    trees = [_read_tree(r, dim, n) for _ in range(n_trees)]
     r.expect_eof()
-    return AnnIndex(config=cfg, items=items, trees=trees)
+    return AnnIndex(config=cfg, items=items)
 
 
 def save_file(index: AnnIndex, path) -> None:

@@ -99,7 +99,10 @@ def load_descriptors(data: bytes) -> tuple[list[str], np.ndarray]:
     vectors = np.empty((count, dim), dtype=np.float32)
     for i in range(count):
         n = r.u16()
-        ids.append(r.take(n).decode("utf-8"))
+        try:
+            ids.append(r.take(n).decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise DecodeError(f"descriptor {i} id is not UTF-8: {e}") from e
         vectors[i] = r.f32_array(dim)
     r.expect_eof()
     return ids, vectors

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDiverged
-from ._binio import Reader, pack_u32, pack_f64
+from .errors import ConfigError, DecodeError, TrainingDiverged
+from ._binio import Reader, pack_u32
 
 MODEL_MAGIC = b"CSGM"
 MODEL_VERSION = 1
@@ -480,14 +480,18 @@ def load_model(data: bytes) -> EncoderParams:
     r.expect_version(MODEL_VERSION)
     n_layers = r.u32()
     if n_layers == 0:
-        raise ValueError("model file declares zero layers")
+        raise DecodeError("model file declares zero layers")
     weights = []
     biases = []
-    for _ in range(n_layers):
+    for i in range(n_layers):
         rows = r.u32()
         cols = r.u32()
         if rows == 0 or cols == 0:
-            raise ValueError(f"model layer has empty shape {rows}x{cols}")
+            raise DecodeError(f"model layer {i} has empty shape {rows}x{cols}")
+        if weights and cols != weights[-1].shape[0]:
+            raise DecodeError(
+                f"model layer {i} expects {cols} inputs but layer {i - 1} outputs {weights[-1].shape[0]}"
+            )
         weights.append(r.f64_array(rows * cols).reshape(rows, cols))
         biases.append(r.f64_array(rows))
     r.expect_eof()

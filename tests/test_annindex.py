@@ -1,3 +1,6 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,23 @@ def exact_scan(items, q, k):
     d = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     order = np.argsort(d, kind="stable")[:k]
     return [(int(i), float(d[i])) for i in order]
+
+
+def forest(trees):
+    """Each tree as its pre-order (left before right) node list: a leaf's item
+    ids, or a split's unit normal and offset."""
+    out = []
+    for tree in trees:
+        nodes, stack = [], [tree]
+        while stack:
+            n = stack.pop()
+            if n.is_leaf:
+                nodes.append(n.item_indices.tolist())
+            else:
+                nodes.append((n.normal.tolist(), n.offset))
+                stack.extend([n.right, n.left])
+        out.append(nodes)
+    return out
 
 
 def leaves(node):
@@ -140,14 +160,14 @@ class TestBuild:
         rng = np.random.default_rng(3)
         items = rng.normal(size=(60, 4))
         cfg = IndexConfig(n_trees=4, leaf_capacity=8, seed=9)
-        assert save(build(items, cfg)) == save(build(items, cfg))
+        assert forest(build(items, cfg).trees) == forest(build(items, cfg).trees)
 
     def test_seed_changes_trees(self):
         rng = np.random.default_rng(4)
         items = rng.normal(size=(60, 4))
         a = build(items, IndexConfig(n_trees=2, leaf_capacity=8, seed=0))
         b = build(items, IndexConfig(n_trees=2, leaf_capacity=8, seed=5))
-        assert save(a) != save(b)
+        assert forest(a.trees) != forest(b.trees)
 
     def test_rejects_empty_and_misshaped(self):
         with pytest.raises(ValueError):
@@ -156,6 +176,8 @@ class TestBuild:
             build(np.zeros(5), IndexConfig())
         with pytest.raises(ValueError):
             build([[1.0, 2.0], [1.0]], IndexConfig())
+        with pytest.raises(ValueError):
+            build(np.zeros((3, 0)), IndexConfig())
 
     def test_cosine_stores_unit_rows(self):
         items = np.array([[3.0, 4.0], [0.0, 2.0]])
@@ -216,16 +238,17 @@ class TestQuery:
         assert got.ids == [i for i, _ in want]
 
     def test_budget_counts_distinct_candidates(self):
-        # two identical trees: the same leaves arrive twice, but the candidate
-        # set must still grow to search_k distinct items
+        # two identical trees: the same leaves arrive twice, but the walk must
+        # still collect search_k distinct items (a budget below the 64 items,
+        # so the trees are walked)
         rng = np.random.default_rng(9)
         items = rng.normal(size=(64, 4)).astype(np.float32)
-        one = build(items, IndexConfig(n_trees=1, search_k=64, leaf_capacity=4, seed=3))
-        twin = AnnIndex(config=one.config, items=one.items, trees=[one.trees[0], one.trees[0]])
+        one = build(items, IndexConfig(n_trees=1, search_k=48, leaf_capacity=4, seed=3))
+        twin = AnnIndex(config=replace(one.config, n_trees=2), items=one.items)
+        twin.trees = [one.trees[0], one.trees[0]]
         q = rng.normal(size=4)
-        got = query(twin, q, k=5, search_k=64)
-        want = brute_force(items, q, 5)
-        assert got.ids == [i for i, _ in want]
+        assert len(annindex._walk_candidates(twin, q, 48)) >= 48
+        assert query(twin, q, k=5).ids == query(one, q, k=5, search_k=48).ids
 
     def test_dimension_mismatch(self):
         idx = build(np.eye(3), IndexConfig(n_trees=1))
@@ -327,7 +350,8 @@ class TestExactScan:
             left=RpNode(item_indices=np.array([0, 1, 2], dtype=np.uint32)),
             right=RpNode(item_indices=np.array([3], dtype=np.uint32)),
         )
-        idx = AnnIndex(config=IndexConfig(n_trees=1), items=items, trees=[tree])
+        idx = AnnIndex(config=IndexConfig(n_trees=1), items=items)
+        idx.trees = [tree]
         got = query(idx, [2.45], k=2, search_k=3)  # k * n_trees = 2 < 4
         assert got.ids == [2, 1]
         assert got.distances == sorted(got.distances)
@@ -396,7 +420,7 @@ class TestSerialization:
         idx = build(np.eye(2, dtype=np.float32), IndexConfig(n_trees=1, search_k=7, leaf_capacity=3, seed=5))
         data = save(idx)
         assert data[:4] == b"CSGI"
-        assert int.from_bytes(data[4:8], "little") == 1  # version
+        assert int.from_bytes(data[4:8], "little") == 2  # version
         assert int.from_bytes(data[8:12], "little") == 1  # n_trees
         assert int.from_bytes(data[12:16], "little") == 7  # search_k
         assert int.from_bytes(data[16:20], "little") == 3  # leaf_capacity
@@ -428,27 +452,70 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load(data + b"\x00")
 
-    def test_leaf_id_beyond_item_count_rejected(self):
-        # once loaded silently, then failed with IndexError in query
-        idx = build(np.eye(3, dtype=np.float32), IndexConfig(n_trees=1, leaf_capacity=4))
-        data = save(idx)
-        assert int.from_bytes(data[-4:], "little") == 2  # the single leaf's last id
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_reloaded_trees_equal_built_trees(self, metric):
+        idx = self.build_sample(metric)
+        assert forest(load(save(idx)).trees) == forest(idx.trees)
+
+    def test_holds_header_and_items_only(self):
+        idx = self.build_sample()
+        assert len(save(idx)) == 8 + struct.calcsize("<IIIQBIQ") + 4 * idx.items.size
+
+    def test_version_1_file_rejected(self):
+        # a version-1 file: the same header and items, then the trees; here
+        # one tree that is a single leaf holding items 0, 1 and 2
+        data = save(build(np.eye(3, dtype=np.float32), IndexConfig(n_trees=1, leaf_capacity=4)))
+        v1 = data[:4] + struct.pack("<I", 1) + data[8:] + b"\x00" + struct.pack("<4I", 3, 0, 1, 2)
+        with pytest.raises(VersionError):
+            load(v1)
+
+    @pytest.mark.parametrize("field,value", [(0, 0), (1, 0), (2, 1), (2, 0)])
+    def test_header_outside_config_range_rejected(self, field, value):
+        # zero trees, zero search_k, leaf_capacity below 2: once a plain ValueError
+        data = save(self.build_sample())
+        at = 8 + 4 * field
         with pytest.raises(DecodeError):
-            load(data[:-4] + (999).to_bytes(4, "little"))
+            load(data[:at] + struct.pack("<I", value) + data[at + 4 :])
 
-    @staticmethod
-    def two_leaf_index(left, right):
-        def leaf(ids):
-            return RpNode(item_indices=np.array(ids, dtype=np.uint32))
-
-        tree = RpNode(normal=np.ones(3), offset=0.5, left=leaf(left), right=leaf(right))
-        return AnnIndex(config=IndexConfig(n_trees=1), items=np.eye(3, dtype=np.float32), trees=[tree])
-
-    @pytest.mark.parametrize("left,right", [([0, 1], [1, 2]), ([0], [2]), ([0, 1], [2, 2]), ([0, 1], [2, 3])])
-    def test_tree_must_hold_every_item_once(self, left, right):
+    @pytest.mark.parametrize("dim,n", [(0, 3), (3, 0)])
+    def test_empty_item_block_rejected(self, dim, n):
+        header = save(build(np.eye(2, dtype=np.float32), IndexConfig(n_trees=1)))[: 8 + struct.calcsize("<IIIQB")]
         with pytest.raises(DecodeError):
-            load(save(self.two_leaf_index(left, right)))
+            load(header + struct.pack("<IQ", dim, n))
 
-    def test_hand_built_tree_covering_items_loads(self):
-        data = save(self.two_leaf_index([2, 0], [1]))
-        assert save(load(data)) == data
+
+class TestLazyTrees:
+    """The forest is grown the first time a query walks it, and only then."""
+
+    @pytest.fixture
+    def grown(self, monkeypatch):
+        calls = []
+        grow = annindex._build_tree
+
+        def counting_build_tree(*args):
+            calls.append(1)
+            return grow(*args)
+
+        monkeypatch.setattr(annindex, "_build_tree", counting_build_tree)
+        return calls
+
+    def test_only_a_walking_query_grows_trees(self, grown):
+        rng = np.random.default_rng(30)
+        items = rng.normal(size=(50, 4)).astype(np.float32)
+        idx = build(items, IndexConfig(n_trees=3, search_k=5, leaf_capacity=4, seed=2))
+        again = load(save(idx))
+        q = rng.normal(size=4)
+        assert query(again, q, k=2, search_k=50).neighbors == exact_scan(again.items, q, 2)
+        assert grown == []
+        query(again, q, k=2)  # budget max(5, 2 * 3) = 6 < 50 walks the trees
+        assert len(grown) == 3
+        query(again, rng.normal(size=4), k=2)
+        assert len(grown) == 3
+
+    def test_load_of_huge_forest_grows_nothing(self, grown):
+        data = bytearray(save(build(np.eye(2, dtype=np.float32), IndexConfig(n_trees=1))))
+        data[8:12] = struct.pack("<I", 2**32 - 1)
+        idx = load(bytes(data))
+        assert idx.config.n_trees == 2**32 - 1
+        assert query(idx, [1.0, 0.0], k=1).ids == [0]
+        assert grown == []

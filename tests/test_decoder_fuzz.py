@@ -1,6 +1,7 @@
-"""Malformed artifacts are rejected with ValueError (DecodeError is one), never
-another exception: truncations, bit flips and random headers are fed to the
-.csgd, .csgm and .csgi decoders and to the PBM/PGM/PPM readers."""
+"""Malformed artifacts are rejected, never with an unexpected exception:
+truncations, bit flips and random headers are fed to the .csgd, .csgm and
+.csgi decoders, which may raise only DecodeError, and to the PBM/PGM/PPM
+readers, which may raise only ValueError (DecodeError is one)."""
 
 import struct
 
@@ -13,7 +14,7 @@ from coseg import pnm
 from coseg.annindex import IndexConfig, build, load, save
 from coseg.descriptors import load_descriptors, save_descriptors
 from coseg.embedder import EncoderParams, load_model, save_model
-from coseg.errors import TruncatedError
+from coseg.errors import DecodeError
 
 _rng = np.random.default_rng(0)
 
@@ -72,10 +73,10 @@ def flip_bits(data: bytes, bits) -> bytes:
     return bytes(out)
 
 
-def decodes_or_value_error(decode, data: bytes) -> None:
+def decodes_or_raises(decode, data: bytes, error=ValueError) -> None:
     try:
         decode(data)
-    except ValueError:
+    except error:
         pass
 
 
@@ -95,7 +96,7 @@ def test_valid_raster_samples_decode(name, raster_dir):
 @given(cut=st.integers(0, 10**6))
 def test_binary_truncation_rejected(name, cut):
     data, decode, _ = BINARY[name]
-    with pytest.raises(ValueError):
+    with pytest.raises(DecodeError):
         decode(data[: cut % len(data)])
 
 
@@ -113,14 +114,14 @@ def test_raster_truncation_rejected(name, cut, raster_dir):
 @given(bits=st.lists(st.integers(0, 2**20), min_size=1, max_size=6))
 def test_binary_bit_flips(name, bits):
     data, decode, _ = BINARY[name]
-    decodes_or_value_error(decode, flip_bits(data, bits))
+    decodes_or_raises(decode, flip_bits(data, bits), DecodeError)
 
 
 @pytest.mark.parametrize("name", sorted(RASTER))
 @FUZZ
 @given(bits=st.lists(st.integers(0, 2**20), min_size=1, max_size=6))
 def test_raster_bit_flips(name, bits, raster_dir):
-    decodes_or_value_error(decode_raster(raster_dir, name), flip_bits(RASTER[name][0], bits))
+    decodes_or_raises(decode_raster(raster_dir, name), flip_bits(RASTER[name][0], bits))
 
 
 def header_values(fields: str):
@@ -141,7 +142,7 @@ def test_binary_random_header(name, data, tail):
     valid, decode, fields = BINARY[name]
     values = data.draw(header_values(fields))
     body = valid[8 + struct.calcsize(fields) :] if tail is None else tail
-    decodes_or_value_error(decode, valid[:8] + struct.pack(fields, *values) + body)
+    decodes_or_raises(decode, valid[:8] + struct.pack(fields, *values) + body, DecodeError)
 
 
 @pytest.mark.parametrize("name", sorted(RASTER))
@@ -152,15 +153,14 @@ def test_binary_random_header(name, data, tail):
 )
 def test_raster_random_header(name, header, raster, raster_dir):
     magic = RASTER[name][0][:2]
-    decodes_or_value_error(decode_raster(raster_dir, name), magic + header.encode() + raster)
+    decodes_or_raises(decode_raster(raster_dir, name), magic + header.encode() + raster)
 
 
 def test_index_with_more_items_than_bytes_rejected_before_allocating():
     # a zero-dimension index declaring 2**40 items once reached np.arange(2**40)
-    # in the leaf check and raised MemoryError
-    data = save(build(np.zeros((3, 0), dtype=np.float32), IndexConfig(n_trees=1)))
-    assert load(data).items.shape == (3, 0)
-    n_at = 8 + struct.calcsize("<IIIQBI")
-    huge = data[:n_at] + struct.pack("<Q", 2**40) + data[n_at + 8 :]
-    with pytest.raises(TruncatedError):
+    # in the leaf check and raised MemoryError; dimension 0 is now rejected
+    data = save(build(np.eye(3, dtype=np.float32), IndexConfig(n_trees=1)))
+    dim_at = 8 + struct.calcsize("<IIIQB")
+    huge = data[:dim_at] + struct.pack("<IQ", 0, 2**40)
+    with pytest.raises(DecodeError):
         load(huge)

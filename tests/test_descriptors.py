@@ -210,6 +210,13 @@ class TestDescriptorFiles:
         with pytest.raises(DecodeError):
             load_descriptors(bytes(data))
 
+    def test_non_utf8_id_rejected(self):
+        # once escaped as UnicodeDecodeError
+        data = bytearray(save_descriptors(["ab"], np.zeros((1, 2), dtype=np.float32)))
+        data[22] = 0xFF  # first id byte, after the u16 id length
+        with pytest.raises(DecodeError):
+            load_descriptors(bytes(data))
+
     def test_trailing_bytes_rejected(self):
         data = save_descriptors(["a"], np.zeros((1, 2), dtype=np.float32))
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from coseg.embedder import (
     save_model_file,
     train,
 )
-from coseg.errors import BadMagicError, ConfigError, TruncatedError, VersionError
+from coseg.errors import BadMagicError, ConfigError, DecodeError, TruncatedError, VersionError
 
 
 def tiny_params():
@@ -511,3 +511,20 @@ class TestModelSerialization:
     def test_trailing_bytes_rejected(self):
         with pytest.raises(ValueError):
             load_model(save_model(tiny_params()) + b"\x00")
+
+    @staticmethod
+    def model_bytes(*layers):
+        """A .csgm file with zero-filled (rows, cols) layers, shapes unchecked."""
+        out = b"CSGM" + (1).to_bytes(4, "little") + len(layers).to_bytes(4, "little")
+        for rows, cols in layers:
+            out += rows.to_bytes(4, "little") + cols.to_bytes(4, "little") + bytes(8 * (rows * cols + rows))
+        return out
+
+    @pytest.mark.parametrize("layers", [(), ((0, 3),), ((2, 0),), ((3, 4), (2, 2))])
+    def test_malformed_layers_rejected(self, layers):
+        # zero layers, an empty layer, shapes that do not chain: once plain ValueError
+        with pytest.raises(DecodeError):
+            load_model(self.model_bytes(*layers))
+
+    def test_chained_layers_load(self):
+        assert load_model(self.model_bytes((3, 4), (2, 3))).layer_sizes == (3, 2)
