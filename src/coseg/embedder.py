@@ -3,7 +3,7 @@ gradients, SGD-with-momentum training, pair sampling, and hard-pair mining.
 
 The encoder is a fully connected network with rectifier hidden layers and an
 identity output layer. Both inputs of a pair run through the same weights, so
-every gradient is the sum of the two branch contributions.
+a batch gradient is a sum over the descriptor rows its pairs touch.
 """
 
 from __future__ import annotations
@@ -246,21 +246,27 @@ def contrastive_loss(
 
 def _batch_gradient(
     params: EncoderParams,
-    xa: np.ndarray,
-    xb: np.ndarray,
+    vectors: np.ndarray,
+    ia: np.ndarray,
+    ib: np.ndarray,
     labels: np.ndarray,
     margin: float,
     classical_hinge: bool,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean loss and mean-loss gradients over a batch of pairs.
+    """Mean loss and mean-loss gradients over the pairs (vectors[ia], vectors[ib]).
 
     Each pair's gradient is c * (fa - fb) with respect to fa and the negation
     with respect to fb. The hinge kink and the zero-distance point of the
-    classical variant use subgradient 0.
+    classical variant use subgradient 0. Both branches share the weights and a
+    row's rectifier gates depend on that row alone, so every row the pairs
+    touch runs forward once, its pair gradients are summed, and it runs
+    backward once.
     """
-    acts_a = _forward_activations(params, xa)
-    acts_b = _forward_activations(params, xb)
-    diff = acts_a[-1] - acts_b[-1]
+    rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
+    acts = _forward_activations(params, vectors[rows])
+    n = len(ia)
+    ra, rb = inv[:n], inv[n:]
+    diff = acts[-1][ra] - acts[-1][rb]
     d2 = np.sum(diff * diff, axis=1)
     pos = np.asarray(labels) == 1
     if classical_hinge:
@@ -272,20 +278,22 @@ def _batch_gradient(
     else:
         per_pair = np.where(pos, 0.5 * d2, 0.5 * np.maximum(0.0, margin - d2))
         neg_coeff = np.where((~pos) & (d2 < margin), -1.0, 0.0)
-    n = xa.shape[0]
     loss = float(np.mean(per_pair))
 
     coeff = (np.where(pos, 1.0, 0.0) + neg_coeff) / n
-    grad_w = [np.zeros_like(w) for w in params.weights]
-    grad_b = [np.zeros_like(b) for b in params.biases]
-    # shared weights: accumulate both branches; d(loss)/d(fb) = -d(loss)/d(fa)
-    for acts, sign in ((acts_a, 1.0), (acts_b, -1.0)):
-        delta = (sign * coeff)[:, None] * diff
-        for layer in range(len(params.weights) - 1, -1, -1):
-            grad_w[layer] += delta.T @ acts[layer]
-            grad_b[layer] += delta.sum(axis=0)
-            if layer > 0:
-                delta = (delta @ params.weights[layer]) * (acts[layer] > 0)
+    pair_delta = coeff[:, None] * diff
+    # d(loss)/d(fb) = -d(loss)/d(fa); a row in several pairs sums them all
+    delta = np.zeros_like(acts[-1])
+    np.add.at(delta, ra, pair_delta)
+    np.add.at(delta, rb, -pair_delta)
+    n_layers = len(params.weights)
+    grad_w = [None] * n_layers
+    grad_b = [None] * n_layers
+    for layer in range(n_layers - 1, -1, -1):
+        grad_w[layer] = delta.T @ acts[layer]
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ params.weights[layer]) * (acts[layer] > 0)
     return loss, grad_w, grad_b
 
 
@@ -304,8 +312,9 @@ def loss_gradient(
         )
     _, grad_w, grad_b = _batch_gradient(
         params,
-        pair.a[None, :],
-        pair.b[None, :],
+        np.stack([pair.a, pair.b]),
+        np.array([0]),
+        np.array([1]),
         np.array([pair.label]),
         margin,
         classical_hinge,
@@ -359,25 +368,6 @@ def _sample_pair_indices(
     return ia, ib, y
 
 
-def _pairs_from_indices(
-    dataset: LabeledDescriptors, ia: np.ndarray, ib: np.ndarray, y: np.ndarray
-) -> list[PairSample]:
-    return [
-        PairSample(a=dataset.vectors[a], b=dataset.vectors[b], label=int(lbl))
-        for a, b, lbl in zip(ia, ib, y)
-    ]
-
-
-def sample_pairs(dataset: LabeledDescriptors, count: int, rng_seed: int) -> list[PairSample]:
-    """Balanced random pairs: ceil(count/2) same-class (label 1) followed by
-    floor(count/2) cross-class (label 0). Deterministic for a given seed."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(rng_seed)
-    ia, ib, y = _sample_pair_indices(dataset.labels, count, rng)
-    return _pairs_from_indices(dataset, ia, ib, y)
-
-
 def _mine_hard_indices(
     params: EncoderParams,
     dataset: LabeledDescriptors,
@@ -401,27 +391,11 @@ def _mine_hard_indices(
     return ia[sel], ib[sel], y[sel]
 
 
-def mine_hard_pairs(
-    params: EncoderParams,
-    dataset: LabeledDescriptors,
-    count: int,
-    rng_seed: int,
-    pool_factor: int = 10,
-) -> list[PairSample]:
-    """Hardest pairs from a random pool: the ceil(count/2) positives with the
-    largest embedding distance, then the floor(count/2) negatives with the
-    smallest. Deterministic for a given seed."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(rng_seed)
-    ia, ib, y = _mine_hard_indices(params, dataset, count, rng, pool_factor)
-    return _pairs_from_indices(dataset, ia, ib, y)
-
-
 def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     """Run cfg.iterations mini-batch updates and return params plus loss trace.
 
-    Batch gradients average the per-pair losses. The pair stream draws from a
+    Batch gradients average the per-pair losses; each step runs every row its
+    pairs touch forward and backward once. The pair stream draws from a
     generator seeded with cfg.seed + 1 so it is independent of the cfg.seed
     weight init. Aborts with TrainingDiverged if a batch loss goes non-finite.
 
@@ -442,12 +416,7 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
         else:
             ia, ib, y = _sample_pair_indices(dataset.labels, cfg.batch_size, rng)
         loss, grad_w, grad_b = _batch_gradient(
-            params,
-            dataset.vectors[ia],
-            dataset.vectors[ib],
-            y,
-            cfg.margin,
-            cfg.classical_hinge,
+            params, dataset.vectors, ia, ib, y, cfg.margin, cfg.classical_hinge
         )
         if not math.isfinite(loss):
             raise TrainingDiverged(iteration=it, value=loss)

@@ -326,7 +326,7 @@ def load_items(path) -> list[ItemRecord]:
                         img_h=int(row["img_h"]),
                     )
                 )
-            except (ValueError, KeyError) as exc:
+            except (ValueError, TypeError, KeyError) as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return items
 

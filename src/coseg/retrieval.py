@@ -147,6 +147,6 @@ def load_groups(path) -> list[SimilarityGroup]:
                         class_hint=obj.get("class_hint"),
                     )
                 )
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
-                raise ValueError(f"line {line_no}: malformed group record ({exc})") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {line_no}: malformed group record ({exc})") from exc
     return groups

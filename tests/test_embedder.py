@@ -7,6 +7,8 @@ from coseg.embedder import (
     PairSample,
     TrainConfig,
     _batch_gradient,
+    _forward_activations,
+    _mine_hard_indices,
     _sample_pair_indices,
     contrastive_loss,
     forward,
@@ -15,8 +17,6 @@ from coseg.embedder import (
     load_model,
     load_model_file,
     loss_gradient,
-    mine_hard_pairs,
-    sample_pairs,
     save_model,
     save_model_file,
     train,
@@ -235,6 +235,101 @@ class TestLossGradient:
             loss_gradient(params, pair, margin=1.0)
 
 
+def two_branch_gradient(params, xa, xb, labels, margin, classical_hinge):
+    """Reference: each pair's two branches forward and backward over their own
+    row copies, the branch gradients summed into zero-filled lists."""
+    acts_a = _forward_activations(params, xa)
+    acts_b = _forward_activations(params, xb)
+    diff = acts_a[-1] - acts_b[-1]
+    d2 = np.sum(diff * diff, axis=1)
+    pos = np.asarray(labels) == 1
+    if classical_hinge:
+        d = np.sqrt(d2)
+        per_pair = np.where(pos, 0.5 * d2, 0.5 * np.maximum(0.0, margin - d) ** 2)
+        active = (~pos) & (d < margin) & (d > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            neg_coeff = np.where(active, -(margin - d) / np.where(d > 0, d, 1.0), 0.0)
+    else:
+        per_pair = np.where(pos, 0.5 * d2, 0.5 * np.maximum(0.0, margin - d2))
+        neg_coeff = np.where((~pos) & (d2 < margin), -1.0, 0.0)
+    coeff = (np.where(pos, 1.0, 0.0) + neg_coeff) / xa.shape[0]
+    grad_w = [np.zeros_like(w) for w in params.weights]
+    grad_b = [np.zeros_like(b) for b in params.biases]
+    for acts, sign in ((acts_a, 1.0), (acts_b, -1.0)):
+        delta = (sign * coeff)[:, None] * diff
+        for layer in range(len(params.weights) - 1, -1, -1):
+            grad_w[layer] += delta.T @ acts[layer]
+            grad_b[layer] += delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ params.weights[layer]) * (acts[layer] > 0)
+    return float(np.mean(per_pair)), grad_w, grad_b
+
+
+def shared_row_batch():
+    """Eight rows, rows 6 and 7 equal; pairs repeat rows and put rows on both
+    sides, and the (6, 7) negative has embedding distance 0."""
+    rng = np.random.default_rng(21)
+    vectors = rng.normal(size=(8, 5))
+    vectors[7] = vectors[6]
+    ia = np.array([0, 0, 1, 2, 3, 3, 6, 5, 4, 1])
+    ib = np.array([1, 2, 0, 5, 0, 4, 7, 1, 2, 4])
+    y = np.array([1, 0, 1, 0, 1, 0, 0, 1, 0, 0])
+    return vectors, ia, ib, y
+
+
+class TestBatchGradient:
+    @pytest.mark.parametrize("classical", [False, True])
+    @pytest.mark.parametrize("batch", ["shared_rows", "random"])
+    def test_matches_two_branch_reference(self, classical, batch):
+        params = init_params(5, (6, 4, 3), seed=8)
+        if batch == "shared_rows":
+            vectors, ia, ib, y = shared_row_batch()
+        else:
+            rng = np.random.default_rng(22)
+            vectors = rng.normal(size=(12, 5))
+            ia, ib = rng.integers(0, 12, size=(2, 60))
+            y = rng.integers(0, 2, size=60)
+        margin = 4.0
+        got_loss, got_w, got_b = _batch_gradient(params, vectors, ia, ib, y, margin, classical)
+        want_loss, want_w, want_b = two_branch_gradient(
+            params, vectors[ia], vectors[ib], y, margin, classical
+        )
+        assert got_loss == pytest.approx(want_loss, abs=1e-12)
+        for got, want in zip((*got_w, *got_b), (*want_w, *want_b)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+        assert any(np.any(g != 0.0) for g in (*got_w, *got_b))
+
+    def test_batch_exercises_every_case(self):
+        # the shared-row batch hits a repeat, both sides, and d = 0 on a negative
+        params = init_params(5, (6, 4, 3), seed=8)
+        vectors, ia, ib, y = shared_row_batch()
+        assert len(np.unique(ia)) < len(ia) and len(np.unique(ib)) < len(ib)
+        assert set(ia) & set(ib)
+        emb = forward_batch(params, vectors)
+        d2 = np.sum((emb[ia] - emb[ib]) ** 2, axis=1)
+        assert np.any((d2 == 0.0) & (y == 0))
+        assert np.any((d2 > 0.0) & (d2 < 4.0) & (y == 0))
+
+    def test_forward_runs_once_on_unique_rows(self, monkeypatch):
+        import coseg.embedder as embedder
+
+        seen = []
+        real = embedder._forward_activations
+
+        def counting(params, batch):
+            seen.append(batch.copy())
+            return real(params, batch)
+
+        monkeypatch.setattr(embedder, "_forward_activations", counting)
+        params = init_params(5, (6, 3), seed=1)
+        vectors, ia, ib, y = shared_row_batch()
+        _batch_gradient(params, vectors, ia, ib, y, 1.0, False)
+        rows = np.unique(np.concatenate([ia, ib]))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], vectors[rows])
+
+
 class TestTrainUpdate:
     """train() applies v <- momentum*v - lr*g; params <- params + v to the
     seeded init, with g from _batch_gradient on the pairs it draws."""
@@ -257,7 +352,7 @@ class TestTrainUpdate:
             ia, ib, y = _sample_pair_indices(ds.labels, cfg.batch_size, rng)
             _, grad_w, grad_b = _batch_gradient(
                 EncoderParams(weights=tuple(weights), biases=tuple(biases)),
-                ds.vectors[ia], ds.vectors[ib], y, cfg.margin, cfg.classical_hinge,
+                ds.vectors, ia, ib, y, cfg.margin, cfg.classical_hinge,
             )
             for l in range(len(weights)):
                 vel_w[l] = momentum * vel_w[l] - cfg.learning_rate * grad_w[l]
@@ -315,41 +410,33 @@ class TestTrainConfig:
 
 class TestSamplePairs:
     def test_balanced_counts_even(self):
-        pairs = sample_pairs(small_dataset(), 10, rng_seed=0)
-        labels = [p.label for p in pairs]
-        assert labels == [1] * 5 + [0] * 5
+        _, _, y = _sample_pair_indices(small_dataset().labels, 10, np.random.default_rng(0))
+        assert y.tolist() == [1] * 5 + [0] * 5
 
     def test_balanced_counts_odd(self):
-        pairs = sample_pairs(small_dataset(), 7, rng_seed=0)
-        labels = [p.label for p in pairs]
-        assert labels == [1] * 4 + [0] * 3
+        _, _, y = _sample_pair_indices(small_dataset().labels, 7, np.random.default_rng(0))
+        assert y.tolist() == [1] * 4 + [0] * 3
 
     def test_labels_match_classes(self):
-        ds = small_dataset(seed=1)
-        rows = {tuple(v): l for v, l in zip(ds.vectors, ds.labels)}
-        for p in sample_pairs(ds, 40, rng_seed=5):
-            la, lb = rows[tuple(p.a)], rows[tuple(p.b)]
-            assert (la == lb) == (p.label == 1)
-            if p.label == 1:
-                assert not np.array_equal(p.a, p.b)  # distinct members
+        labels = small_dataset(seed=1).labels
+        ia, ib, y = _sample_pair_indices(labels, 40, np.random.default_rng(5))
+        assert np.array_equal(labels[ia] == labels[ib], y == 1)
+        assert np.all(ia[y == 1] != ib[y == 1])  # distinct members
 
     def test_deterministic(self):
-        ds = small_dataset()
-        a = sample_pairs(ds, 12, rng_seed=3)
-        b = sample_pairs(ds, 12, rng_seed=3)
-        assert all(
-            np.array_equal(x.a, y.a) and np.array_equal(x.b, y.b) and x.label == y.label
-            for x, y in zip(a, b)
-        )
+        labels = small_dataset().labels
+        a = _sample_pair_indices(labels, 12, np.random.default_rng(3))
+        b = _sample_pair_indices(labels, 12, np.random.default_rng(3))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_single_class_rejected(self):
-        ds = LabeledDescriptors(vectors=np.zeros((4, 2)), labels=np.zeros(4, dtype=int))
         with pytest.raises(ValueError):
-            sample_pairs(ds, 2, rng_seed=0)
+            _sample_pair_indices(np.zeros(4, dtype=int), 2, np.random.default_rng(0))
 
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            sample_pairs(small_dataset(), 0, rng_seed=0)
+
+def embedding_d2(params, ds, ia, ib):
+    emb = forward_batch(params, ds.vectors)
+    return np.sum((emb[ia] - emb[ib]) ** 2, axis=1)
 
 
 class TestMineHardPairs:
@@ -360,11 +447,10 @@ class TestMineHardPairs:
         labels = np.array([0, 0, 0, 1, 1])
         ds = LabeledDescriptors(vectors=vectors, labels=labels)
         params = EncoderParams(weights=(np.eye(2),), biases=(np.zeros(2),))
-        pairs = mine_hard_pairs(params, ds, count=4, rng_seed=0, pool_factor=20)
-        negs = [p for p in pairs if p.label == 0]
-        assert negs, "mining must return negatives"
-        hardest = negs[0]
-        assert np.sum((hardest.a - hardest.b) ** 2) == 0.0
+        ia, ib, y = _mine_hard_indices(params, ds, 4, np.random.default_rng(0), pool_factor=20)
+        negs = np.flatnonzero(y == 0)
+        assert len(negs), "mining must return negatives"
+        assert embedding_d2(params, ds, ia[negs[:1]], ib[negs[:1]])[0] == 0.0
 
     def test_equidistant_pool_keeps_draw_order(self):
         # constant embedding makes every pair equally hard; stable argsort must
@@ -373,31 +459,25 @@ class TestMineHardPairs:
         params = EncoderParams(
             weights=(np.zeros((2, ds.dim)),), biases=(np.array([1.0, 1.0]),)
         )
-        mined = mine_hard_pairs(params, ds, count=6, rng_seed=9, pool_factor=4)
-        sampled = sample_pairs(ds, 24, rng_seed=9)  # same seed, pool_factor*count draws
-        pos_pool = [p for p in sampled if p.label == 1]
-        neg_pool = [p for p in sampled if p.label == 0]
-        expect = pos_pool[:3] + neg_pool[:3]
-        assert all(
-            np.array_equal(m.a, e.a) and np.array_equal(m.b, e.b) and m.label == e.label
-            for m, e in zip(mined, expect)
-        )
+        mined = _mine_hard_indices(params, ds, 6, np.random.default_rng(9), pool_factor=4)
+        # same seed, pool_factor*count draws: 12 positives then 12 negatives
+        pool = _sample_pair_indices(ds.labels, 24, np.random.default_rng(9))
+        keep = np.r_[0:3, 12:15]
+        assert all(np.array_equal(m, p[keep]) for m, p in zip(mined, pool))
 
     def test_selected_positives_dominate_rejected(self):
         ds = small_dataset(seed=3, n_classes=4, per_class=6, dim=5)
         params = init_params(5, (3,), seed=1)
-        mined = mine_hard_pairs(params, ds, count=10, rng_seed=11, pool_factor=10)
-        pos_d2 = [np.sum((forward(params, p.a) - forward(params, p.b)) ** 2) for p in mined if p.label == 1]
-        # positives arrive hardest (largest distance) first
-        assert pos_d2 == sorted(pos_d2, reverse=True)
-        neg_d2 = [np.sum((forward(params, p.a) - forward(params, p.b)) ** 2) for p in mined if p.label == 0]
-        assert neg_d2 == sorted(neg_d2)
-
-    def test_validation(self):
-        ds = small_dataset()
-        params = init_params(ds.dim, (2,), seed=0)
-        with pytest.raises(ValueError):
-            mine_hard_pairs(params, ds, count=0, rng_seed=0)
+        ia, ib, y = _mine_hard_indices(params, ds, 10, np.random.default_rng(11), pool_factor=10)
+        d2 = embedding_d2(params, ds, ia, ib)
+        pos_d2, neg_d2 = d2[y == 1], d2[y == 0]
+        # positives arrive hardest (largest distance) first, negatives closest first
+        assert np.all(np.diff(pos_d2) <= 0)
+        assert np.all(np.diff(neg_d2) >= 0)
+        pool_a, pool_b, pool_y = _sample_pair_indices(ds.labels, 100, np.random.default_rng(11))
+        pool_d2 = embedding_d2(params, ds, pool_a, pool_b)
+        assert pos_d2.min() >= np.sort(pool_d2[pool_y == 1])[-5]
+        assert neg_d2.max() <= np.sort(pool_d2[pool_y == 0])[4]
 
 
 class TestTrain:

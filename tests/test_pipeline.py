@@ -249,6 +249,14 @@ class TestItemsTable:
         with pytest.raises(ValueError, match="header"):
             load_items(path)
 
+    def test_short_row_names_line(self, tmp_path):
+        path = tmp_path / "items.csv"
+        save_items([ItemRecord("a#0", Proposal("a", BoundingBox(0, 0, 1, 1), 0.5, ""), "c", "test", 8, 8)], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("b#0,b,c,test,1,2\n")
+        with pytest.raises(ValueError, match="items.csv:3"):
+            load_items(path)
+
     def test_score_survives_exactly(self, tmp_path):
         score = 0.12345678901234567
         items = [

@@ -208,6 +208,21 @@ class TestGroupFiles:
         with pytest.raises(ValueError, match="line 1"):
             load_groups(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"anchor": "a", "members": [{"id": "b", "distance": "far"}]}',
+            '{"anchor": "a", "members": [{"id": "a", "distance": 0.5}]}',
+            '{"anchor": "a", "members": [{"id": "b", "distance": 2.0}, {"id": "c", "distance": 1.0}]}',
+        ],
+        ids=["non_numeric_distance", "anchor_among_members", "decreasing_distances"],
+    )
+    def test_rejected_record_names_path_and_line(self, tmp_path, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"anchor": "a", "members": []}\n' + record + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="bad.jsonl: line 2"):
+            load_groups(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "g.jsonl"
         path.write_text('\n{"anchor": "a", "members": [], "class_hint": null}\n\n', encoding="utf-8")
