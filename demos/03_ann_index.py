@@ -2,11 +2,12 @@
 Approximate nearest neighbors: trading candidates for recall
 ============================================================
 
-The index is a forest of random-projection trees. Each query walks the trees
-best-first and collects candidate items until a budget is spent; the budget
-is the larger of search_k and k * n_trees distinct candidates. This walk
-measures recall against brute force as the budget grows, then round-trips
-the index through its binary file form.
+The index is a forest of random-projection trees. Each query ranks every
+leaf of the forest by the smallest signed distance from the query to the
+planes above it, and takes leaves best first until a budget is spent; the
+budget is the larger of search_k and k * n_trees distinct candidates. This
+walk measures recall against brute force as the budget grows, then
+round-trips the index through its binary file form.
 """
 
 import tempfile
@@ -25,9 +26,10 @@ items = np.concatenate([m + rng.normal(size=(200, 32)) for m in means])
 queries = [means[int(rng.integers(25))] + rng.normal(size=32) for _ in range(200)]
 
 index = build(items, IndexConfig(n_trees=12, search_k=100, leaf_capacity=16, seed=1))
-# build() only stores the items; the trees grow when first walked. Grow them
+# build() only stores the items; the forest grows when first walked. Grow it
 # here, so the timings below measure queries alone.
-print(f"grew {len(index.trees)} trees over {len(index)} items")
+forest = index.forest
+print(f"grew {index.config.n_trees} trees ({len(forest.leaves)} leaves) over {len(index)} items")
 
 # 2. Brute-force truth for recall@10.
 truth = []
@@ -35,9 +37,11 @@ for q in queries:
     d = np.linalg.norm(index.items.astype(np.float64) - q, axis=1)
     truth.append(set(int(i) for i in np.argsort(d, kind="stable")[:10]))
 
-# 3. Sweep the candidate budget. Recall climbs toward 1.0 and the cost grows
-#    roughly linearly. A budget of n items or more skips the trees: the query
-#    is a plain exact scan over all items, so the last row has recall 1.0.
+# 3. Sweep the candidate budget. Recall climbs toward 1.0. Every walking query
+#    ranks all leaves of the forest, a cost set by the forest's size, then
+#    gathers whole leaves until the budget is met, a cost that grows with the
+#    budget. A budget of n items or more skips the forest: the query is a
+#    plain exact scan over all items, so the last row has recall 1.0.
 print("search_k   recall@10   ms/query")
 for search_k in (60, 120, 250, 500, 1000, 5000):
     t0 = time.perf_counter()
@@ -48,7 +52,7 @@ for search_k in (60, 120, 250, 500, 1000, 5000):
     ms = (time.perf_counter() - t0) * 1000 / len(queries)
     print(f"{search_k:8d}   {hits / (10 * len(queries)):9.3f}   {ms:8.2f}")
 
-# 4. The on-disk form holds the config and the items only. The trees are a
+# 4. The on-disk form holds the config and the items only. The forest is a
 #    pure function of both, so a reloaded index grows the same forest the
 #    first time a query walks it and answers queries identically.
 with tempfile.TemporaryDirectory() as tmp:

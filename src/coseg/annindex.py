@@ -1,10 +1,11 @@
 """Random-projection-tree approximate nearest neighbor index.
 
 Each tree recursively halves the item set with hyperplanes placed midway
-between two sampled points. Queries walk all trees best-first, ranked by how
-close the query sits to each splitting plane, then re-rank the collected
-candidates by exact distance. A query whose budget covers every item skips
-the walk and scans all items.
+between two sampled points. The forest is kept flat: a matrix of split
+normals, and per leaf its items and root path. A query ranks each leaf by the
+smallest signed distance from the query to the planes on its path, takes
+leaves best first until its budget is met, then re-ranks the candidates by
+exact distance. A query whose budget covers every item scans all items.
 
 The forest is a pure function of the items and the config, so it is grown
 only when a query first walks it, and the file form holds the config and the
@@ -14,8 +15,6 @@ items alone.
 from __future__ import annotations
 
 import functools
-import heapq
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,19 +48,21 @@ class IndexConfig:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
 
-@dataclass
-class RpNode:
-    """Internal split (unit normal, offset, two children) or leaf (item indices)."""
+@dataclass(frozen=True)
+class Forest:
+    """A random-projection forest as flat arrays.
 
-    normal: np.ndarray | None = None
-    offset: float = 0.0
-    left: "RpNode | None" = None
-    right: "RpNode | None" = None
-    item_indices: np.ndarray | None = None
+    Leaves go tree by tree, left to right: forest order. Column j of paths and
+    sides holds leaf j's splits from the root down and its side of each: +1
+    where normal . x - offset >= 0, else -1. Columns are padded to a common
+    depth of at least 1 with the last split, whose margin reads +inf.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.item_indices is not None
+    normals: np.ndarray  # (splits + 1, dim) float64 unit normals; the last is 0
+    offsets: np.ndarray  # (splits + 1,) float64; the last is -inf
+    leaves: list[list[int]]  # item ids of each leaf
+    paths: np.ndarray  # (depth, leaves) split indices
+    sides: np.ndarray  # (depth, leaves) float64, +1 or -1
 
 
 @dataclass
@@ -86,7 +87,7 @@ class RetrievalResult:
 class AnnIndex:
     """A fixed item set and the config of the forest over it; item id = row position.
 
-    The trees are grown from the items on first access and kept: tree t draws
+    The forest is grown from the items on first access and kept: tree t draws
     from its own stream seeded with config.seed + t, so the forest depends only
     on the items and (n_trees, leaf_capacity, seed).
     """
@@ -95,9 +96,8 @@ class AnnIndex:
     items: np.ndarray  # (n, dim) float32; unit rows under the cosine metric
 
     @functools.cached_property
-    def trees(self) -> list[RpNode]:
-        cfg = self.config
-        return [_build_tree(self.items, cfg, np.random.default_rng(cfg.seed + t)) for t in range(cfg.n_trees)]
+    def forest(self) -> Forest:
+        return _grow_forest(self.items, self.config)
 
     @property
     def dim(self) -> int:
@@ -131,35 +131,42 @@ def split_plane(points, rng):
     return None
 
 
-def _build_tree(items: np.ndarray, cfg: IndexConfig, rng) -> RpNode:
-    root = RpNode()
-    stack = [(root, np.arange(items.shape[0], dtype=np.int64))]
-    while stack:
-        node, ids = stack.pop()
-        if len(ids) <= cfg.leaf_capacity:
-            node.item_indices = ids.astype(np.uint32)
-            continue
-        plane = split_plane(items[ids], rng)
-        if plane is None:
-            # Indistinguishable duplicates: keep an oversized leaf.
-            node.item_indices = ids.astype(np.uint32)
-            continue
-        normal, offset = plane
-        norm = float(np.linalg.norm(normal))
-        # Unit normal, so queue priorities compare as true plane distances.
-        unit = normal / norm
-        off = offset / norm
-        side = items[ids].astype(np.float64) @ unit - off >= 0.0
-        if side.all() or not side.any():
-            node.item_indices = ids.astype(np.uint32)
-            continue
-        node.normal = unit
-        node.offset = off
-        node.left = RpNode()
-        node.right = RpNode()
-        stack.append((node.right, ids[side]))
-        stack.append((node.left, ids[~side]))
-    return root
+def _grow_forest(items: np.ndarray, cfg: IndexConfig) -> Forest:
+    normals, offsets, leaves, paths = [], [], [], []  # paths: (split, side) lists
+    for t in range(cfg.n_trees):
+        rng = np.random.default_rng(cfg.seed + t)
+        stack = [(np.arange(items.shape[0], dtype=np.int64), [])]
+        while stack:
+            ids, path = stack.pop()
+            # Indistinguishable duplicates give no plane: keep an oversized leaf.
+            plane = split_plane(items[ids], rng) if len(ids) > cfg.leaf_capacity else None
+            if plane is not None:
+                normal, offset = plane
+                norm = float(np.linalg.norm(normal))
+                # Unit normal, so priorities compare as true plane distances.
+                unit = normal / norm
+                off = offset / norm
+                side = items[ids].astype(np.float64) @ unit - off >= 0.0
+                if side.any() and not side.all():
+                    split = len(offsets)
+                    normals.append(unit)
+                    offsets.append(off)
+                    stack.append((ids[side], path + [(split, 1.0)]))
+                    stack.append((ids[~side], path + [(split, -1.0)]))
+                    continue
+            leaves.append(ids.tolist())
+            paths.append(path)
+
+    depth = max(1, *map(len, paths))
+    padded = np.array([path + [(len(offsets), 1.0)] * (depth - len(path)) for path in paths])
+    splits, sides = np.ascontiguousarray(padded.T)  # depth-major: minima reduce over rows
+    return Forest(
+        normals=np.vstack(normals + [np.zeros(items.shape[1])]),
+        offsets=np.array(offsets + [-np.inf]),
+        leaves=leaves,
+        paths=splits.astype(np.intp),
+        sides=sides,
+    )
 
 
 def _unit_rows(arr: np.ndarray) -> np.ndarray:
@@ -169,7 +176,7 @@ def _unit_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def build(items, cfg: IndexConfig) -> AnnIndex:
-    """Index the items under cfg; the trees are grown when a query first walks them.
+    """Index the items under cfg; the forest is grown when a query first walks it.
 
     Items are stored as float32 rows (unit rows under the cosine metric); row
     position is the item id.
@@ -190,40 +197,32 @@ def build(items, cfg: IndexConfig) -> AnnIndex:
 
 
 def _walk_candidates(index: AnnIndex, qv: np.ndarray, budget: int) -> np.ndarray:
-    """Sorted ids the best-first tree walk collects before budget is spent.
+    """Sorted ids of the leaves taken best first until budget distinct items are in.
 
-    All trees share one queue keyed by the smallest plane distance seen along
-    each path (roots start at +inf). Leaves feed a candidate set until budget
-    distinct items were inspected or the queue runs dry.
+    No child outranks its parent, so a best-first tree walk takes leaves in
+    descending order of the least signed margin on their paths. Here one
+    product gives every margin, and ties go in forest order.
     """
-    counter = itertools.count()
-    heap: list[tuple[float, int, RpNode]] = []
-    for root in index.trees:
-        heap.append((-np.inf, next(counter), root))
-    heapq.heapify(heap)
-
+    forest = index.forest
+    margins = forest.normals @ qv - forest.offsets
+    priorities = (forest.sides * margins[forest.paths]).min(axis=0)
     candidates: set[int] = set()
-    while heap and len(candidates) < budget:
-        neg_priority, _, node = heapq.heappop(heap)
-        if node.is_leaf:
-            candidates.update(node.item_indices.tolist())
-            continue
-        priority = -neg_priority
-        margin = float(node.normal @ qv - node.offset)
-        heapq.heappush(heap, (-min(priority, margin), next(counter), node.right))
-        heapq.heappush(heap, (-min(priority, -margin), next(counter), node.left))
+    for leaf in np.argsort(-priorities, kind="stable"):
+        candidates.update(forest.leaves[leaf])
+        if len(candidates) >= budget:
+            break
     return np.fromiter(sorted(candidates), dtype=np.int64, count=len(candidates))
 
 
 def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalResult:
     """Approximate k nearest neighbors of q, re-ranked by exact distance.
 
-    The query inspects max(search_k, k * n_trees) distinct items. When that
-    budget is at least the number of items, the tree walk would collect every
-    item anyway, so all items are scored directly: an exact scan, which never
-    grows the trees. Below it, the trees are walked best-first for candidates.
-    Either way the candidates are scored exactly and the k closest returned in
-    ascending distance order, ties broken by item id.
+    The budget is max(search_k, k * n_trees) distinct items. When it is at
+    least the number of items, all items are scored directly: an exact scan,
+    which never grows the forest. Below it, the forest is walked: leaves are
+    taken best first, whole leaves at a time, so at least budget distinct items
+    are inspected. Either way the candidates are scored exactly and the k
+    closest returned in ascending distance order, ties broken by item id.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -249,8 +248,8 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
 
 
 def save(index: AnnIndex) -> bytes:
-    """Serialize the index: magic, version, config, item block. No trees:
-    they are grown again from the items."""
+    """Serialize the index: magic, version, config, item block. No forest:
+    it is grown again from the items."""
     c = index.config
     n, dim = index.items.shape
     return b"".join([
@@ -268,7 +267,7 @@ def save(index: AnnIndex) -> bytes:
 
 
 def load(data: bytes) -> AnnIndex:
-    """Rebuild an index from bytes produced by save(); grows no tree."""
+    """Rebuild an index from bytes produced by save(); grows no forest."""
     r = _binio.Reader(data)
     r.expect_magic(MAGIC)
     r.expect_version(VERSION)

@@ -20,6 +20,7 @@ from .annindex import load_file as load_index_file
 from .annindex import save_file as save_index_file
 from .collage import CollageItem, CollageSpec, make_collage
 from .descriptors import (
+    DESCRIPTOR_DIM,
     load_descriptors_file,
     patch_descriptor,
     save_descriptors_file,
@@ -184,6 +185,12 @@ class ManifestRecord:
             raise ValueError("item_id must be non-empty")
 
 
+def _reject_extra_fields(row: dict) -> None:
+    # csv.DictReader files a long row's extra fields under the key None
+    if None in row:
+        raise ValueError(f"{len(row[None])} field(s) beyond the header")
+
+
 def load_manifest(path) -> list[ManifestRecord]:
     records: list[ManifestRecord] = []
     seen: set[str] = set()
@@ -197,6 +204,7 @@ def load_manifest(path) -> list[ManifestRecord]:
         for row in reader:
             lineno = reader.line_num
             try:
+                _reject_extra_fields(row)
                 box_fields = [row["gt_x"], row["gt_y"], row["gt_w"], row["gt_h"]]
                 filled = [f for f in box_fields if f not in ("", None)]
                 if len(filled) not in (0, 4):
@@ -311,6 +319,7 @@ def load_items(path) -> list[ItemRecord]:
             )
         for row in reader:
             try:
+                _reject_extra_fields(row)
                 items.append(
                     ItemRecord(
                         item_id=row["item_id"],
@@ -393,7 +402,7 @@ def ingest(
             )
             vectors.append(patch_descriptor(image, prop.box))
     matrix = (
-        np.stack(vectors) if vectors else np.empty((0, 1024), dtype=np.float32)
+        np.stack(vectors) if vectors else np.empty((0, DESCRIPTOR_DIM), dtype=np.float32)
     )
     return IngestResult(items=items, vectors=matrix)
 

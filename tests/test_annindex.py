@@ -10,8 +10,8 @@ from coseg import annindex
 from coseg.annindex import (
     METRICS,
     AnnIndex,
+    Forest,
     IndexConfig,
-    RpNode,
     build,
     load,
     load_file,
@@ -37,33 +37,58 @@ def exact_scan(items, q, k):
     return [(int(i), float(d[i])) for i in order]
 
 
-def forest(trees):
-    """Each tree as its pre-order (left before right) node list: a leaf's item
-    ids, or a split's unit normal and offset."""
-    out = []
-    for tree in trees:
-        nodes, stack = [], [tree]
-        while stack:
-            n = stack.pop()
-            if n.is_leaf:
-                nodes.append(n.item_indices.tolist())
-            else:
-                nodes.append((n.normal.tolist(), n.offset))
-                stack.extend([n.right, n.left])
-        out.append(nodes)
+def forest(index):
+    """The index's forest as plain lists: every split's unit normal and offset,
+    and every leaf's item ids, root path and sides, in forest order."""
+    f = index.forest
+    return (f.normals.tolist(), f.offsets.tolist(), f.leaves, f.paths.tolist(), f.sides.tolist())
+
+
+def trees(index):
+    """The forest's leaves cut into trees: each tree's leaves partition all
+    items, and forest order lists one tree's leaves before the next tree's."""
+    out, tree, seen = [], [], 0
+    for leaf in index.forest.leaves:
+        tree.append(leaf)
+        seen += len(leaf)
+        if seen == len(index):
+            out.append(tree)
+            tree, seen = [], 0
+    assert tree == []
     return out
 
 
-def leaves(node):
-    out = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.is_leaf:
-            out.append(n)
-        else:
-            stack.extend([n.left, n.right])
-    return out
+def walk_oracle(index, qv, budget):
+    """The walk as specified, in plain Python: a leaf's priority is the least
+    side * margin on its path; leaves go in descending priority, ties in forest
+    order, until budget distinct items are in."""
+    f = index.forest
+    margins = (f.normals @ qv - f.offsets).tolist()
+    priorities = []
+    for path, sides in zip(f.paths.T.tolist(), f.sides.T.tolist()):
+        priority = float("inf")
+        for split, side in zip(path, sides):
+            priority = min(priority, side * margins[split])
+        priorities.append(priority)
+    order = sorted(range(len(priorities)), key=lambda leaf: -priorities[leaf])
+    taken = set()
+    for leaf in order:
+        if len(taken) >= budget:
+            break
+        taken.update(f.leaves[leaf])
+    return sorted(taken)
+
+
+def line_forest(at, leaves, sides):
+    """A hand-built forest over 1-d items: one split at x = at, and each leaf
+    on the given side of it (-1 left, +1 right)."""
+    return Forest(
+        normals=np.array([[1.0], [0.0]]),
+        offsets=np.array([at, -np.inf]),
+        leaves=leaves,
+        paths=np.zeros((1, len(leaves)), dtype=np.intp),
+        sides=np.array([sides], dtype=np.float64),
+    )
 
 
 class TestIndexConfig:
@@ -133,41 +158,46 @@ class TestBuild:
     def test_single_item(self):
         idx = build(np.array([[1.0, 2.0]]), IndexConfig(n_trees=3, leaf_capacity=2))
         assert len(idx) == 1
-        for tree in idx.trees:
-            assert tree.is_leaf
-            assert list(tree.item_indices) == [0]
+        # three single-leaf trees; their paths hold only the padding split
+        assert idx.forest.leaves == [[0], [0], [0]]
+        assert idx.forest.normals.shape == (1, 2)
+        assert idx.forest.paths.tolist() == [[0, 0, 0]]
 
     def test_leaf_cover_and_capacity(self):
         rng = np.random.default_rng(2)
         items = rng.normal(size=(120, 8))
         cfg = IndexConfig(n_trees=5, leaf_capacity=10, seed=1)
         idx = build(items, cfg)
-        assert len(idx.trees) == 5
-        for tree in idx.trees:
-            got = np.concatenate([l.item_indices for l in leaves(tree)])
+        assert len(trees(idx)) == 5
+        for tree in trees(idx):
             # every tree partitions the full item set
-            assert sorted(got.tolist()) == list(range(120))
-            assert all(len(l.item_indices) <= 10 for l in leaves(tree))
+            assert sorted(i for leaf in tree for i in leaf) == list(range(120))
+            assert all(len(leaf) <= 10 for leaf in tree)
+        # forest order runs left to right: the first leaf lies left of every
+        # split on its path, the last leaf right of every split on its path
+        f = idx.forest
+        real = f.paths != len(f.offsets) - 1
+        assert (f.sides[real[:, 0], 0] == -1).all()
+        assert (f.sides[real[:, -1], -1] == 1).all()
 
     def test_duplicate_items_land_in_oversized_leaf(self):
         items = np.repeat([[1.0, 1.0]], 40, axis=0)
         idx = build(items, IndexConfig(n_trees=2, leaf_capacity=4))
-        for tree in idx.trees:
-            assert tree.is_leaf
-            assert len(tree.item_indices) == 40
+        assert idx.forest.leaves == [list(range(40))] * 2
+        assert idx.forest.normals.shape[0] == 1  # no split, only the padding
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         items = rng.normal(size=(60, 4))
         cfg = IndexConfig(n_trees=4, leaf_capacity=8, seed=9)
-        assert forest(build(items, cfg).trees) == forest(build(items, cfg).trees)
+        assert forest(build(items, cfg)) == forest(build(items, cfg))
 
     def test_seed_changes_trees(self):
         rng = np.random.default_rng(4)
         items = rng.normal(size=(60, 4))
         a = build(items, IndexConfig(n_trees=2, leaf_capacity=8, seed=0))
         b = build(items, IndexConfig(n_trees=2, leaf_capacity=8, seed=5))
-        assert forest(a.trees) != forest(b.trees)
+        assert forest(a) != forest(b)
 
     def test_rejects_empty_and_misshaped(self):
         with pytest.raises(ValueError):
@@ -245,7 +275,10 @@ class TestQuery:
         items = rng.normal(size=(64, 4)).astype(np.float32)
         one = build(items, IndexConfig(n_trees=1, search_k=48, leaf_capacity=4, seed=3))
         twin = AnnIndex(config=replace(one.config, n_trees=2), items=one.items)
-        twin.trees = [one.trees[0], one.trees[0]]
+        f = one.forest
+        twin.forest = Forest(
+            f.normals, f.offsets, f.leaves * 2, np.hstack([f.paths] * 2), np.hstack([f.sides] * 2)
+        )
         q = rng.normal(size=4)
         assert len(annindex._walk_candidates(twin, q, 48)) >= 48
         assert query(twin, q, k=5).ids == query(one, q, k=5, search_k=48).ids
@@ -345,13 +378,8 @@ class TestExactScan:
         # right leaf {3}. A query at 2.45 sits left of the plane, so a budget of
         # n - 1 = 3 stops after the left leaf and never sees item 3, its nearest.
         items = np.array([[0.0], [1.0], [1.5], [3.0]], dtype=np.float32)
-        tree = RpNode(
-            normal=np.array([1.0]), offset=2.5,
-            left=RpNode(item_indices=np.array([0, 1, 2], dtype=np.uint32)),
-            right=RpNode(item_indices=np.array([3], dtype=np.uint32)),
-        )
         idx = AnnIndex(config=IndexConfig(n_trees=1), items=items)
-        idx.trees = [tree]
+        idx.forest = line_forest(2.5, [[0, 1, 2], [3]], [-1, 1])
         got = query(idx, [2.45], k=2, search_k=3)  # k * n_trees = 2 < 4
         assert got.ids == [2, 1]
         assert got.distances == sorted(got.distances)
@@ -385,6 +413,57 @@ class TestExactScan:
         pool = np.arange(n) if budget >= n else annindex._walk_candidates(idx, qv, budget)
         want = [(int(pool[i]), d) for i, d in exact_scan(idx.items[pool], qv, k)]
         assert got.neighbors == want
+
+
+class TestWalk:
+    """A walk takes whole leaves in descending priority, ties in forest order,
+    until budget distinct items are in."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        dim=st.integers(1, 4),
+        n_trees=st.integers(1, 4),
+        leaf_capacity=st.integers(2, 8),
+        metric=st.sampled_from(METRICS),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_walk_equals_spec_oracle(self, n, dim, n_trees, leaf_capacity, metric, seed, data):
+        budget = data.draw(st.integers(1, n - 1), label="budget")
+        rng = np.random.default_rng(seed)
+        # small integer coordinates, so duplicate rows and tied priorities occur
+        items = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
+        idx = build(items, IndexConfig(n_trees=n_trees, leaf_capacity=leaf_capacity, seed=seed % 7, metric=metric))
+        qv = rng.integers(-2, 3, size=dim).astype(np.float64)
+        if metric == "cosine" and np.linalg.norm(qv) > 0.0:
+            qv = qv / np.linalg.norm(qv)
+        got = annindex._walk_candidates(idx, qv, budget).tolist()
+        assert got == walk_oracle(idx, qv, budget)
+        assert len(got) >= budget
+
+    def test_tied_leaves_go_in_forest_order(self):
+        # a query on the plane gives both leaves priority 0, and a budget of 2
+        # stops after the first leaf in forest order, whichever side it is
+        items = np.array([[0.0], [1.0], [2.0], [3.0]], dtype=np.float32)
+        idx = AnnIndex(config=IndexConfig(n_trees=1), items=items)
+        on_plane = np.array([1.5])
+        idx.forest = line_forest(1.5, [[0, 1], [2, 3]], [-1, 1])
+        assert annindex._walk_candidates(idx, on_plane, 2).tolist() == [0, 1]
+        idx.forest = line_forest(1.5, [[2, 3], [0, 1]], [1, -1])
+        assert annindex._walk_candidates(idx, on_plane, 2).tolist() == [2, 3]
+        assert annindex._walk_candidates(idx, np.array([1.4]), 2).tolist() == [0, 1]
+
+    def test_forest_of_single_leaf_trees(self):
+        # 5 items under a leaf capacity of 8: both trees are one leaf, whose path
+        # is only the padding split; the budget max(1, 1 * 2) = 2 < 5 walks them
+        rng = np.random.default_rng(24)
+        items = rng.normal(size=(5, 3)).astype(np.float32)
+        idx = build(items, IndexConfig(n_trees=2, search_k=1, leaf_capacity=8))
+        q = rng.normal(size=3)
+        assert query(idx, q, k=1, search_k=1).neighbors == exact_scan(idx.items, q, 1)
+        assert idx.forest.paths.shape == (1, 2)
+        assert annindex._walk_candidates(idx, q, 2).tolist() == [0, 1, 2, 3, 4]
 
 
 class TestSerialization:
@@ -455,7 +534,7 @@ class TestSerialization:
     @pytest.mark.parametrize("metric", METRICS)
     def test_reloaded_trees_equal_built_trees(self, metric):
         idx = self.build_sample(metric)
-        assert forest(load(save(idx)).trees) == forest(idx.trees)
+        assert forest(load(save(idx))) == forest(idx)
 
     def test_holds_header_and_items_only(self):
         idx = self.build_sample()
@@ -490,13 +569,13 @@ class TestLazyTrees:
     @pytest.fixture
     def grown(self, monkeypatch):
         calls = []
-        grow = annindex._build_tree
+        grow = annindex._grow_forest
 
-        def counting_build_tree(*args):
-            calls.append(1)
-            return grow(*args)
+        def counting_grow_forest(items, cfg):
+            calls.append(cfg.n_trees)
+            return grow(items, cfg)
 
-        monkeypatch.setattr(annindex, "_build_tree", counting_build_tree)
+        monkeypatch.setattr(annindex, "_grow_forest", counting_grow_forest)
         return calls
 
     def test_only_a_walking_query_grows_trees(self, grown):
@@ -508,9 +587,9 @@ class TestLazyTrees:
         assert query(again, q, k=2, search_k=50).neighbors == exact_scan(again.items, q, 2)
         assert grown == []
         query(again, q, k=2)  # budget max(5, 2 * 3) = 6 < 50 walks the trees
-        assert len(grown) == 3
+        assert grown == [3]
         query(again, rng.normal(size=4), k=2)
-        assert len(grown) == 3
+        assert grown == [3]
 
     def test_load_of_huge_forest_grows_nothing(self, grown):
         data = bytearray(save(build(np.eye(2, dtype=np.float32), IndexConfig(n_trees=1))))

@@ -146,6 +146,14 @@ class TestManifest:
         with pytest.raises(ValueError, match="manifest.csv:3"):
             load_manifest(path)
 
+    def test_long_row_names_line(self, tmp_path):
+        path = tmp_path / "manifest.csv"
+        save_manifest(self.records(), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("imgC,images/c.ppm,mug,test,,,,,,EXTRA\n")
+        with pytest.raises(ValueError, match="manifest.csv:4: 1 field"):
+            load_manifest(path)
+
     def test_partial_gt_box_rejected(self, tmp_path):
         path = tmp_path / "manifest.csv"
         path.write_text(
@@ -255,6 +263,14 @@ class TestItemsTable:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("b#0,b,c,test,1,2\n")
         with pytest.raises(ValueError, match="items.csv:3"):
+            load_items(path)
+
+    def test_long_row_names_line(self, tmp_path):
+        path = tmp_path / "items.csv"
+        save_items([ItemRecord("a#0", Proposal("a", BoundingBox(0, 0, 1, 1), 0.5, ""), "c", "test", 8, 8)], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("b#0,b,c,test,1,2,3,4,0.5,src,8,8,EXTRA,MORE\n")
+        with pytest.raises(ValueError, match="items.csv:3: 2 field"):
             load_items(path)
 
     def test_score_survives_exactly(self, tmp_path):
