@@ -111,7 +111,8 @@ def compose(assignment: list[tuple[int, CollageItem]], spec: CollageSpec) -> np.
         region = resize_nearest(item.region, s.h, s.w)
         mask = resize_nearest(item.mask, s.h, s.w)
         target = canvas[s.y : s.y + s.h, s.x : s.x + s.w]
-        target[mask] = region[mask]
+        # a full-size mask: a broadcast (stride-0) one makes copyto twice as slow
+        np.copyto(target, region, where=mask[:, :, None].repeat(3, axis=2))
     return canvas
 
 

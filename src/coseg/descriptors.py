@@ -41,7 +41,7 @@ def resize_nearest(image: np.ndarray, height: int, width: int) -> np.ndarray:
         raise ValueError(f"target size must be positive, got {height}x{width}")
     rows = _nearest_axis(image.shape[0], height)
     cols = _nearest_axis(image.shape[1], width)
-    return image[np.ix_(rows, cols)] if image.ndim == 2 else image[rows][:, cols]
+    return image.take(rows, 0).take(cols, 1)
 
 
 def patch_descriptor(image: np.ndarray, box: BoundingBox) -> np.ndarray:

@@ -260,7 +260,9 @@ def _batch_gradient(
     classical variant use subgradient 0. Both branches share the weights and a
     row's rectifier gates depend on that row alone, so every row the pairs
     touch runs forward once, its pair gradients are summed, and it runs
-    backward once.
+    backward once. One bincount over flat (row, column) indices does the
+    summing: each entry starts at +0.0 and adds the a-side gradients in pair
+    order, then the negated b-side ones.
     """
     rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
     acts = _forward_activations(params, vectors[rows])
@@ -283,9 +285,10 @@ def _batch_gradient(
     coeff = (np.where(pos, 1.0, 0.0) + neg_coeff) / n
     pair_delta = coeff[:, None] * diff
     # d(loss)/d(fb) = -d(loss)/d(fa); a row in several pairs sums them all
-    delta = np.zeros_like(acts[-1])
-    np.add.at(delta, ra, pair_delta)
-    np.add.at(delta, rb, -pair_delta)
+    dim = diff.shape[1]
+    flat = (np.concatenate([ra, rb])[:, None] * dim + np.arange(dim)).ravel()
+    signed = np.concatenate([pair_delta, -pair_delta]).ravel()
+    delta = np.bincount(flat, signed, minlength=len(rows) * dim).reshape(len(rows), dim)
     n_layers = len(params.weights)
     grad_w = [None] * n_layers
     grad_b = [None] * n_layers
@@ -375,10 +378,20 @@ def _mine_hard_indices(
     rng: np.random.Generator,
     pool_factor: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pick the hardest pairs out of a random pool of pool_factor*count."""
+    """Pick the hardest pairs out of a random pool of pool_factor*count.
+
+    Every row is embedded with forward_batch, and the pool's squared
+    embedding distances are scored one batch (count pairs) at a time, so
+    the temporaries stay batch-sized; each distance is still one row's own
+    sum. Positives are ranked by descending and negatives by ascending
+    distance, ties in pool order.
+    """
     ia, ib, y = _sample_pair_indices(dataset.labels, pool_factor * count, rng)
     emb = forward_batch(params, dataset.vectors)
-    d2 = np.sum((emb[ia] - emb[ib]) ** 2, axis=1)
+    d2 = np.empty(len(ia))
+    for s in range(0, len(ia), count):
+        diff = emb[ia[s : s + count]] - emb[ib[s : s + count]]
+        d2[s : s + count] = np.sum(diff * diff, axis=1)
 
     n_pos = (count + 1) // 2
     n_neg = count // 2

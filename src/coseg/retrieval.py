@@ -6,6 +6,7 @@ truth. Groups serialize to JSON Lines for downstream stages.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,8 @@ from .geometry import BoundingBox, Proposal, iou
 
 @dataclass(frozen=True)
 class SimilarityGroup:
-    """One anchor item and its nearest neighbors with exact distances."""
+    """One anchor item and its nearest neighbors with exact distances, which
+    must be finite, >= 0 and non-decreasing."""
 
     anchor: str
     members: RetrievalResult
@@ -28,6 +30,8 @@ class SimilarityGroup:
         if self.anchor in ids:
             raise ValueError(f"anchor {self.anchor!r} listed among its own members")
         dists = [m[1] for m in self.members.neighbors]
+        if not all(math.isfinite(d) and d >= 0.0 for d in dists):
+            raise ValueError(f"member distances must be finite and >= 0, got {dists}")
         if any(b < a for a, b in zip(dists, dists[1:])):
             raise ValueError("member distances must be non-decreasing")
 

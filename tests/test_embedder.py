@@ -235,12 +235,8 @@ class TestLossGradient:
             loss_gradient(params, pair, margin=1.0)
 
 
-def two_branch_gradient(params, xa, xb, labels, margin, classical_hinge):
-    """Reference: each pair's two branches forward and backward over their own
-    row copies, the branch gradients summed into zero-filled lists."""
-    acts_a = _forward_activations(params, xa)
-    acts_b = _forward_activations(params, xb)
-    diff = acts_a[-1] - acts_b[-1]
+def reference_loss_and_coeff(diff, labels, margin, classical_hinge):
+    """Mean loss and each pair's output-gradient coefficient, as trained."""
     d2 = np.sum(diff * diff, axis=1)
     pos = np.asarray(labels) == 1
     if classical_hinge:
@@ -252,7 +248,43 @@ def two_branch_gradient(params, xa, xb, labels, margin, classical_hinge):
     else:
         per_pair = np.where(pos, 0.5 * d2, 0.5 * np.maximum(0.0, margin - d2))
         neg_coeff = np.where((~pos) & (d2 < margin), -1.0, 0.0)
-    coeff = (np.where(pos, 1.0, 0.0) + neg_coeff) / xa.shape[0]
+    return float(np.mean(per_pair)), (np.where(pos, 1.0, 0.0) + neg_coeff) / diff.shape[0]
+
+
+def add_at_gradient(params, vectors, ia, ib, labels, margin, classical_hinge):
+    """Reference: unique rows forward once, the pair gradients scattered onto
+    a zero-filled delta by np.add.at, a side first, then backward once."""
+    rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
+    acts = _forward_activations(params, vectors[rows])
+    ra, rb = inv[: len(ia)], inv[len(ia) :]
+    diff = acts[-1][ra] - acts[-1][rb]
+    loss, coeff = reference_loss_and_coeff(diff, labels, margin, classical_hinge)
+    pair_delta = coeff[:, None] * diff
+    delta = np.zeros_like(acts[-1])
+    np.add.at(delta, ra, pair_delta)
+    np.add.at(delta, rb, -pair_delta)
+    grad_w = [None] * len(params.weights)
+    grad_b = [None] * len(params.weights)
+    for layer in range(len(params.weights) - 1, -1, -1):
+        grad_w[layer] = delta.T @ acts[layer]
+        grad_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ params.weights[layer]) * (acts[layer] > 0)
+    return loss, grad_w, grad_b
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def two_branch_gradient(params, xa, xb, labels, margin, classical_hinge):
+    """Reference: each pair's two branches forward and backward over their own
+    row copies, the branch gradients summed into zero-filled lists."""
+    acts_a = _forward_activations(params, xa)
+    acts_b = _forward_activations(params, xb)
+    diff = acts_a[-1] - acts_b[-1]
+    loss, coeff = reference_loss_and_coeff(diff, labels, margin, classical_hinge)
     grad_w = [np.zeros_like(w) for w in params.weights]
     grad_b = [np.zeros_like(b) for b in params.biases]
     for acts, sign in ((acts_a, 1.0), (acts_b, -1.0)):
@@ -262,7 +294,7 @@ def two_branch_gradient(params, xa, xb, labels, margin, classical_hinge):
             grad_b[layer] += delta.sum(axis=0)
             if layer > 0:
                 delta = (delta @ params.weights[layer]) * (acts[layer] > 0)
-    return float(np.mean(per_pair)), grad_w, grad_b
+    return loss, grad_w, grad_b
 
 
 def shared_row_batch():
@@ -277,18 +309,52 @@ def shared_row_batch():
     return vectors, ia, ib, y
 
 
+def far_negative_batch():
+    """The shared-row batch plus rows 8 and 9, far apart and only in the
+    negative pair (8, 9): its coefficient is 0 at margin 4, so its pair
+    gradient holds -0.0 wherever the embedding difference is negative."""
+    vectors, ia, ib, y = shared_row_batch()
+    far = 40.0 * np.random.default_rng(23).normal(size=5)
+    vectors = np.concatenate([vectors, [far, -far]])
+    return vectors, np.append(ia, 8), np.append(ib, 9), np.append(y, 0)
+
+
+def gradient_batch(name):
+    if name == "shared_rows":
+        return shared_row_batch()
+    if name == "far_negative":
+        return far_negative_batch()
+    rng = np.random.default_rng(22)
+    vectors = rng.normal(size=(12, 5))
+    ia, ib = rng.integers(0, 12, size=(2, 60))
+    return vectors, ia, ib, rng.integers(0, 2, size=60)
+
+
 class TestBatchGradient:
+    @pytest.mark.parametrize("classical", [False, True])
+    @pytest.mark.parametrize("batch", ["shared_rows", "random", "far_negative"])
+    def test_bit_identical_to_add_at_scatter(self, classical, batch):
+        params = init_params(5, (6, 4, 3), seed=8)
+        vectors, ia, ib, y = gradient_batch(batch)
+        got_loss, got_w, got_b = _batch_gradient(params, vectors, ia, ib, y, 4.0, classical)
+        want_loss, want_w, want_b = add_at_gradient(params, vectors, ia, ib, y, 4.0, classical)
+        assert same_bits(got_loss, want_loss)
+        for got, want in zip((*got_w, *got_b), (*want_w, *want_b)):
+            assert same_bits(got, want)
+
+    def test_far_negative_has_zero_coefficient_and_negative_diffs(self):
+        params = init_params(5, (6, 4, 3), seed=8)
+        vectors, ia, ib, y = far_negative_batch()
+        emb = forward_batch(params, vectors[8:])
+        diff = emb[0] - emb[1]
+        assert np.sum(diff * diff) >= 4.0 and np.any(diff < 0)
+        assert 8 not in ia[:-1] and 9 not in ib[:-1] and 8 not in ib and 9 not in ia
+
     @pytest.mark.parametrize("classical", [False, True])
     @pytest.mark.parametrize("batch", ["shared_rows", "random"])
     def test_matches_two_branch_reference(self, classical, batch):
         params = init_params(5, (6, 4, 3), seed=8)
-        if batch == "shared_rows":
-            vectors, ia, ib, y = shared_row_batch()
-        else:
-            rng = np.random.default_rng(22)
-            vectors = rng.normal(size=(12, 5))
-            ia, ib = rng.integers(0, 12, size=(2, 60))
-            y = rng.integers(0, 2, size=60)
+        vectors, ia, ib, y = gradient_batch(batch)
         margin = 4.0
         got_loss, got_w, got_b = _batch_gradient(params, vectors, ia, ib, y, margin, classical)
         want_loss, want_w, want_b = two_branch_gradient(
@@ -332,16 +398,15 @@ class TestBatchGradient:
 
 class TestTrainUpdate:
     """train() applies v <- momentum*v - lr*g; params <- params + v to the
-    seeded init, with g from _batch_gradient on the pairs it draws."""
+    seeded init, bit for bit as a hand loop that draws or mines the same
+    pairs with the unblocked pool score and takes g from add_at_gradient."""
 
-    @pytest.mark.parametrize(
-        "momentum,iterations", [(0.0, 1), (0.0, 2), (0.9, 1), (0.9, 2)]
-    )
-    def test_matches_hand_update(self, momentum, iterations):
+    @staticmethod
+    def check_hand_update(momentum, iterations, mining):
         ds = small_dataset(seed=4)
         cfg = TrainConfig(
             learning_rate=0.05, momentum=momentum, batch_size=6, iterations=iterations,
-            layer_sizes=(3, 2), seed=2, mining="random",
+            layer_sizes=(3, 2), seed=2, mining=mining,
         )
         init = init_params(ds.dim, cfg.layer_sizes, cfg.seed)
         weights, biases = list(init.weights), list(init.biases)
@@ -349,10 +414,13 @@ class TestTrainUpdate:
         vel_b = [np.zeros_like(b) for b in biases]
         rng = np.random.default_rng(cfg.seed + 1)
         for _ in range(iterations):
-            ia, ib, y = _sample_pair_indices(ds.labels, cfg.batch_size, rng)
-            _, grad_w, grad_b = _batch_gradient(
-                EncoderParams(weights=tuple(weights), biases=tuple(biases)),
-                ds.vectors, ia, ib, y, cfg.margin, cfg.classical_hinge,
+            params = EncoderParams(weights=tuple(weights), biases=tuple(biases))
+            if mining == "aggressive":
+                ia, ib, y = unblocked_mine(params, ds, cfg.batch_size, rng, cfg.pool_factor)
+            else:
+                ia, ib, y = _sample_pair_indices(ds.labels, cfg.batch_size, rng)
+            _, grad_w, grad_b = add_at_gradient(
+                params, ds.vectors, ia, ib, y, cfg.margin, cfg.classical_hinge,
             )
             for l in range(len(weights)):
                 vel_w[l] = momentum * vel_w[l] - cfg.learning_rate * grad_w[l]
@@ -361,9 +429,21 @@ class TestTrainUpdate:
                 biases[l] = biases[l] + vel_b[l]
 
         got = train(ds, cfg).params
-        assert all(np.array_equal(a, b) for a, b in zip(got.weights, weights))
-        assert all(np.array_equal(a, b) for a, b in zip(got.biases, biases))
+        assert all(same_bits(a, b) for a, b in zip(got.weights, weights))
+        assert all(same_bits(a, b) for a, b in zip(got.biases, biases))
         assert not np.array_equal(got.weights[0], init.weights[0])
+
+    @pytest.mark.parametrize(
+        "momentum,iterations", [(0.0, 1), (0.0, 2), (0.9, 1), (0.9, 2)]
+    )
+    def test_matches_hand_update(self, momentum, iterations):
+        self.check_hand_update(momentum, iterations, "random")
+
+    @pytest.mark.parametrize(
+        "momentum,iterations", [(0.0, 1), (0.0, 2), (0.9, 1), (0.9, 2)]
+    )
+    def test_aggressive_matches_hand_update(self, momentum, iterations):
+        self.check_hand_update(momentum, iterations, "aggressive")
 
     def test_zero_gradient_leaves_weights_fixed(self):
         # every descriptor identical: all pair differences vanish, so every
@@ -434,6 +514,31 @@ class TestSamplePairs:
             _sample_pair_indices(np.zeros(4, dtype=int), 2, np.random.default_rng(0))
 
 
+def unblocked_mine(params, dataset, count, rng, pool_factor):
+    """Reference: the whole pool scored by one unblocked expression, then
+    the hardest positives and negatives, ties in pool order."""
+    ia, ib, y = _sample_pair_indices(dataset.labels, pool_factor * count, rng)
+    emb = forward_batch(params, dataset.vectors)
+    d2 = np.sum((emb[ia] - emb[ib]) ** 2, axis=1)
+    pos_idx = np.flatnonzero(y == 1)
+    neg_idx = np.flatnonzero(y == 0)
+    pos_pick = pos_idx[np.argsort(-d2[pos_idx], kind="stable")[: (count + 1) // 2]]
+    neg_pick = neg_idx[np.argsort(d2[neg_idx], kind="stable")[: count // 2]]
+    sel = np.concatenate([pos_pick, neg_pick])
+    return ia[sel], ib[sel], y[sel]
+
+
+def permuted_dataset():
+    """Rows that permute the coordinates of one vector, and zero rows: pool
+    distances tie exactly (zero rows, repeated pairs) or differ in their
+    last bits only (differences holding the same values in other places)."""
+    rng = np.random.default_rng(31)
+    u = rng.normal(size=24)
+    perms = np.stack([rng.permutation(u) for _ in range(16)])
+    vectors = np.concatenate([perms[:10], np.zeros((6, 24)), perms[10:]])
+    return LabeledDescriptors(vectors=vectors, labels=np.repeat([0, 1, 2], [10, 6, 6]))
+
+
 def embedding_d2(params, ds, ia, ib):
     emb = forward_batch(params, ds.vectors)
     return np.sum((emb[ia] - emb[ib]) ** 2, axis=1)
@@ -464,6 +569,27 @@ class TestMineHardPairs:
         pool = _sample_pair_indices(ds.labels, 24, np.random.default_rng(9))
         keep = np.r_[0:3, 12:15]
         assert all(np.array_equal(m, p[keep]) for m, p in zip(mined, pool))
+
+    @pytest.mark.parametrize("net", ["identity", "random"])
+    @pytest.mark.parametrize("count", [1, 3, 128])
+    @pytest.mark.parametrize("pool_factor", [1, 10])
+    def test_picks_equal_unblocked_reference(self, net, count, pool_factor):
+        ds = permuted_dataset()
+        if net == "identity":
+            params = EncoderParams(weights=(np.eye(24),), biases=(np.zeros(24),))
+        else:
+            params = init_params(24, (16, 8), seed=3)
+        got = _mine_hard_indices(params, ds, count, np.random.default_rng(5), pool_factor)
+        want = unblocked_mine(params, ds, count, np.random.default_rng(5), pool_factor)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_permuted_pool_has_exact_ties(self):
+        ds = permuted_dataset()
+        params = EncoderParams(weights=(np.eye(24),), biases=(np.zeros(24),))
+        ia, ib, y = _sample_pair_indices(ds.labels, 1280, np.random.default_rng(5))
+        d2 = embedding_d2(params, ds, ia, ib)
+        assert len(np.unique(d2[y == 0])) < np.sum(y == 0)
+        assert len(np.unique(d2[y == 1])) < np.sum(y == 1)
 
     def test_selected_positives_dominate_rejected(self):
         ds = small_dataset(seed=3, n_classes=4, per_class=6, dim=5)

@@ -37,6 +37,17 @@ class TestSimilarityGroup:
         g = group("a", [("b", 1.0), ("c", 1.0)])
         assert len(g.members) == 2
 
+    @pytest.mark.parametrize(
+        "dists",
+        [(0.5, float("nan"), 0.1), (float("nan"),), (-3.0, float("inf")), (-0.5,), (0.0, float("inf"))],
+    )
+    def test_non_finite_or_negative_distance_rejected(self, dists):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            group("a", [(f"m{i}", d) for i, d in enumerate(dists)])
+
+    def test_zero_distance_allowed(self):
+        assert group("a", [("b", 0.0), ("c", -0.0)]).members.distances == [0.0, 0.0]
+
 
 class TestEmbedAll:
     def test_matches_per_item_forward(self):
@@ -214,8 +225,14 @@ class TestGroupFiles:
             '{"anchor": "a", "members": [{"id": "b", "distance": "far"}]}',
             '{"anchor": "a", "members": [{"id": "a", "distance": 0.5}]}',
             '{"anchor": "a", "members": [{"id": "b", "distance": 2.0}, {"id": "c", "distance": 1.0}]}',
+            '{"anchor": "a", "members": [{"id": "b", "distance": 0.5}, {"id": "c", "distance": NaN},'
+            ' {"id": "d", "distance": 0.1}]}',
+            '{"anchor": "a", "members": [{"id": "b", "distance": -3.0}, {"id": "c", "distance": Infinity}]}',
         ],
-        ids=["non_numeric_distance", "anchor_among_members", "decreasing_distances"],
+        ids=[
+            "non_numeric_distance", "anchor_among_members", "decreasing_distances",
+            "nan_distance", "negative_and_infinite_distances",
+        ],
     )
     def test_rejected_record_names_path_and_line(self, tmp_path, record):
         path = tmp_path / "bad.jsonl"
