@@ -3,7 +3,10 @@ gradients, SGD-with-momentum training, pair sampling, and hard-pair mining.
 
 The encoder is a fully connected network with rectifier hidden layers and an
 identity output layer. Both inputs of a pair run through the same weights, so
-a batch gradient is a sum over the descriptor rows its pairs touch.
+a batch gradient is a sum over the descriptor rows its pairs touch. A row's
+activations depend on that row alone, so one forward pass can serve several
+consumers: a hard-mining step embeds every training row once and feeds those
+activations to both the pair mining and the batch gradient.
 """
 
 from __future__ import annotations
@@ -197,14 +200,21 @@ def _forward_activations(params: EncoderParams, batch: np.ndarray) -> list[np.nd
     return acts
 
 
-def forward_batch(params: EncoderParams, batch: np.ndarray) -> np.ndarray:
-    """Embed every row of a (n, input_dim) array; returns (n, output_dim)."""
+def forward_batch(
+    params: EncoderParams, batch: np.ndarray, *, all_layers: bool = False
+) -> np.ndarray | list[np.ndarray]:
+    """Embed every row of a (n, input_dim) array; returns (n, output_dim).
+
+    With all_layers, returns every layer's output instead, input first and
+    embedding last, as training's backward pass needs them.
+    """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.input_dim:
         raise ValueError(
             f"batch shape {batch.shape} does not match input dimension {params.input_dim}"
         )
-    return _forward_activations(params, batch)[-1]
+    acts = _forward_activations(params, batch)
+    return acts if all_layers else acts[-1]
 
 
 def forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
@@ -246,29 +256,30 @@ def contrastive_loss(
 
 def _batch_gradient(
     params: EncoderParams,
-    vectors: np.ndarray,
+    acts: Sequence[np.ndarray],
     ia: np.ndarray,
     ib: np.ndarray,
     labels: np.ndarray,
     margin: float,
     classical_hinge: bool,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean loss and mean-loss gradients over the pairs (vectors[ia], vectors[ib]).
+    """Mean loss and mean-loss gradients over the pairs (rows ia, rows ib).
 
-    Each pair's gradient is c * (fa - fb) with respect to fa and the negation
-    with respect to fb. The hinge kink and the zero-distance point of the
-    classical variant use subgradient 0. Both branches share the weights and a
-    row's rectifier gates depend on that row alone, so every row the pairs
-    touch runs forward once, its pair gradients are summed, and it runs
-    backward once. One bincount over flat (row, column) indices does the
-    summing: each entry starts at +0.0 and adds the a-side gradients in pair
-    order, then the negated b-side ones.
+    acts holds every layer's output, input first, for a set of rows that ia
+    and ib index; the rows no pair touches are ignored, and no forward pass
+    runs here. Each pair's gradient is c * (fa - fb) with respect to fa and
+    the negation with respect to fb. The hinge kink and the zero-distance
+    point of the classical variant use subgradient 0. Both branches share the
+    weights and a row's rectifier gates depend on that row alone, so the
+    unique rows the pairs touch are gathered once, each sums its pair
+    gradients, and runs backward once. One bincount over flat (row, column)
+    indices does the summing: each entry starts at +0.0 and adds the a-side
+    gradients in pair order, then the negated b-side ones.
     """
     rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
-    acts = _forward_activations(params, vectors[rows])
     n = len(ia)
     ra, rb = inv[:n], inv[n:]
-    diff = acts[-1][ra] - acts[-1][rb]
+    diff = acts[-1][ia] - acts[-1][ib]
     d2 = np.sum(diff * diff, axis=1)
     pos = np.asarray(labels) == 1
     if classical_hinge:
@@ -293,10 +304,12 @@ def _batch_gradient(
     grad_w = [None] * n_layers
     grad_b = [None] * n_layers
     for layer in range(n_layers - 1, -1, -1):
-        grad_w[layer] = delta.T @ acts[layer]
+        # the input to this layer, one row per touched row
+        inputs = acts[layer][rows]
+        grad_w[layer] = delta.T @ inputs
         grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ params.weights[layer]) * (acts[layer] > 0)
+            delta = (delta @ params.weights[layer]) * (inputs > 0)
     return loss, grad_w, grad_b
 
 
@@ -315,7 +328,7 @@ def loss_gradient(
         )
     _, grad_w, grad_b = _batch_gradient(
         params,
-        np.stack([pair.a, pair.b]),
+        _forward_activations(params, np.stack([pair.a, pair.b])),
         np.array([0]),
         np.array([1]),
         np.array([pair.label]),
@@ -372,22 +385,21 @@ def _sample_pair_indices(
 
 
 def _mine_hard_indices(
-    params: EncoderParams,
-    dataset: LabeledDescriptors,
+    emb: np.ndarray,
+    labels: np.ndarray,
     count: int,
     rng: np.random.Generator,
     pool_factor: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pick the hardest pairs out of a random pool of pool_factor*count.
 
-    Every row is embedded with forward_batch, and the pool's squared
-    embedding distances are scored one batch (count pairs) at a time, so
-    the temporaries stay batch-sized; each distance is still one row's own
-    sum. Positives are ranked by descending and negatives by ascending
-    distance, ties in pool order.
+    emb holds the embedding of every row that labels describes; no forward
+    pass runs here. The pool's squared embedding distances are scored one
+    batch (count pairs) at a time, so the temporaries stay batch-sized; each
+    distance is still one row's own sum. Positives are ranked by descending
+    and negatives by ascending distance, ties in pool order.
     """
-    ia, ib, y = _sample_pair_indices(dataset.labels, pool_factor * count, rng)
-    emb = forward_batch(params, dataset.vectors)
+    ia, ib, y = _sample_pair_indices(labels, pool_factor * count, rng)
     d2 = np.empty(len(ia))
     for s in range(0, len(ia), count):
         diff = emb[ia[s : s + count]] - emb[ib[s : s + count]]
@@ -407,10 +419,13 @@ def _mine_hard_indices(
 def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     """Run cfg.iterations mini-batch updates and return params plus loss trace.
 
-    Batch gradients average the per-pair losses; each step runs every row its
-    pairs touch forward and backward once. The pair stream draws from a
-    generator seeded with cfg.seed + 1 so it is independent of the cfg.seed
-    weight init. Aborts with TrainingDiverged if a batch loss goes non-finite.
+    Batch gradients average the per-pair losses. Each step runs the encoder
+    forward once: an aggressive step over every training row with
+    forward_batch, whose activations feed both the mining and the gradient;
+    a random step over the unique rows its pairs touch. Every touched row
+    then runs backward once. The pair stream draws from a generator seeded
+    with cfg.seed + 1 so it is independent of the cfg.seed weight init.
+    Aborts with TrainingDiverged if a batch loss goes non-finite.
 
     Each step is one momentum update, applied in place to the initial params:
     v <- momentum*v - lr*g; params <- params + v.
@@ -425,11 +440,17 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     trace: list[float] = []
     for it in range(cfg.iterations):
         if cfg.mining == "aggressive":
-            ia, ib, y = _mine_hard_indices(params, dataset, cfg.batch_size, rng, cfg.pool_factor)
+            acts = forward_batch(params, dataset.vectors, all_layers=True)
+            ia, ib, y = _mine_hard_indices(
+                acts[-1], dataset.labels, cfg.batch_size, rng, cfg.pool_factor
+            )
         else:
             ia, ib, y = _sample_pair_indices(dataset.labels, cfg.batch_size, rng)
+            rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
+            acts = _forward_activations(params, dataset.vectors[rows])
+            ia, ib = inv[: len(ia)], inv[len(ia) :]
         loss, grad_w, grad_b = _batch_gradient(
-            params, dataset.vectors, ia, ib, y, cfg.margin, cfg.classical_hinge
+            params, acts, ia, ib, y, cfg.margin, cfg.classical_hinge
         )
         if not math.isfinite(loss):
             raise TrainingDiverged(iteration=it, value=loss)

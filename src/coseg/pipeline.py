@@ -583,6 +583,7 @@ def stage_collage(cfg: dict[str, str]) -> None:
     collage_dir = out / "collages"
     collage_dir.mkdir(exist_ok=True)
     image_cache: dict[str, np.ndarray] = {}
+    rendered: dict[str, str] = {}  # collage file name -> its group's anchor
 
     for group in groups[: max(limit, 0)]:
         collage_items: list[CollageItem] = []
@@ -607,8 +608,13 @@ def stage_collage(cfg: dict[str, str]) -> None:
             collage_items.append(CollageItem(region=region, mask=mask, distance=dist))
         if not collage_items:
             continue
-        canvas = make_collage(collage_items, spec)
-        write_ppm(collage_dir / f"{_safe_name(group.anchor)}.ppm", canvas)
+        name = f"{_safe_name(group.anchor)}.ppm"
+        if name in rendered:
+            raise ValueError(
+                f"anchors {rendered[name]!r} and {group.anchor!r} both map to collage file {name}"
+            )
+        rendered[name] = group.anchor
+        write_ppm(collage_dir / name, make_collage(collage_items, spec))
 
 
 _STAGES = {

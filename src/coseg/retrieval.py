@@ -134,7 +134,22 @@ def save_groups(groups: list[SimilarityGroup], path) -> None:
             fh.write("\n")
 
 
+def _member(record) -> tuple[str, float]:
+    """One {id, distance} record as (id, distance), with no type coercion."""
+    ident, dist = record["id"], record["distance"]
+    if not isinstance(ident, str):
+        raise TypeError(f"member id must be a string, got {ident!r}")
+    # bool is an int subclass; a JSON true is not a distance
+    if isinstance(dist, bool) or not isinstance(dist, (int, float)):
+        raise TypeError(f"distance must be a number, got {dist!r}")
+    return ident, float(dist)
+
+
 def load_groups(path) -> list[SimilarityGroup]:
+    """Read save_groups' format back. A line that is not JSON, lacks a key,
+    holds a value of the wrong JSON type (a non-string anchor or member id, a
+    distance that is not a number, a class_hint neither string nor null) or
+    breaks a SimilarityGroup rule raises ValueError naming path and line."""
     groups: list[SimilarityGroup] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -143,14 +158,19 @@ def load_groups(path) -> list[SimilarityGroup]:
                 continue
             try:
                 obj = json.loads(line)
-                members = tuple((m["id"], float(m["distance"])) for m in obj["members"])
+                anchor, hint = obj["anchor"], obj.get("class_hint")
+                if not isinstance(anchor, str):
+                    raise TypeError(f"anchor must be a string, got {anchor!r}")
+                if hint is not None and not isinstance(hint, str):
+                    raise TypeError(f"class_hint must be a string or null, got {hint!r}")
+                members = tuple(_member(m) for m in obj["members"])
                 groups.append(
                     SimilarityGroup(
-                        anchor=obj["anchor"],
+                        anchor=anchor,
                         members=RetrievalResult(neighbors=members),
-                        class_hint=obj.get("class_hint"),
+                        class_hint=hint,
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: line {line_no}: malformed group record ({exc})") from exc
     return groups

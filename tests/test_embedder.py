@@ -273,6 +273,12 @@ def add_at_gradient(params, vectors, ia, ib, labels, margin, classical_hinge):
     return loss, grad_w, grad_b
 
 
+def batch_gradient(params, vectors, ia, ib, labels, margin, classical_hinge):
+    """_batch_gradient on the activations of every row of vectors."""
+    acts = _forward_activations(params, vectors)
+    return _batch_gradient(params, acts, ia, ib, labels, margin, classical_hinge)
+
+
 def same_bits(got, want):
     got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -336,7 +342,7 @@ class TestBatchGradient:
     def test_bit_identical_to_add_at_scatter(self, classical, batch):
         params = init_params(5, (6, 4, 3), seed=8)
         vectors, ia, ib, y = gradient_batch(batch)
-        got_loss, got_w, got_b = _batch_gradient(params, vectors, ia, ib, y, 4.0, classical)
+        got_loss, got_w, got_b = batch_gradient(params, vectors, ia, ib, y, 4.0, classical)
         want_loss, want_w, want_b = add_at_gradient(params, vectors, ia, ib, y, 4.0, classical)
         assert same_bits(got_loss, want_loss)
         for got, want in zip((*got_w, *got_b), (*want_w, *want_b)):
@@ -356,7 +362,7 @@ class TestBatchGradient:
         params = init_params(5, (6, 4, 3), seed=8)
         vectors, ia, ib, y = gradient_batch(batch)
         margin = 4.0
-        got_loss, got_w, got_b = _batch_gradient(params, vectors, ia, ib, y, margin, classical)
+        got_loss, got_w, got_b = batch_gradient(params, vectors, ia, ib, y, margin, classical)
         want_loss, want_w, want_b = two_branch_gradient(
             params, vectors[ia], vectors[ib], y, margin, classical
         )
@@ -377,45 +383,87 @@ class TestBatchGradient:
         assert np.any((d2 == 0.0) & (y == 0))
         assert np.any((d2 > 0.0) & (d2 < 4.0) & (y == 0))
 
-    def test_forward_runs_once_on_unique_rows(self, monkeypatch):
+    @pytest.mark.parametrize("classical", [False, True])
+    def test_untouched_rows_are_ignored(self, classical):
+        # the batch's rows scattered among rows no pair touches: the gradient
+        # gathers exactly the touched rows, bit for bit as over the batch alone
+        params = init_params(5, (6, 4, 3), seed=8)
+        vectors, ia, ib, y = shared_row_batch()
+        rng = np.random.default_rng(24)
+        where = np.sort(rng.choice(20, size=len(vectors), replace=False))
+        padded = rng.normal(size=(20, 5))
+        padded[where] = vectors
+        got_loss, got_w, got_b = batch_gradient(
+            params, padded, where[ia], where[ib], y, 4.0, classical
+        )
+        want_loss, want_w, want_b = add_at_gradient(params, vectors, ia, ib, y, 4.0, classical)
+        assert same_bits(got_loss, want_loss)
+        for got, want in zip((*got_w, *got_b), (*want_w, *want_b)):
+            assert same_bits(got, want)
+
+    @staticmethod
+    def forward_calls(monkeypatch, ds, cfg):
+        """The batches train() hands _forward_activations, and the row
+        count of each forward_batch call."""
         import coseg.embedder as embedder
 
-        seen = []
-        real = embedder._forward_activations
+        seen, via_forward_batch = [], []
+        real_acts, real_batch = embedder._forward_activations, embedder.forward_batch
 
         def counting(params, batch):
             seen.append(batch.copy())
-            return real(params, batch)
+            return real_acts(params, batch)
+
+        def counting_batch(params, batch, **kwargs):
+            via_forward_batch.append(len(batch))
+            return real_batch(params, batch, **kwargs)
 
         monkeypatch.setattr(embedder, "_forward_activations", counting)
-        params = init_params(5, (6, 3), seed=1)
-        vectors, ia, ib, y = shared_row_batch()
-        _batch_gradient(params, vectors, ia, ib, y, 1.0, False)
-        rows = np.unique(np.concatenate([ia, ib]))
-        assert len(seen) == 1
-        assert np.array_equal(seen[0], vectors[rows])
+        monkeypatch.setattr(embedder, "forward_batch", counting_batch)
+        train(ds, cfg)
+        return seen, via_forward_batch
+
+    def test_forward_runs_once_on_unique_rows(self, monkeypatch):
+        # random mining: one forward per step, on that step's unique rows only
+        ds = small_dataset(seed=5, n_classes=4, per_class=8)
+        cfg = TrainConfig(iterations=3, batch_size=6, layer_sizes=(6, 3), seed=1)
+        seen, via_forward_batch = self.forward_calls(monkeypatch, ds, cfg)
+        rng = np.random.default_rng(cfg.seed + 1)
+        steps = [_sample_pair_indices(ds.labels, cfg.batch_size, rng) for _ in range(3)]
+        assert len(seen) == 3 and via_forward_batch == []
+        for batch, (ia, ib, _) in zip(seen, steps):
+            rows = np.unique(np.concatenate([ia, ib]))
+            assert len(rows) < len(ds)
+            assert np.array_equal(batch, ds.vectors[rows])
+
+    def test_aggressive_forward_runs_once_on_all_rows(self, monkeypatch):
+        # hard mining: one forward_batch per step over every row, whose
+        # activations serve both the mining and the gradient
+        ds = small_dataset(seed=5, n_classes=4, per_class=8)
+        cfg = TrainConfig(
+            iterations=3, batch_size=6, layer_sizes=(6, 3), seed=1, mining="aggressive"
+        )
+        seen, via_forward_batch = self.forward_calls(monkeypatch, ds, cfg)
+        assert len(seen) == 3 and via_forward_batch == [len(ds)] * 3
+        assert all(np.array_equal(batch, ds.vectors) for batch in seen)
 
 
 class TestTrainUpdate:
     """train() applies v <- momentum*v - lr*g; params <- params + v to the
     seeded init, bit for bit as a hand loop that draws or mines the same
-    pairs with the unblocked pool score and takes g from add_at_gradient."""
+    pairs with the unblocked pool score and takes g from add_at_gradient,
+    which runs its own forward pass on the batch's unique rows."""
 
     @staticmethod
-    def check_hand_update(momentum, iterations, mining):
-        ds = small_dataset(seed=4)
-        cfg = TrainConfig(
-            learning_rate=0.05, momentum=momentum, batch_size=6, iterations=iterations,
-            layer_sizes=(3, 2), seed=2, mining=mining,
-        )
+    def check_hand_update(ds, cfg):
         init = init_params(ds.dim, cfg.layer_sizes, cfg.seed)
         weights, biases = list(init.weights), list(init.biases)
         vel_w = [np.zeros_like(w) for w in weights]
         vel_b = [np.zeros_like(b) for b in biases]
         rng = np.random.default_rng(cfg.seed + 1)
-        for _ in range(iterations):
+        for _ in range(cfg.iterations):
             params = EncoderParams(weights=tuple(weights), biases=tuple(biases))
-            if mining == "aggressive":
+            if cfg.mining == "aggressive":
                 ia, ib, y = unblocked_mine(params, ds, cfg.batch_size, rng, cfg.pool_factor)
             else:
                 ia, ib, y = _sample_pair_indices(ds.labels, cfg.batch_size, rng)
@@ -423,8 +471,8 @@ class TestTrainUpdate:
                 params, ds.vectors, ia, ib, y, cfg.margin, cfg.classical_hinge,
             )
             for l in range(len(weights)):
-                vel_w[l] = momentum * vel_w[l] - cfg.learning_rate * grad_w[l]
-                vel_b[l] = momentum * vel_b[l] - cfg.learning_rate * grad_b[l]
+                vel_w[l] = cfg.momentum * vel_w[l] - cfg.learning_rate * grad_w[l]
+                vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * grad_b[l]
                 weights[l] = weights[l] + vel_w[l]
                 biases[l] = biases[l] + vel_b[l]
 
@@ -433,17 +481,41 @@ class TestTrainUpdate:
         assert all(same_bits(a, b) for a, b in zip(got.biases, biases))
         assert not np.array_equal(got.weights[0], init.weights[0])
 
+    @staticmethod
+    def small_config(momentum, iterations, mining):
+        return TrainConfig(
+            learning_rate=0.05, momentum=momentum, batch_size=6, iterations=iterations,
+            layer_sizes=(3, 2), seed=2, mining=mining,
+        )
+
     @pytest.mark.parametrize(
         "momentum,iterations", [(0.0, 1), (0.0, 2), (0.9, 1), (0.9, 2)]
     )
     def test_matches_hand_update(self, momentum, iterations):
-        self.check_hand_update(momentum, iterations, "random")
+        self.check_hand_update(
+            small_dataset(seed=4), self.small_config(momentum, iterations, "random")
+        )
 
     @pytest.mark.parametrize(
         "momentum,iterations", [(0.0, 1), (0.0, 2), (0.9, 1), (0.9, 2)]
     )
     def test_aggressive_matches_hand_update(self, momentum, iterations):
-        self.check_hand_update(momentum, iterations, "aggressive")
+        self.check_hand_update(
+            small_dataset(seed=4), self.small_config(momentum, iterations, "aggressive")
+        )
+
+    def test_aggressive_matches_hand_update_at_pipeline_shape(self):
+        # 1024-d descriptors and the default layers: the full-set forward and
+        # the hand loop's unique-row forward run matrix products of different
+        # row counts, which BLAS blocks differently; each row's output must
+        # still carry the same bits
+        rng = np.random.default_rng(41)
+        ds = LabeledDescriptors(
+            vectors=0.03 * rng.normal(size=(403, 1024)), labels=rng.integers(0, 12, size=403)
+        )
+        cfg = TrainConfig(batch_size=128, iterations=3, seed=6, mining="aggressive")
+        assert cfg.layer_sizes == (128, 256)
+        self.check_hand_update(ds, cfg)
 
     def test_zero_gradient_leaves_weights_fixed(self):
         # every descriptor identical: all pair differences vanish, so every
@@ -552,7 +624,8 @@ class TestMineHardPairs:
         labels = np.array([0, 0, 0, 1, 1])
         ds = LabeledDescriptors(vectors=vectors, labels=labels)
         params = EncoderParams(weights=(np.eye(2),), biases=(np.zeros(2),))
-        ia, ib, y = _mine_hard_indices(params, ds, 4, np.random.default_rng(0), pool_factor=20)
+        emb = forward_batch(params, ds.vectors)
+        ia, ib, y = _mine_hard_indices(emb, ds.labels, 4, np.random.default_rng(0), pool_factor=20)
         negs = np.flatnonzero(y == 0)
         assert len(negs), "mining must return negatives"
         assert embedding_d2(params, ds, ia[negs[:1]], ib[negs[:1]])[0] == 0.0
@@ -564,7 +637,8 @@ class TestMineHardPairs:
         params = EncoderParams(
             weights=(np.zeros((2, ds.dim)),), biases=(np.array([1.0, 1.0]),)
         )
-        mined = _mine_hard_indices(params, ds, 6, np.random.default_rng(9), pool_factor=4)
+        emb = forward_batch(params, ds.vectors)
+        mined = _mine_hard_indices(emb, ds.labels, 6, np.random.default_rng(9), pool_factor=4)
         # same seed, pool_factor*count draws: 12 positives then 12 negatives
         pool = _sample_pair_indices(ds.labels, 24, np.random.default_rng(9))
         keep = np.r_[0:3, 12:15]
@@ -579,7 +653,8 @@ class TestMineHardPairs:
             params = EncoderParams(weights=(np.eye(24),), biases=(np.zeros(24),))
         else:
             params = init_params(24, (16, 8), seed=3)
-        got = _mine_hard_indices(params, ds, count, np.random.default_rng(5), pool_factor)
+        emb = forward_batch(params, ds.vectors)
+        got = _mine_hard_indices(emb, ds.labels, count, np.random.default_rng(5), pool_factor)
         want = unblocked_mine(params, ds, count, np.random.default_rng(5), pool_factor)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -594,7 +669,10 @@ class TestMineHardPairs:
     def test_selected_positives_dominate_rejected(self):
         ds = small_dataset(seed=3, n_classes=4, per_class=6, dim=5)
         params = init_params(5, (3,), seed=1)
-        ia, ib, y = _mine_hard_indices(params, ds, 10, np.random.default_rng(11), pool_factor=10)
+        emb = forward_batch(params, ds.vectors)
+        ia, ib, y = _mine_hard_indices(
+            emb, ds.labels, 10, np.random.default_rng(11), pool_factor=10
+        )
         d2 = embedding_d2(params, ds, ia, ib)
         pos_d2, neg_d2 = d2[y == 1], d2[y == 0]
         # positives arrive hardest (largest distance) first, negatives closest first

@@ -11,7 +11,15 @@ from coseg.annindex import load_file as load_index_file
 from coseg.cli import main
 from coseg.descriptors import load_descriptors_file
 from coseg.errors import ConfigError, StageError
-from coseg.geometry import BoundingBox, Proposal, dedup_near, load_proposals, nms, top_k
+from coseg.geometry import (
+    BoundingBox,
+    Proposal,
+    dedup_near,
+    load_proposals,
+    nms,
+    save_proposals,
+    top_k,
+)
 from coseg.pipeline import (
     DEFAULTS,
     ItemRecord,
@@ -479,6 +487,33 @@ class TestManifestPaths:
         assert made == sorted(p.name for p in (out / "collages").glob("*.ppm"))
         for name in made:
             assert (new_out / "collages" / name).read_bytes() == (out / "collages" / name).read_bytes()
+
+
+class TestCollageStage:
+    def test_anchors_sharing_a_collage_file_fail(self, pipeline_run, tmp_path):
+        # "cat 1#k" and "cat_1#k" both become cat_1_k.ppm; the second group
+        # must not overwrite the first one's canvas
+        new_root, cfg = fresh_copy(pipeline_run, tmp_path)
+        records = load_manifest(new_root / "manifest.csv")
+        first, second = [r.item_id for r in records if r.split == "test"][:2]
+        rename = {first: "cat 1", second: "cat_1"}
+        save_manifest(
+            [replace(r, item_id=rename.get(r.item_id, r.item_id)) for r in records],
+            new_root / "manifest.csv",
+        )
+        proposals = load_proposals(new_root / "proposals.csv")
+        save_proposals(
+            new_root / "proposals.csv",
+            [replace(p, image_id=rename.get(p.image_id, p.image_id)) for p in proposals],
+        )
+        cfg.update({"train.iterations": "5", "collage.limit": "1000"})
+        for stage in STAGE_NAMES[:-1]:
+            run_stage(stage, cfg)
+        with pytest.raises(StageError) as exc_info:
+            run_stage("collage", cfg)
+        assert exc_info.value.stage == "collage"
+        message = str(exc_info.value)
+        assert "'cat 1#" in message and "'cat_1#" in message and "collage file cat_1_" in message
 
 
 class TestEvaluateStage:

@@ -228,10 +228,20 @@ class TestGroupFiles:
             '{"anchor": "a", "members": [{"id": "b", "distance": 0.5}, {"id": "c", "distance": NaN},'
             ' {"id": "d", "distance": 0.1}]}',
             '{"anchor": "a", "members": [{"id": "b", "distance": -3.0}, {"id": "c", "distance": Infinity}]}',
+            '{"anchor": "a", "members": [{"id": "b", "distance": true}]}',
+            '{"anchor": "a", "members": [{"id": "b", "distance": "1e0"}]}',
+            '{"anchor": "a", "members": [{"id": "b", "distance": null}]}',
+            '{"anchor": "a", "members": [{"id": 7, "distance": 1.0}]}',
+            '{"anchor": "a", "members": [{"id": ["x"], "distance": 1.0}]}',
+            '{"anchor": 3, "members": []}',
+            '{"anchor": "a", "members": [], "class_hint": 4}',
+            '{"anchor": "a", "members": [{"id": "b", "distance": 1' + "0" * 400 + '}]}',
         ],
         ids=[
             "non_numeric_distance", "anchor_among_members", "decreasing_distances",
-            "nan_distance", "negative_and_infinite_distances",
+            "nan_distance", "negative_and_infinite_distances", "bool_distance",
+            "numeric_string_distance", "null_distance", "int_member_id", "list_member_id",
+            "int_anchor", "int_class_hint", "int_distance_beyond_float",
         ],
     )
     def test_rejected_record_names_path_and_line(self, tmp_path, record):
@@ -244,3 +254,10 @@ class TestGroupFiles:
         path = tmp_path / "g.jsonl"
         path.write_text('\n{"anchor": "a", "members": [], "class_hint": null}\n\n', encoding="utf-8")
         assert len(load_groups(path)) == 1
+
+    def test_integer_distance_loads_as_float(self, tmp_path):
+        path = tmp_path / "g.jsonl"
+        path.write_text('{"anchor": "a", "members": [{"id": "b", "distance": 2}]}\n', encoding="utf-8")
+        (g,) = load_groups(path)
+        assert g.members.neighbors == (("b", 2.0),)
+        assert type(g.members.neighbors[0][1]) is float
