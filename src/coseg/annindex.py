@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _binio
-from .errors import DecodeError
+from .errors import ConfigError, DecodeError
 
 MAGIC = b"CSGI"
 VERSION = 2
@@ -37,15 +37,15 @@ class IndexConfig:
 
     def __post_init__(self):
         if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+            raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.search_k < 1:
-            raise ValueError(f"search_k must be >= 1, got {self.search_k}")
+            raise ConfigError(f"search_k must be >= 1, got {self.search_k}")
         if self.leaf_capacity < 2:
-            raise ValueError(f"leaf_capacity must be >= 2, got {self.leaf_capacity}")
+            raise ConfigError(f"leaf_capacity must be >= 2, got {self.leaf_capacity}")
         if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
+            raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
+import shutil
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -89,9 +92,6 @@ DEFAULTS = {
     "collage.background": "135,206,235",
     "collage.limit": "8",
 }
-
-STAGE_NAMES = ("ingest", "train", "embed", "index", "retrieve", "evaluate", "collage")
-
 
 # ---------------------------------------------------------------------------
 # config
@@ -411,12 +411,6 @@ def ingest(
 # stages
 
 
-def _out_dir(cfg: dict[str, str]) -> Path:
-    out = _cfg_path(cfg, "data.out_dir")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _class_labels(items: list[ItemRecord]) -> tuple[np.ndarray, list[str]]:
     """Map class names to stable integer labels (sorted name order)."""
     names = sorted({it.class_name for it in items})
@@ -434,10 +428,9 @@ def _resolve_paths(record: ManifestRecord, base: Path) -> ManifestRecord:
     )
 
 
-def stage_ingest(cfg: dict[str, str]) -> None:
+def stage_ingest(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     """Later stages read images and masks through manifest_used.csv, whose
     paths are resolved here, against the manifest's directory."""
-    out = _out_dir(cfg)
     manifest_path = _cfg_path(cfg, "data.manifest")
     manifest = [_resolve_paths(r, manifest_path.parent) for r in load_manifest(manifest_path)]
     if _cfg_bool(cfg, "split.resplit"):
@@ -446,7 +439,7 @@ def stage_ingest(cfg: dict[str, str]) -> None:
         )
         by_id = {r.item_id: r for r in train_recs + test_recs}
         manifest = [by_id[r.item_id] for r in manifest]
-    save_manifest(manifest, out / "manifest_used.csv")
+    save_manifest(manifest, outputs["manifest_used.csv"])
     proposals = load_proposals(_cfg_path(cfg, "data.proposals"))
     result = ingest(
         manifest,
@@ -455,17 +448,16 @@ def stage_ingest(cfg: dict[str, str]) -> None:
         nms_threshold=_cfg_float(cfg, "ingest.nms_threshold"),
         keep_top=_cfg_int(cfg, "ingest.top_k"),
     )
-    save_items(result.items, out / "items.csv")
+    save_items(result.items, outputs["items.csv"])
     for split in SPLITS:
         sel = [i for i, it in enumerate(result.items) if it.split == split]
         ids = [result.items[i].item_id for i in sel]
-        save_descriptors_file(ids, result.vectors[sel], out / f"desc_{split}.csgd")
+        save_descriptors_file(ids, result.vectors[sel], outputs[f"desc_{split}.csgd"])
 
 
-def stage_train(cfg: dict[str, str]) -> None:
-    out = _out_dir(cfg)
-    ids, vectors = load_descriptors_file(out / "desc_train.csgd")
-    items = {it.item_id: it for it in load_items(out / "items.csv")}
+def stage_train(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+    ids, vectors = load_descriptors_file(inputs["desc_train.csgd"])
+    items = {it.item_id: it for it in load_items(inputs["items.csv"])}
     train_items = [items[i] for i in ids]
     labels, _ = _class_labels(train_items)
     dataset = LabeledDescriptors(vectors=vectors, labels=labels)
@@ -482,24 +474,21 @@ def stage_train(cfg: dict[str, str]) -> None:
         classical_hinge=_cfg_bool(cfg, "train.classical_hinge"),
     )
     result = train(dataset, tc)
-    save_model_file(result.params, out / "model.csgm")
-    with open(out / "loss_trace.csv", "w", encoding="utf-8", newline="\n") as fh:
+    save_model_file(result.params, outputs["model.csgm"])
+    with open(outputs["loss_trace.csv"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iteration,loss\n")
         for i, loss in enumerate(result.loss_trace):
             fh.write(f"{i},{loss!r}\n")
 
 
-def stage_embed(cfg: dict[str, str]) -> None:
-    out = _out_dir(cfg)
-    params = load_model_file(out / "model.csgm")
-    ids, vectors = load_descriptors_file(out / "desc_test.csgd")
+def stage_embed(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+    params = load_model_file(inputs["model.csgm"])
+    ids, vectors = load_descriptors_file(inputs["desc_test.csgd"])
     embeddings = embed_all(params, vectors)
-    save_descriptors_file(ids, embeddings.astype(np.float32), out / "emb_test.csgd")
+    save_descriptors_file(ids, embeddings.astype(np.float32), outputs["emb_test.csgd"])
 
 
-def stage_index(cfg: dict[str, str]) -> None:
-    out = _out_dir(cfg)
-    _, embeddings = load_descriptors_file(out / "emb_test.csgd")
+def stage_index(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     ic = IndexConfig(
         n_trees=_cfg_int(cfg, "index.n_trees"),
         search_k=_cfg_int(cfg, "index.search_k"),
@@ -507,14 +496,17 @@ def stage_index(cfg: dict[str, str]) -> None:
         seed=_cfg_int(cfg, "seed"),
         metric=cfg["index.metric"],
     )
-    save_index_file(build(embeddings, ic), out / "index.csgi")
+    _, embeddings = load_descriptors_file(inputs["emb_test.csgd"])
+    save_index_file(build(embeddings, ic), outputs["index.csgi"])
 
 
-def stage_retrieve(cfg: dict[str, str]) -> None:
-    out = _out_dir(cfg)
-    index = load_index_file(out / "index.csgi")
-    ids, embeddings = load_descriptors_file(out / "emb_test.csgd")
-    items = {it.item_id: it for it in load_items(out / "items.csv")}
+def stage_retrieve(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+    threshold = _cfg_float(cfg, "retrieve.iou_filter")
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"retrieve.iou_filter must be in [0, 1], got {cfg['retrieve.iou_filter']!r}")
+    index = load_index_file(inputs["index.csgi"])
+    ids, embeddings = load_descriptors_file(inputs["emb_test.csgd"])
+    items = {it.item_id: it for it in load_items(inputs["items.csv"])}
     hints = {i: items[i].class_name for i in ids if i in items}
     groups = retrieve_similar(
         index,
@@ -524,13 +516,12 @@ def stage_retrieve(cfg: dict[str, str]) -> None:
         ids=ids,
         class_hints=hints,
     )
-    threshold = _cfg_float(cfg, "retrieve.iou_filter")
-    manifest = load_manifest(out / "manifest_used.csv")
+    manifest = load_manifest(inputs["manifest_used.csv"])
     gt_boxes = {r.item_id: r.gt_box for r in manifest if r.gt_box is not None}
     if gt_boxes and threshold > 0:
         proposals = {i: items[i].proposal for i in items}
         groups = [filter_candidates(g, proposals, gt_boxes, threshold) for g in groups]
-    save_groups(groups, out / "groups.jsonl")
+    save_groups(groups, outputs["groups.jsonl"])
 
 
 def _gt_mask(record: ManifestRecord | None, img_w: int, img_h: int) -> np.ndarray | None:
@@ -550,11 +541,10 @@ def _gt_mask(record: ManifestRecord | None, img_w: int, img_h: int) -> np.ndarra
     return gt
 
 
-def stage_evaluate(cfg: dict[str, str]) -> None:
-    out = _out_dir(cfg)
-    groups = load_groups(out / "groups.jsonl")
-    items = load_items(out / "items.csv")
-    manifest = {r.item_id: r for r in load_manifest(out / "manifest_used.csv")}
+def stage_evaluate(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+    groups = load_groups(inputs["groups.jsonl"])
+    items = load_items(inputs["items.csv"])
+    manifest = {r.item_id: r for r in load_manifest(inputs["manifest_used.csv"])}
     sizes = {it.proposal.image_id: (it.img_w, it.img_h) for it in items}
     gt_by_image = {i: _gt_mask(manifest.get(i), w, h) for i, (w, h) in sizes.items()}
     report = evaluate(
@@ -563,25 +553,25 @@ def stage_evaluate(cfg: dict[str, str]) -> None:
         {it.item_id: gt_by_image[it.proposal.image_id] for it in items},
         {it.item_id: it.class_name for it in items},
     )
-    save_report_file(report, out / "report.json")
+    save_report_file(report, outputs["report.json"])
 
 
 def _safe_name(item_id: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in item_id)
 
 
-def stage_collage(cfg: dict[str, str]) -> None:
-    out = _out_dir(cfg)
-    groups = load_groups(out / "groups.jsonl")
-    items = {it.item_id: it for it in load_items(out / "items.csv")}
-    manifest = {r.item_id: r for r in load_manifest(out / "manifest_used.csv")}
-    background = tuple(_cfg_int_tuple(cfg, "collage.background"))
-    if len(background) != 3:
-        raise ConfigError(f"collage.background needs three bytes, got {cfg['collage.background']!r}")
-    spec = CollageSpec(background=background)
+def stage_collage(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+    background = _cfg_int_tuple(cfg, "collage.background")
+    try:
+        spec = CollageSpec(background=background)
+    except ValueError as exc:
+        raise ConfigError(f"collage.background: {exc}") from None
     limit = _cfg_int(cfg, "collage.limit")
-    collage_dir = out / "collages"
-    collage_dir.mkdir(exist_ok=True)
+    groups = load_groups(inputs["groups.jsonl"])
+    items = {it.item_id: it for it in load_items(inputs["items.csv"])}
+    manifest = {r.item_id: r for r in load_manifest(inputs["manifest_used.csv"])}
+    collage_dir = outputs["collages"]
+    collage_dir.mkdir()
     image_cache: dict[str, np.ndarray] = {}
     rendered: dict[str, str] = {}  # collage file name -> its group's anchor
 
@@ -617,29 +607,79 @@ def stage_collage(cfg: dict[str, str]) -> None:
         write_ppm(collage_dir / name, make_collage(collage_items, spec))
 
 
-_STAGES = {
-    "ingest": stage_ingest,
-    "train": stage_train,
-    "embed": stage_embed,
-    "index": stage_index,
-    "retrieve": stage_retrieve,
-    "evaluate": stage_evaluate,
-    "collage": stage_collage,
+@dataclass(frozen=True)
+class Stage:
+    """One row of STAGES. A stage's name is its config namespace: run gets
+    the keys under that prefix plus those in shared (a key such as seed, or
+    a namespace such as split), and {artifact: path} maps for reads and
+    writes, names under data.out_dir; a directory (collages) is one artifact."""
+
+    run: Callable[[dict[str, str], dict[str, Path], dict[str, Path]], None]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    shared: tuple[str, ...] = ()
+
+
+# The pipeline in order, each stage held to its row by run_stage. Each
+# artifact is written by one stage and read only by later ones.
+STAGES: dict[str, Stage] = {
+    "ingest": Stage(stage_ingest, reads=(), shared=("seed", "data.manifest", "data.proposals", "split"),
+                    writes=("manifest_used.csv", "items.csv", "desc_train.csgd", "desc_test.csgd")),
+    "train": Stage(stage_train, reads=("desc_train.csgd", "items.csv"),
+                   writes=("model.csgm", "loss_trace.csv"), shared=("seed",)),
+    "embed": Stage(stage_embed, reads=("model.csgm", "desc_test.csgd"), writes=("emb_test.csgd",)),
+    "index": Stage(stage_index, reads=("emb_test.csgd",), writes=("index.csgi",), shared=("seed",)),
+    "retrieve": Stage(stage_retrieve, reads=("index.csgi", "emb_test.csgd", "items.csv", "manifest_used.csv"),
+                      writes=("groups.jsonl",)),
+    "evaluate": Stage(stage_evaluate, reads=("groups.jsonl", "items.csv", "manifest_used.csv"),
+                      writes=("report.json",)),
+    "collage": Stage(stage_collage, reads=("groups.jsonl", "items.csv", "manifest_used.csv"),
+                     writes=("collages",)),
 }
+
+STAGE_NAMES = tuple(STAGES)
 
 
 def run_stage(name: str, cfg: dict[str, str]) -> float:
-    """Run one stage; returns its wall time. Failures raise StageError."""
-    fn = _STAGES.get(name)
-    if fn is None:
+    """Run one stage and commit its outputs; returns its wall time.
+
+    The only code that knows data.out_dir. The stage gets the config keys
+    its STAGES row grants, its inputs as paths under data.out_dir and its
+    outputs as paths in a staging directory there, so an undeclared key or
+    artifact, or an undeclared file left in staging, fails it. Each output
+    then replaces its predecessor by os.replace; an old directory is moved
+    aside and deleted. A failed stage leaves every previous artifact as it
+    was; a killed run's staging directory is cleared by the next call.
+    Each replacement is atomic against a process crash, not power loss (no
+    fsync): a crash mid-commit can leave some outputs new and a directory
+    missing, never a half-written file or a mixed directory.
+    Failures raise StageError; ConfigError passes through.
+    """
+    stage = STAGES.get(name)
+    if stage is None:
         raise ConfigError(f"unknown stage {name!r} (expected one of {STAGE_NAMES})")
     start = time.perf_counter()
+    out = _cfg_path(cfg, "data.out_dir")
+    staging = out / ".staging"  # inside data.out_dir, so os.replace never crosses file systems
+    scope = {name, *stage.shared}
+    view = {k: v for k, v in cfg.items() if k in scope or k.partition(".")[0] in scope}
     try:
-        fn(cfg)
+        shutil.rmtree(staging, ignore_errors=True)
+        staging.mkdir(parents=True)
+        stage.run(view, {a: out / a for a in stage.reads}, {a: staging / a for a in stage.writes})
+        left = sorted(os.listdir(staging))
+        if left != sorted(stage.writes):
+            raise ValueError(f"stage left {left} in staging, declared {sorted(stage.writes)}")
+        for artifact in stage.writes:
+            if (out / artifact).is_dir():  # rename cannot replace a non-empty directory
+                os.replace(out / artifact, staging / ".old")
+            os.replace(staging / artifact, out / artifact)
     except ConfigError:
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return time.perf_counter() - start
 
 

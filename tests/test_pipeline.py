@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -20,11 +21,14 @@ from coseg.geometry import (
     save_proposals,
     top_k,
 )
+import coseg.pipeline
 from coseg.pipeline import (
     DEFAULTS,
     ItemRecord,
     ManifestRecord,
     STAGE_NAMES,
+    STAGES,
+    Stage,
     ingest,
     load_config,
     load_items,
@@ -516,6 +520,17 @@ class TestCollageStage:
         assert "'cat 1#" in message and "'cat_1#" in message and "collage file cat_1_" in message
 
 
+    def test_rerun_with_lower_limit_leaves_only_current_canvases(self, pipeline_run, tmp_path):
+        _, cfg = fresh_copy(pipeline_run, tmp_path)
+        cfg["retrieve.iou_filter"] = "0"  # every group keeps members, so each renders
+        collages = Path(cfg["data.out_dir"]) / "collages"
+        run_stage("retrieve", cfg)
+        run_stage("collage", {**cfg, "collage.limit": "6"})
+        assert len(list(collages.glob("*.ppm"))) == 6
+        run_stage("collage", {**cfg, "collage.limit": "2"})
+        assert len(list(collages.glob("*.ppm"))) == 2
+
+
 class TestEvaluateStage:
     def test_mask_size_differing_from_image_fails(self, pipeline_run, tmp_path):
         new_root, cfg = fresh_copy(pipeline_run, tmp_path)
@@ -552,6 +567,89 @@ class TestRunStage:
         cfg = merge_config({"data.out_dir": str(tmp_path), "ingest.top_k": "many"})
         with pytest.raises(ConfigError):
             run_stage("ingest", cfg)
+
+
+    def test_failed_save_leaves_previous_artifact(self, pipeline_run, tmp_path, monkeypatch):
+        _, cfg = fresh_copy(pipeline_run, tmp_path)
+        out = Path(cfg["data.out_dir"])
+        before = (out / "groups.jsonl").read_bytes()
+        names = sorted(os.listdir(out))
+        staged = []
+
+        def half_save(groups, path):
+            staged.append(Path(path))
+            Path(path).write_text('{"anchor": ', encoding="utf-8")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(coseg.pipeline, "save_groups", half_save)
+        with pytest.raises(StageError, match="disk full"):
+            run_stage("retrieve", cfg)
+        assert (out / "groups.jsonl").read_bytes() == before
+        assert sorted(os.listdir(out)) == names  # no staging directory left
+        monkeypatch.undo()
+        # a killed run leaves its staging directory; the next run clears it
+        staged[0].parent.mkdir()
+        staged[0].write_text('{"anchor": ', encoding="utf-8")
+        run_stage("retrieve", cfg)
+        assert (out / "groups.jsonl").read_bytes() == before
+        assert sorted(os.listdir(out)) == names
+
+
+class TestStageTable:
+    def test_reads_are_written_by_an_earlier_stage_and_writes_by_one(self):
+        written: list[str] = []
+        for name, stage in STAGES.items():
+            assert set(stage.reads) <= set(written), name
+            written += stage.writes
+        assert len(written) == len(set(written))
+
+    def test_every_key_but_out_dir_reaches_a_stage(self, tmp_path, monkeypatch):
+        seen: set[str] = set()
+
+        def record(cfg, inputs, outputs):
+            seen.update(cfg)
+            for path in outputs.values():
+                path.touch()
+
+        cfg = merge_config({"data.out_dir": str(tmp_path)})
+        for name, stage in STAGES.items():
+            monkeypatch.setitem(STAGES, name, replace(stage, run=record, reads=()))
+            run_stage(name, cfg)
+        assert seen == set(DEFAULTS) - {"data.out_dir"}
+
+    def test_out_dir_holds_exactly_the_declared_outputs(self, pipeline_run):
+        _, out, _, _ = pipeline_run
+        declared = {a for stage in STAGES.values() for a in stage.writes}
+        assert set(os.listdir(out)) == declared
+
+    def test_declared_stage_commits(self, tmp_path, monkeypatch):
+        (tmp_path / "a.txt").write_text("a", encoding="utf-8")
+
+        def copy(cfg, inputs, outputs):
+            text = inputs["a.txt"].read_text(encoding="utf-8") + cfg["seed"] + cfg["stub.x"]
+            outputs["b.txt"].write_text(text, encoding="utf-8")
+
+        monkeypatch.setitem(STAGES, "stub", Stage(copy, ("a.txt",), ("b.txt",), ("seed",)))
+        run_stage("stub", {"data.out_dir": str(tmp_path), "seed": "1", "stub.x": "2"})
+        assert (tmp_path / "b.txt").read_text(encoding="utf-8") == "a12"
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+
+    @pytest.mark.parametrize("body", [
+        lambda cfg, inputs, outputs: cfg["train.lr"],
+        lambda cfg, inputs, outputs: cfg["data.out_dir"],
+        lambda cfg, inputs, outputs: inputs["groups.jsonl"],
+        lambda cfg, inputs, outputs: [outputs["b.txt"].with_name(n).touch() for n in ("b.txt", "c.txt")],
+        lambda cfg, inputs, outputs: None,  # the declared output is missing
+    ], ids=["undeclared_key", "out_dir", "undeclared_input", "undeclared_file", "missing_output"])
+    def test_undeclared_access_fails(self, tmp_path, monkeypatch, body):
+        (tmp_path / "b.txt").write_text("old", encoding="utf-8")
+        cfg = merge_config({"data.out_dir": str(tmp_path)})
+        monkeypatch.setitem(STAGES, "stub", Stage(body, (), ("b.txt",)))
+        with pytest.raises(StageError) as exc_info:
+            run_stage("stub", cfg)
+        assert exc_info.value.stage == "stub"
+        assert sorted(os.listdir(tmp_path)) == ["b.txt"]
+        assert (tmp_path / "b.txt").read_text(encoding="utf-8") == "old"
 
 
 class TestCli:
@@ -613,6 +711,19 @@ class TestCli:
         assert code == 0
         index = load_index_file(tmp_path / "copy" / "out" / "index.csgi")
         assert index.config.seed == 123
+
+    @pytest.mark.parametrize("stage,flag,value", [
+        ("index", "--index.metric", "manhattan"),
+        ("index", "--index.n_trees", "0"),
+        ("retrieve", "--retrieve.iou_filter", "2"),
+        ("retrieve", "--retrieve.iou_filter", "-1"),
+        ("collage", "--collage.background", "300,0,0"),
+    ])
+    def test_out_of_range_value_exits_2(self, pipeline_run, tmp_path, capsys, stage, flag, value):
+        _, cfg = fresh_copy(pipeline_run, tmp_path)
+        assert main([stage, "--data.out_dir", cfg["data.out_dir"], flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and flag.split(".")[1] in err
 
     def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("COSEG_SEED", "elephant")
