@@ -132,21 +132,23 @@ def split_plane(points, rng):
 
 
 def _grow_forest(items: np.ndarray, cfg: IndexConfig) -> Forest:
+    x = items.astype(np.float64)  # converted once; split_plane's float64 copy is a no-op
     normals, offsets, leaves, paths = [], [], [], []  # paths: (split, side) lists
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(cfg.seed + t)
-        stack = [(np.arange(items.shape[0], dtype=np.int64), [])]
+        stack = [(np.arange(x.shape[0], dtype=np.int64), [])]
         while stack:
             ids, path = stack.pop()
+            pts = x[ids] if len(ids) > cfg.leaf_capacity else None
             # Indistinguishable duplicates give no plane: keep an oversized leaf.
-            plane = split_plane(items[ids], rng) if len(ids) > cfg.leaf_capacity else None
+            plane = None if pts is None else split_plane(pts, rng)
             if plane is not None:
                 normal, offset = plane
                 norm = float(np.linalg.norm(normal))
                 # Unit normal, so priorities compare as true plane distances.
                 unit = normal / norm
                 off = offset / norm
-                side = items[ids].astype(np.float64) @ unit - off >= 0.0
+                side = pts @ unit - off >= 0.0
                 if side.any() and not side.all():
                     split = len(offsets)
                     normals.append(unit)
@@ -161,7 +163,7 @@ def _grow_forest(items: np.ndarray, cfg: IndexConfig) -> Forest:
     padded = np.array([path + [(len(offsets), 1.0)] * (depth - len(path)) for path in paths])
     splits, sides = np.ascontiguousarray(padded.T)  # depth-major: minima reduce over rows
     return Forest(
-        normals=np.vstack(normals + [np.zeros(items.shape[1])]),
+        normals=np.vstack(normals + [np.zeros(x.shape[1])]),
         offsets=np.array(offsets + [-np.inf]),
         leaves=leaves,
         paths=splits.astype(np.intp),

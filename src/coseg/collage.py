@@ -4,7 +4,8 @@ a 512x512 canvas, the closest match getting the single large slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,27 +36,13 @@ def default_slots() -> tuple[BoundingBox, ...]:
 
 @dataclass(frozen=True)
 class CollageSpec:
-    """Canvas geometry: ten disjoint slots inside a 512x512 canvas, slot 0
-    strictly the largest, plus the background fill color."""
+    """Canvas look: the background fill color. The geometry is not settable:
+    every canvas uses the default_slots() tiling, readable as spec.slots."""
 
-    slots: tuple[BoundingBox, ...] = field(default_factory=default_slots)
+    slots: ClassVar[tuple[BoundingBox, ...]] = default_slots()
     background: tuple[int, int, int] = SKY_BLUE
 
     def __post_init__(self) -> None:
-        if len(self.slots) != 10:
-            raise ValueError(f"spec needs exactly 10 slots, got {len(self.slots)}")
-        for i, s in enumerate(self.slots):
-            if s.x < 0 or s.y < 0 or s.x + s.w > CANVAS_SIDE or s.y + s.h > CANVAS_SIDE:
-                raise ValueError(f"slot {i} {s} exceeds the {CANVAS_SIDE}x{CANVAS_SIDE} canvas")
-        for i in range(10):
-            for j in range(i + 1, 10):
-                a, b = self.slots[i], self.slots[j]
-                if (min(a.x + a.w, b.x + b.w) > max(a.x, b.x)
-                        and min(a.y + a.h, b.y + b.h) > max(a.y, b.y)):
-                    raise ValueError(f"slots {i} and {j} overlap")
-        largest = self.slots[0].area
-        if any(s.area >= largest for s in self.slots[1:]):
-            raise ValueError("slot 0 must be strictly largest by area")
         bg = tuple(int(c) for c in self.background)
         if len(bg) != 3 or any(not 0 <= c <= 255 for c in bg):
             raise ValueError(f"background must be three bytes, got {self.background}")

@@ -339,28 +339,29 @@ def loss_gradient(
 
 
 def _class_members(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded (class, rank) -> dataset index table plus per-class counts."""
-    classes, inverse = np.unique(labels, return_inverse=True)
-    counts = np.bincount(inverse, minlength=len(classes))
-    table = np.zeros((len(classes), counts.max()), dtype=np.int64)
-    order = np.argsort(inverse, kind="stable")
-    start = 0
-    for c, cnt in enumerate(counts):
-        table[c, :cnt] = order[start : start + cnt]
-        start += cnt
-    return classes, table, counts
+    """Dataset indices grouped by class as (order, starts, counts).
+
+    order lists the indices stably sorted by class (classes in sorted label
+    order), so rank r of class c is order[starts[c] + r] for r < counts[c].
+    Raises ValueError unless there are at least 2 classes and one of them
+    has 2 or more items, the least that pair sampling needs.
+    """
+    _, inverse = np.unique(labels, return_inverse=True)
+    counts = np.bincount(inverse)
+    if len(counts) < 2:
+        raise ValueError(f"pair sampling needs at least 2 classes, got {len(counts)}")
+    if counts.max() < 2:
+        raise ValueError("pair sampling needs at least one class with 2 or more items")
+    starts = np.cumsum(counts) - counts
+    return np.argsort(inverse, kind="stable"), starts, counts
 
 
 def _sample_pair_indices(
     labels: np.ndarray, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Balanced random pair indices: ceil(count/2) positives then the negatives."""
-    classes, table, counts = _class_members(labels)
-    if len(classes) < 2:
-        raise ValueError(f"pair sampling needs at least 2 classes, got {len(classes)}")
+    order, starts, counts = _class_members(labels)
     eligible = np.flatnonzero(counts >= 2)
-    if len(eligible) == 0:
-        raise ValueError("pair sampling needs at least one class with 2 or more items")
     n_pos = (count + 1) // 2
     n_neg = count // 2
 
@@ -369,14 +370,14 @@ def _sample_pair_indices(
     i = (rng.random(n_pos) * pn).astype(np.int64)
     j = (rng.random(n_pos) * (pn - 1)).astype(np.int64)
     j += j >= i
-    pos_a = table[pc, i]
-    pos_b = table[pc, j]
+    pos_a = order[starts[pc] + i]
+    pos_b = order[starts[pc] + j]
 
-    ca = rng.integers(0, len(classes), size=n_neg)
-    cb = rng.integers(0, len(classes) - 1, size=n_neg)
+    ca = rng.integers(0, len(counts), size=n_neg)
+    cb = rng.integers(0, len(counts) - 1, size=n_neg)
     cb += cb >= ca
-    neg_a = table[ca, (rng.random(n_neg) * counts[ca]).astype(np.int64)]
-    neg_b = table[cb, (rng.random(n_neg) * counts[cb]).astype(np.int64)]
+    neg_a = order[starts[ca] + (rng.random(n_neg) * counts[ca]).astype(np.int64)]
+    neg_b = order[starts[cb] + (rng.random(n_neg) * counts[cb]).astype(np.int64)]
 
     ia = np.concatenate([pos_a, neg_a])
     ib = np.concatenate([pos_b, neg_b])
@@ -432,7 +433,7 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     """
     if len(dataset) < 2:
         raise ValueError("training needs at least 2 descriptors")
-    _sample_pair_indices(dataset.labels, 2, np.random.default_rng(0))  # validate classes
+    _class_members(dataset.labels)  # enough classes for pair sampling
     params = init_params(dataset.dim, cfg.layer_sizes, cfg.seed)
     arrays = (*params.weights, *params.biases)
     velocity = [np.zeros_like(a) for a in arrays]

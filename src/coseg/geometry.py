@@ -56,20 +56,29 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def _check_threshold(t: float) -> None:
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"iou threshold must be in (0, 1], got {t}")
-
-
-def _check_single_image(props) -> None:
-    ids = {p.image_id for p in props}
-    if len(ids) > 1:
-        raise ValueError(f"proposals span multiple images: {sorted(ids)}")
-
-
 def _by_score(props) -> list[int]:
     # Stable sort: equal scores keep input order.
     return sorted(range(len(props)), key=lambda i: -props[i].score)
+
+
+def _suppress(props: list[Proposal], order, iou_threshold: float) -> list[Proposal]:
+    """Walk props in the given index order, keeping each proposal whose IoU
+    with every kept one is below the threshold; kept ones come out in walk order.
+
+    The one suppression loop behind nms (score order) and dedup_near (input
+    order). All proposals must belong to one image.
+    """
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou threshold must be in (0, 1], got {iou_threshold}")
+    ids = {p.image_id for p in props}
+    if len(ids) > 1:
+        raise ValueError(f"proposals span multiple images: {sorted(ids)}")
+    kept: list[Proposal] = []
+    for i in order:
+        p = props[i]
+        if all(iou(p.box, q.box) < iou_threshold for q in kept):
+            kept.append(p)
+    return kept
 
 
 def nms(props: list[Proposal], iou_threshold: float) -> list[Proposal]:
@@ -79,13 +88,7 @@ def nms(props: list[Proposal], iou_threshold: float) -> list[Proposal]:
     each one only if it overlaps every kept proposal below the threshold.
     The result is score-descending and no surviving pair reaches the threshold.
     """
-    _check_threshold(iou_threshold)
-    _check_single_image(props)
-    kept: list[int] = []
-    for i in _by_score(props):
-        if all(iou(props[i].box, props[j].box) < iou_threshold for j in kept):
-            kept.append(i)
-    return [props[i] for i in kept]
+    return _suppress(props, _by_score(props), iou_threshold)
 
 
 def dedup_near(props: list[Proposal], iou_threshold: float) -> list[Proposal]:
@@ -93,13 +96,7 @@ def dedup_near(props: list[Proposal], iou_threshold: float) -> list[Proposal]:
 
     Order-stable and score-agnostic: the first occurrence always survives.
     """
-    _check_threshold(iou_threshold)
-    _check_single_image(props)
-    kept: list[Proposal] = []
-    for p in props:
-        if all(iou(p.box, q.box) < iou_threshold for q in kept):
-            kept.append(p)
-    return kept
+    return _suppress(props, range(len(props)), iou_threshold)
 
 
 def top_k(props: list[Proposal], k: int) -> list[Proposal]:

@@ -141,6 +141,11 @@ def _cfg_float(cfg: dict[str, str], key: str) -> float:
         raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
 
 
+def _cfg_check(cfg: dict[str, str], key: str, ok: bool, rule: str) -> None:
+    if not ok:
+        raise ConfigError(f"{key} must be {rule}, got {cfg[key]!r}")
+
+
 def _cfg_bool(cfg: dict[str, str], key: str) -> bool:
     value = cfg[key].lower()
     if value in ("true", "1", "yes"):
@@ -431,23 +436,25 @@ def _resolve_paths(record: ManifestRecord, base: Path) -> ManifestRecord:
 def stage_ingest(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     """Later stages read images and masks through manifest_used.csv, whose
     paths are resolved here, against the manifest's directory."""
+    seed = _cfg_int(cfg, "seed")
+    _cfg_check(cfg, "seed", seed >= 0, ">= 0")
+    fraction = _cfg_float(cfg, "split.train_fraction")
+    _cfg_check(cfg, "split.train_fraction", 0.0 < fraction < 1.0, "in (0, 1)")
+    dedup_threshold = _cfg_float(cfg, "ingest.dedup_threshold")
+    _cfg_check(cfg, "ingest.dedup_threshold", 0.0 < dedup_threshold <= 1.0, "in (0, 1]")
+    nms_threshold = _cfg_float(cfg, "ingest.nms_threshold")
+    _cfg_check(cfg, "ingest.nms_threshold", 0.0 < nms_threshold <= 1.0, "in (0, 1]")
+    keep_top = _cfg_int(cfg, "ingest.top_k")
+    _cfg_check(cfg, "ingest.top_k", keep_top >= 1, ">= 1")
     manifest_path = _cfg_path(cfg, "data.manifest")
     manifest = [_resolve_paths(r, manifest_path.parent) for r in load_manifest(manifest_path)]
     if _cfg_bool(cfg, "split.resplit"):
-        train_recs, test_recs = split_dataset(
-            manifest, _cfg_float(cfg, "split.train_fraction"), _cfg_int(cfg, "seed")
-        )
+        train_recs, test_recs = split_dataset(manifest, fraction, seed)
         by_id = {r.item_id: r for r in train_recs + test_recs}
         manifest = [by_id[r.item_id] for r in manifest]
     save_manifest(manifest, outputs["manifest_used.csv"])
     proposals = load_proposals(_cfg_path(cfg, "data.proposals"))
-    result = ingest(
-        manifest,
-        proposals,
-        dedup_threshold=_cfg_float(cfg, "ingest.dedup_threshold"),
-        nms_threshold=_cfg_float(cfg, "ingest.nms_threshold"),
-        keep_top=_cfg_int(cfg, "ingest.top_k"),
-    )
+    result = ingest(manifest, proposals, dedup_threshold, nms_threshold, keep_top)
     save_items(result.items, outputs["items.csv"])
     for split in SPLITS:
         sel = [i for i, it in enumerate(result.items) if it.split == split]
@@ -456,11 +463,6 @@ def stage_ingest(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str
 
 
 def stage_train(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
-    ids, vectors = load_descriptors_file(inputs["desc_train.csgd"])
-    items = {it.item_id: it for it in load_items(inputs["items.csv"])}
-    train_items = [items[i] for i in ids]
-    labels, _ = _class_labels(train_items)
-    dataset = LabeledDescriptors(vectors=vectors, labels=labels)
     tc = TrainConfig(
         learning_rate=_cfg_float(cfg, "train.lr"),
         momentum=_cfg_float(cfg, "train.momentum"),
@@ -473,7 +475,10 @@ def stage_train(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str,
         pool_factor=_cfg_int(cfg, "train.pool_factor"),
         classical_hinge=_cfg_bool(cfg, "train.classical_hinge"),
     )
-    result = train(dataset, tc)
+    ids, vectors = load_descriptors_file(inputs["desc_train.csgd"])
+    items = {it.item_id: it for it in load_items(inputs["items.csv"])}
+    labels, _ = _class_labels([items[i] for i in ids])
+    result = train(LabeledDescriptors(vectors=vectors, labels=labels), tc)
     save_model_file(result.params, outputs["model.csgm"])
     with open(outputs["loss_trace.csv"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iteration,loss\n")
@@ -502,19 +507,17 @@ def stage_index(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str,
 
 def stage_retrieve(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     threshold = _cfg_float(cfg, "retrieve.iou_filter")
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"retrieve.iou_filter must be in [0, 1], got {cfg['retrieve.iou_filter']!r}")
+    _cfg_check(cfg, "retrieve.iou_filter", 0.0 <= threshold <= 1.0, "in [0, 1]")
+    k = _cfg_int(cfg, "retrieve.k")
+    _cfg_check(cfg, "retrieve.k", k >= 1, ">= 1")
+    search_k = _cfg_int(cfg, "retrieve.search_k")
+    _cfg_check(cfg, "retrieve.search_k", search_k >= 1, ">= 1")
     index = load_index_file(inputs["index.csgi"])
     ids, embeddings = load_descriptors_file(inputs["emb_test.csgd"])
     items = {it.item_id: it for it in load_items(inputs["items.csv"])}
     hints = {i: items[i].class_name for i in ids if i in items}
     groups = retrieve_similar(
-        index,
-        embeddings,
-        k=_cfg_int(cfg, "retrieve.k"),
-        search_k=_cfg_int(cfg, "retrieve.search_k"),
-        ids=ids,
-        class_hints=hints,
+        index, embeddings, k=k, search_k=search_k, ids=ids, class_hints=hints
     )
     manifest = load_manifest(inputs["manifest_used.csv"])
     gt_boxes = {r.item_id: r.gt_box for r in manifest if r.gt_box is not None}
@@ -567,6 +570,7 @@ def stage_collage(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[st
     except ValueError as exc:
         raise ConfigError(f"collage.background: {exc}") from None
     limit = _cfg_int(cfg, "collage.limit")
+    _cfg_check(cfg, "collage.limit", limit >= 0, ">= 0")
     groups = load_groups(inputs["groups.jsonl"])
     items = {it.item_id: it for it in load_items(inputs["items.csv"])}
     manifest = {r.item_id: r for r in load_manifest(inputs["manifest_used.csv"])}
@@ -575,7 +579,7 @@ def stage_collage(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[st
     image_cache: dict[str, np.ndarray] = {}
     rendered: dict[str, str] = {}  # collage file name -> its group's anchor
 
-    for group in groups[: max(limit, 0)]:
+    for group in groups[:limit]:
         collage_items: list[CollageItem] = []
         for member_id, dist in group.members.neighbors[:10]:
             it = items.get(member_id)

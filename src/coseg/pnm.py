@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -74,44 +75,50 @@ def write_pbm(path, mask) -> None:
     Path(path).write_bytes(f"P4\n{w} {h}\n".encode("ascii") + packed.tobytes())
 
 
-def _read_raster(path, magic: bytes, channels: int) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if data[:2] != magic:
-        raise BadMagicError(f"expected {magic.decode()}, found {data[:2]!r}")
+def _decode_raster(data: bytes) -> np.ndarray:
+    """Decode a binary PGM (P5) or PPM (P6) file's bytes, magic already checked,
+    into a uint8 array of shape (height, width) or (height, width, 3).
+
+    The raster is viewed in place and copied once, so the array owns its memory.
+    """
     (w, h, maxval), off = _header_ints(data, 2, 3)
     if w < 1 or h < 1:
         raise DecodeError(f"bad image dimensions {w}x{h}")
     if not 0 < maxval <= 255:
         raise DecodeError(f"unsupported maxval {maxval} (only single-byte samples)")
-    need = w * h * channels
-    raster = data[off : off + need]
-    if len(raster) < need:
-        raise TruncatedError(f"raster holds {len(raster)} bytes, needs {need}")
-    arr = np.frombuffer(raster, dtype=np.uint8)
-    if channels == 1:
-        return arr.reshape(h, w).copy()
-    return arr.reshape(h, w, channels).copy()
+    shape = (h, w) if data[:2] == b"P5" else (h, w, 3)
+    need = math.prod(shape)
+    if len(data) - off < need:
+        raise TruncatedError(f"raster holds {len(data) - off} bytes, needs {need}")
+    return np.frombuffer(data, dtype=np.uint8, count=need, offset=off).reshape(shape).copy()
+
+
+def _read_raster(path, magics: tuple[bytes, ...]) -> np.ndarray:
+    data = Path(path).read_bytes()
+    if data[:2] not in magics:
+        expected = " or ".join(m.decode() for m in magics)
+        raise BadMagicError(f"{path}: expected {expected}, found {data[:2]!r}")
+    return _decode_raster(data)
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM (P5) file into a uint8 array (height, width)."""
-    return _read_raster(path, b"P5", 1)
+    return _read_raster(path, (b"P5",))
 
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary PPM (P6) file into a uint8 array (height, width, 3)."""
-    return _read_raster(path, b"P6", 3)
+    return _read_raster(path, (b"P6",))
 
 
 def read_image(path) -> np.ndarray:
     """Read a P5 or P6 file, dispatching on the magic bytes."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"P5":
-        return read_pgm(path)
-    if magic == b"P6":
-        return read_ppm(path)
-    raise BadMagicError(f"{path}: expected P5 or P6, found {magic!r}")
+    return _read_raster(path, (b"P5", b"P6"))
+
+
+def _write_raster(path, magic: str, arr: np.ndarray) -> None:
+    h, w = arr.shape[:2]
+    Path(path).write_bytes(f"{magic}\n{w} {h}\n255\n".encode("ascii") + arr.tobytes())
 
 
 def write_pgm(path, image) -> None:
@@ -119,8 +126,7 @@ def write_pgm(path, image) -> None:
     arr = np.ascontiguousarray(image, dtype=np.uint8)
     if arr.ndim != 2:
         raise ValueError(f"grayscale image must be 2-D, got shape {arr.shape}")
-    h, w = arr.shape
-    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes())
+    _write_raster(path, "P5", arr)
 
 
 def write_ppm(path, image) -> None:
@@ -128,5 +134,4 @@ def write_ppm(path, image) -> None:
     arr = np.ascontiguousarray(image, dtype=np.uint8)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"color image must be (h, w, 3), got shape {arr.shape}")
-    h, w = arr.shape[:2]
-    Path(path).write_bytes(f"P6\n{w} {h}\n255\n".encode("ascii") + arr.tobytes())
+    _write_raster(path, "P6", arr)

@@ -585,6 +585,46 @@ class TestSamplePairs:
         with pytest.raises(ValueError):
             _sample_pair_indices(np.zeros(4, dtype=int), 2, np.random.default_rng(0))
 
+    def test_no_class_with_two_items_rejected(self):
+        with pytest.raises(ValueError, match="2 or more items"):
+            _sample_pair_indices(np.arange(3), 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 10, 33])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_draws_match_padded_table(self, seed, count):
+        # uneven classes, one of a single item, labels shuffled and not 0..n-1
+        labels = np.random.default_rng(100 + seed).permutation(np.repeat([4, 9, 2, 7], [1, 5, 3, 8]))
+        got = _sample_pair_indices(labels, count, np.random.default_rng(seed))
+        want = padded_table_pairs(labels, count, np.random.default_rng(seed))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def padded_table_pairs(labels, count, rng):
+    """Reference draws: the same random stream read through a padded
+    (class, rank) -> dataset index table filled one class at a time."""
+    classes, inverse = np.unique(labels, return_inverse=True)
+    counts = np.bincount(inverse, minlength=len(classes))
+    table = np.zeros((len(classes), counts.max()), dtype=np.int64)
+    order = np.argsort(inverse, kind="stable")
+    start = 0
+    for c, cnt in enumerate(counts):
+        table[c, :cnt] = order[start : start + cnt]
+        start += cnt
+    eligible = np.flatnonzero(counts >= 2)
+    n_pos, n_neg = (count + 1) // 2, count // 2
+    pc = eligible[rng.integers(0, len(eligible), size=n_pos)]
+    pn = counts[pc]
+    i = (rng.random(n_pos) * pn).astype(np.int64)
+    j = (rng.random(n_pos) * (pn - 1)).astype(np.int64)
+    j += j >= i
+    ca = rng.integers(0, len(classes), size=n_neg)
+    cb = rng.integers(0, len(classes) - 1, size=n_neg)
+    cb += cb >= ca
+    neg_a = table[ca, (rng.random(n_neg) * counts[ca]).astype(np.int64)]
+    neg_b = table[cb, (rng.random(n_neg) * counts[cb]).astype(np.int64)]
+    y = np.concatenate([np.ones(n_pos, dtype=np.int64), np.zeros(n_neg, dtype=np.int64)])
+    return np.concatenate([table[pc, i], neg_a]), np.concatenate([table[pc, j], neg_b]), y
+
 
 def unblocked_mine(params, dataset, count, rng, pool_factor):
     """Reference: the whole pool scored by one unblocked expression, then
@@ -747,6 +787,11 @@ class TestTrain:
         with pytest.raises(TrainingDiverged) as exc_info:
             train(ds, cfg)
         assert exc_info.value.iteration >= 0
+
+    def test_single_class_rejected_before_any_step(self):
+        ds = LabeledDescriptors(vectors=np.zeros((4, 2)), labels=np.zeros(4, dtype=int))
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            train(ds, TrainConfig(iterations=0, layer_sizes=(2,)))
 
     def test_too_small_dataset_rejected(self):
         ds = LabeledDescriptors(vectors=np.zeros((1, 2)), labels=np.array([0]))

@@ -718,12 +718,38 @@ class TestCli:
         ("retrieve", "--retrieve.iou_filter", "2"),
         ("retrieve", "--retrieve.iou_filter", "-1"),
         ("collage", "--collage.background", "300,0,0"),
+        ("retrieve", "--retrieve.k", "0"),
+        ("retrieve", "--retrieve.k", "-1"),
+        ("retrieve", "--retrieve.search_k", "-5"),
+        ("collage", "--collage.limit", "-3"),
+        ("ingest", "--ingest.nms_threshold", "2"),
+        ("ingest", "--ingest.dedup_threshold", "0"),
+        ("ingest", "--ingest.top_k", "0"),
+        ("ingest", "--split.train_fraction", "1.5"),
     ])
     def test_out_of_range_value_exits_2(self, pipeline_run, tmp_path, capsys, stage, flag, value):
         _, cfg = fresh_copy(pipeline_run, tmp_path)
-        assert main([stage, "--data.out_dir", cfg["data.out_dir"], flag, value]) == 2
+        args = [stage, "--data.out_dir", cfg["data.out_dir"], flag, value]
+        if stage == "ingest":
+            # with both data keys set, the value under test is the only config error
+            args += ["--data.manifest", cfg["data.manifest"], "--data.proposals", cfg["data.proposals"]]
+            args += ["--split.resplit", "true"]
+        assert main(args) == 2
         err = capsys.readouterr().err
         assert "config error" in err and flag.split(".")[1] in err
+
+    def test_negative_seed_exits_2_before_ingest_reads(self, pipeline_run, tmp_path, capsys):
+        _, cfg = fresh_copy(pipeline_run, tmp_path)
+        code = main([
+            "ingest",
+            "--data.out_dir", cfg["data.out_dir"],
+            "--data.manifest", cfg["data.manifest"],
+            "--data.proposals", cfg["data.proposals"],
+            "--split.resplit", "true",
+            "--seed", "-1",
+        ])
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("COSEG_SEED", "elephant")
