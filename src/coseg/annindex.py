@@ -2,10 +2,11 @@
 
 Each tree recursively halves the item set with hyperplanes placed midway
 between two sampled points. The forest is kept flat: a matrix of split
-normals, and per leaf its items and root path. A query ranks each leaf by the
-smallest signed distance from the query to the planes on its path, takes
-leaves best first until its budget is met, then re-ranks the candidates by
-exact distance. A query whose budget covers every item scans all items.
+normals, each item's leaf in each tree, and per leaf its root path. A query
+ranks each leaf by the smallest signed distance from the query to the planes
+on its path, takes leaves best first until its budget is met, then re-ranks
+the candidates by exact distance. A query whose budget covers every item
+scans all items.
 
 The forest is a pure function of the items and the config, so it is grown
 only when a query first walks it, and the file form holds the config and the
@@ -52,15 +53,17 @@ class IndexConfig:
 class Forest:
     """A random-projection forest as flat arrays.
 
-    Leaves go tree by tree, left to right: forest order. Column j of paths and
-    sides holds leaf j's splits from the root down and its side of each: +1
-    where normal . x - offset >= 0, else -1. Columns are padded to a common
-    depth of at least 1 with the last split, whose margin reads +inf.
+    Leaves go tree by tree, left to right: forest order. Each tree partitions
+    all items, so item_leaf[t, i] names the one leaf of tree t holding item i;
+    tree t's leaves are one index range that follows tree t-1's. Column j of
+    paths and sides holds leaf j's splits from the root down and its side of
+    each: +1 where normal . x - offset >= 0, else -1. Columns are padded to a
+    common depth of at least 1 with the last split, whose margin reads +inf.
     """
 
     normals: np.ndarray  # (splits + 1, dim) float64 unit normals; the last is 0
     offsets: np.ndarray  # (splits + 1,) float64; the last is -inf
-    leaves: list[list[int]]  # item ids of each leaf
+    item_leaf: np.ndarray  # (trees, items) intp leaf of each item in each tree
     paths: np.ndarray  # (depth, leaves) split indices
     sides: np.ndarray  # (depth, leaves) float64, +1 or -1
 
@@ -133,7 +136,8 @@ def split_plane(points, rng):
 
 def _grow_forest(items: np.ndarray, cfg: IndexConfig) -> Forest:
     x = items.astype(np.float64)  # converted once; split_plane's float64 copy is a no-op
-    normals, offsets, leaves, paths = [], [], [], []  # paths: (split, side) lists
+    normals, offsets, paths = [], [], []  # paths: (split, side) lists
+    item_leaf = np.empty((cfg.n_trees, x.shape[0]), dtype=np.intp)
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(cfg.seed + t)
         stack = [(np.arange(x.shape[0], dtype=np.int64), [])]
@@ -156,7 +160,7 @@ def _grow_forest(items: np.ndarray, cfg: IndexConfig) -> Forest:
                     stack.append((ids[side], path + [(split, 1.0)]))
                     stack.append((ids[~side], path + [(split, -1.0)]))
                     continue
-            leaves.append(ids.tolist())
+            item_leaf[t, ids] = len(paths)
             paths.append(path)
 
     depth = max(1, *map(len, paths))
@@ -165,7 +169,7 @@ def _grow_forest(items: np.ndarray, cfg: IndexConfig) -> Forest:
     return Forest(
         normals=np.vstack(normals + [np.zeros(x.shape[1])]),
         offsets=np.array(offsets + [-np.inf]),
-        leaves=leaves,
+        item_leaf=item_leaf,
         paths=splits.astype(np.intp),
         sides=sides,
     )
@@ -204,16 +208,20 @@ def _walk_candidates(index: AnnIndex, qv: np.ndarray, budget: int) -> np.ndarray
     No child outranks its parent, so a best-first tree walk takes leaves in
     descending order of the least signed margin on their paths. Here one
     product gives every margin, and ties go in forest order.
+
+    An item's first position is the rank of the best leaf holding it. After
+    the first r + 1 leaves, the items in are those whose first position is at
+    most r, so the walk stops at the budget-th smallest first position (the
+    cut) and takes every item at or before it.
     """
     forest = index.forest
     margins = forest.normals @ qv - forest.offsets
     priorities = (forest.sides * margins[forest.paths]).min(axis=0)
-    candidates: set[int] = set()
-    for leaf in np.argsort(-priorities, kind="stable"):
-        candidates.update(forest.leaves[leaf])
-        if len(candidates) >= budget:
-            break
-    return np.fromiter(sorted(candidates), dtype=np.int64, count=len(candidates))
+    rank = np.empty(len(priorities), dtype=np.intp)
+    rank[np.argsort(-priorities, kind="stable")] = np.arange(len(priorities))
+    first = rank[forest.item_leaf].min(axis=0)
+    cut = np.partition(first, budget - 1)[budget - 1]
+    return np.flatnonzero(first <= cut)
 
 
 def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalResult:

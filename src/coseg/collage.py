@@ -51,26 +51,28 @@ class CollageSpec:
 
 @dataclass(frozen=True)
 class CollageItem:
-    """An object cutout: RGB pixels, a same-size foreground mask, and the
-    retrieval distance that ranks it."""
+    """An object cutout: RGB pixels, the retrieval distance that ranks it, and
+    optionally a same-size foreground mask. No mask means the whole region is
+    foreground, so the item fills its slot."""
 
     region: np.ndarray
-    mask: np.ndarray
     distance: float
+    mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         region = np.asarray(self.region, dtype=np.uint8)
-        mask = np.asarray(self.mask)
         if region.ndim != 3 or region.shape[2] != 3:
             raise ValueError(f"region must be (h, w, 3), got shape {region.shape}")
-        if mask.shape != region.shape[:2]:
-            raise ValueError(
-                f"mask shape {mask.shape} does not match region {region.shape[:2]}"
-            )
         if not (self.distance >= 0 and np.isfinite(self.distance)):
             raise ValueError(f"distance must be finite and >= 0, got {self.distance}")
         object.__setattr__(self, "region", region)
-        object.__setattr__(self, "mask", mask != 0)
+        if self.mask is not None:
+            mask = np.asarray(self.mask)
+            if mask.shape != region.shape[:2]:
+                raise ValueError(
+                    f"mask shape {mask.shape} does not match region {region.shape[:2]}"
+                )
+            object.__setattr__(self, "mask", mask != 0)
 
 
 def layout(items: list[CollageItem], spec: CollageSpec) -> list[tuple[int, CollageItem]]:
@@ -84,9 +86,12 @@ def layout(items: list[CollageItem], spec: CollageSpec) -> list[tuple[int, Colla
 
 def compose(assignment: list[tuple[int, CollageItem]], spec: CollageSpec) -> np.ndarray:
     """Render the canvas: background fill, then each item scaled into its slot
-    by nearest neighbor, writing only mask-foreground pixels."""
+    by nearest neighbor. A masked item's slot then shows the background again
+    wherever its scaled mask is off."""
     canvas = np.empty((CANVAS_SIDE, CANVAS_SIDE, 3), dtype=np.uint8)
-    canvas[:, :] = spec.background
+    # fill one row, then copy it down: faster than broadcasting a 3-byte pattern
+    canvas[0] = spec.background
+    canvas[1:] = canvas[0]
     seen = set()
     for slot_idx, item in assignment:
         if not 0 <= slot_idx < len(spec.slots):
@@ -95,11 +100,10 @@ def compose(assignment: list[tuple[int, CollageItem]], spec: CollageSpec) -> np.
             raise ValueError(f"slot {slot_idx} assigned twice")
         seen.add(slot_idx)
         s = spec.slots[slot_idx]
-        region = resize_nearest(item.region, s.h, s.w)
-        mask = resize_nearest(item.mask, s.h, s.w)
         target = canvas[s.y : s.y + s.h, s.x : s.x + s.w]
-        # a full-size mask: a broadcast (stride-0) one makes copyto twice as slow
-        np.copyto(target, region, where=mask[:, :, None].repeat(3, axis=2))
+        target[...] = resize_nearest(item.region, s.h, s.w)
+        if item.mask is not None:
+            target[~resize_nearest(item.mask, s.h, s.w)] = spec.background
     return canvas
 
 

@@ -597,9 +597,7 @@ def stage_collage(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[st
             cut = it.proposal.box.clip(image.shape[1], image.shape[0])
             if cut is None:
                 continue
-            region = image[cut]
-            mask = np.ones(region.shape[:2], dtype=bool)
-            collage_items.append(CollageItem(region=region, mask=mask, distance=dist))
+            collage_items.append(CollageItem(region=image[cut], distance=dist))
         if not collage_items:
             continue
         name = f"{_safe_name(group.anchor)}.ppm"

@@ -117,8 +117,11 @@ def read_image(path) -> np.ndarray:
 
 
 def _write_raster(path, magic: str, arr: np.ndarray) -> None:
+    """Write the header, then the C-contiguous raster straight from its buffer."""
     h, w = arr.shape[:2]
-    Path(path).write_bytes(f"{magic}\n{w} {h}\n255\n".encode("ascii") + arr.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(arr.data)
 
 
 def write_pgm(path, image) -> None:

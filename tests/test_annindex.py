@@ -39,23 +39,28 @@ def exact_scan(items, q, k):
 
 def forest(index):
     """The index's forest as plain lists: every split's unit normal and offset,
-    and every leaf's item ids, root path and sides, in forest order."""
+    every item's leaf in each tree, and every leaf's root path and sides, in
+    forest order."""
     f = index.forest
-    return (f.normals.tolist(), f.offsets.tolist(), f.leaves, f.paths.tolist(), f.sides.tolist())
+    return (f.normals.tolist(), f.offsets.tolist(), f.item_leaf.tolist(), f.paths.tolist(), f.sides.tolist())
+
+
+def leaves(index):
+    """Every leaf's item ids in ascending order, in forest order, read from the
+    item_leaf table."""
+    item_leaf = index.forest.item_leaf.tolist()
+    out = [[] for _ in range(index.forest.paths.shape[1])]
+    for row in item_leaf:
+        for item, leaf in enumerate(row):
+            out[leaf].append(item)
+    return out
 
 
 def trees(index):
-    """The forest's leaves cut into trees: each tree's leaves partition all
-    items, and forest order lists one tree's leaves before the next tree's."""
-    out, tree, seen = [], [], 0
-    for leaf in index.forest.leaves:
-        tree.append(leaf)
-        seen += len(leaf)
-        if seen == len(index):
-            out.append(tree)
-            tree, seen = [], 0
-    assert tree == []
-    return out
+    """The forest's leaves cut into trees: tree t's leaves are those its
+    item_leaf row names."""
+    members = leaves(index)
+    return [[members[leaf] for leaf in sorted(set(row))] for row in index.forest.item_leaf.tolist()]
 
 
 def walk_oracle(index, qv, budget):
@@ -71,21 +76,26 @@ def walk_oracle(index, qv, budget):
             priority = min(priority, side * margins[split])
         priorities.append(priority)
     order = sorted(range(len(priorities)), key=lambda leaf: -priorities[leaf])
+    members = leaves(index)
     taken = set()
     for leaf in order:
         if len(taken) >= budget:
             break
-        taken.update(f.leaves[leaf])
+        taken.update(members[leaf])
     return sorted(taken)
 
 
 def line_forest(at, leaves, sides):
-    """A hand-built forest over 1-d items: one split at x = at, and each leaf
-    on the given side of it (-1 left, +1 right)."""
+    """A hand-built one-tree forest over 1-d items: one split at x = at, and
+    each leaf, given as its item ids, on the given side of it (-1 left, +1
+    right)."""
+    item_leaf = np.empty((1, sum(map(len, leaves))), dtype=np.intp)
+    for leaf, ids in enumerate(leaves):
+        item_leaf[0, ids] = leaf
     return Forest(
         normals=np.array([[1.0], [0.0]]),
         offsets=np.array([at, -np.inf]),
-        leaves=leaves,
+        item_leaf=item_leaf,
         paths=np.zeros((1, len(leaves)), dtype=np.intp),
         sides=np.array([sides], dtype=np.float64),
     )
@@ -159,7 +169,7 @@ class TestBuild:
         idx = build(np.array([[1.0, 2.0]]), IndexConfig(n_trees=3, leaf_capacity=2))
         assert len(idx) == 1
         # three single-leaf trees; their paths hold only the padding split
-        assert idx.forest.leaves == [[0], [0], [0]]
+        assert idx.forest.item_leaf.tolist() == [[0], [1], [2]]
         assert idx.forest.normals.shape == (1, 2)
         assert idx.forest.paths.tolist() == [[0, 0, 0]]
 
@@ -180,10 +190,33 @@ class TestBuild:
         assert (f.sides[real[:, 0], 0] == -1).all()
         assert (f.sides[real[:, -1], -1] == 1).all()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        dim=st.integers(1, 4),
+        n_trees=st.integers(1, 5),
+        leaf_capacity=st.integers(2, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_item_leaf_rows_partition_in_forest_order(self, n, dim, n_trees, leaf_capacity, seed):
+        # small integer coordinates, so duplicate rows and oversized leaves occur
+        items = np.random.default_rng(seed).integers(-2, 3, size=(n, dim)).astype(np.float32)
+        f = build(items, IndexConfig(n_trees=n_trees, leaf_capacity=leaf_capacity, seed=seed % 7)).forest
+        assert f.item_leaf.shape == (n_trees, n)
+        assert f.item_leaf.dtype == np.intp
+        start = 0
+        for row in f.item_leaf:
+            # every item in one leaf of the tree, and every leaf of the tree
+            # nonempty: the tree's leaves are the range that follows the last tree's
+            used = np.unique(row)
+            assert used.tolist() == list(range(start, start + len(used)))
+            start += len(used)
+        assert start == f.paths.shape[1] == f.sides.shape[1]
+
     def test_duplicate_items_land_in_oversized_leaf(self):
         items = np.repeat([[1.0, 1.0]], 40, axis=0)
         idx = build(items, IndexConfig(n_trees=2, leaf_capacity=4))
-        assert idx.forest.leaves == [list(range(40))] * 2
+        assert idx.forest.item_leaf.tolist() == [[0] * 40, [1] * 40]
         assert idx.forest.normals.shape[0] == 1  # no split, only the padding
 
     def test_deterministic(self):
@@ -276,8 +309,13 @@ class TestQuery:
         one = build(items, IndexConfig(n_trees=1, search_k=48, leaf_capacity=4, seed=3))
         twin = AnnIndex(config=replace(one.config, n_trees=2), items=one.items)
         f = one.forest
+        n_leaves = f.paths.shape[1]
         twin.forest = Forest(
-            f.normals, f.offsets, f.leaves * 2, np.hstack([f.paths] * 2), np.hstack([f.sides] * 2)
+            f.normals,
+            f.offsets,
+            np.vstack([f.item_leaf, f.item_leaf + n_leaves]),
+            np.hstack([f.paths] * 2),
+            np.hstack([f.sides] * 2),
         )
         q = rng.normal(size=4)
         assert len(annindex._walk_candidates(twin, q, 48)) >= 48
@@ -441,6 +479,19 @@ class TestWalk:
         got = annindex._walk_candidates(idx, qv, budget).tolist()
         assert got == walk_oracle(idx, qv, budget)
         assert len(got) >= budget
+
+    @pytest.mark.parametrize("budget", [1, 50, 150, 220, 299])
+    def test_walk_equals_oracle_at_desk_vga_shape(self, budget):
+        # desk-vga's index: 300 embedded items, 20 trees, leaf capacity 16
+        rng = np.random.default_rng(1303)
+        centers = rng.normal(size=(6, 256)) * 2.0
+        items = (centers[rng.integers(6, size=300)] + rng.normal(size=(300, 256))).astype(np.float32)
+        idx = build(items, IndexConfig(n_trees=20, leaf_capacity=16, seed=3))
+        for row in rng.integers(300, size=50):
+            qv = idx.items[row].astype(np.float64) + rng.normal(scale=0.5, size=256)
+            got = annindex._walk_candidates(idx, qv, budget).tolist()
+            assert got == walk_oracle(idx, qv, budget)
+            assert len(got) >= budget
 
     def test_tied_leaves_go_in_forest_order(self):
         # a query on the plane gives both leaves priority 0, and a budget of 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coseg.collage import (
     CANVAS_SIDE,
@@ -11,6 +13,7 @@ from coseg.collage import (
     layout,
     make_collage,
 )
+from coseg.descriptors import resize_nearest
 from coseg.geometry import BoundingBox
 
 
@@ -19,6 +22,36 @@ def solid_item(color, distance, size=(20, 20)):
     region[:, :] = color
     mask = np.ones(size, dtype=bool)
     return CollageItem(region=region, mask=mask, distance=distance)
+
+
+def reference_compose(assignment, spec):
+    """The masked composer as first written: broadcast the background over the
+    canvas, then copy each scaled region through its scaled mask."""
+    canvas = np.empty((CANVAS_SIDE, CANVAS_SIDE, 3), dtype=np.uint8)
+    canvas[:, :] = spec.background
+    for slot_idx, item in assignment:
+        s = spec.slots[slot_idx]
+        region = resize_nearest(item.region, s.h, s.w)
+        where = resize_nearest(item.mask, s.h, s.w)
+        np.copyto(canvas[s.y : s.y + s.h, s.x : s.x + s.w], region, where=where[:, :, None])
+    return canvas
+
+
+@st.composite
+def collage_case(draw):
+    """A background and 0-10 items of random size and pixels, each with a
+    random mask of the given density; distances from a small set, so ties occur."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    background = draw(st.tuples(*[st.integers(0, 255)] * 3))
+    n = draw(st.integers(0, 10))
+    rng = np.random.default_rng(seed)
+    items = []
+    for _ in range(n):
+        h, w = (int(v) for v in rng.integers(1, 40, size=2))
+        region = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+        mask = rng.random((h, w)) < rng.random()
+        items.append((region, mask, float(rng.integers(0, 4))))
+    return CollageSpec(background=background), items
 
 
 class TestDefaultSlots:
@@ -83,6 +116,10 @@ class TestCollageItem:
     def test_distance_checked(self, d):
         with pytest.raises(ValueError):
             solid_item((1, 2, 3), d)
+
+    def test_mask_defaults_to_none(self):
+        item = CollageItem(region=np.zeros((2, 3, 3), dtype=np.uint8), distance=0.5)
+        assert item.mask is None
 
     def test_mask_binarized(self):
         item = CollageItem(
@@ -187,6 +224,31 @@ class TestCompose:
         spec = CollageSpec(background=(1, 2, 3))
         canvas = compose([], spec)
         assert np.all(canvas == np.array([1, 2, 3], dtype=np.uint8))
+
+    def test_item_without_mask_fills_its_slot(self):
+        spec = CollageSpec()
+        item = CollageItem(region=np.full((3, 5, 3), 7, dtype=np.uint8), distance=0.0)
+        canvas = compose([(1, item)], spec)
+        s = spec.slots[1]
+        assert np.all(canvas[s.y : s.y + s.h, s.x : s.x + s.w] == 7)
+        assert (canvas == 7).all(axis=2).sum() == s.area
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=collage_case())
+    def test_no_mask_renders_as_all_true_mask(self, case):
+        spec, items = case
+        bare = [CollageItem(region=r, distance=d) for r, _, d in items]
+        full = [CollageItem(region=r, mask=np.ones(r.shape[:2], dtype=bool), distance=d) for r, _, d in items]
+        assert make_collage(bare, spec).tobytes() == make_collage(full, spec).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=collage_case())
+    def test_masked_canvas_equals_copyto_reference(self, case):
+        # unfilled slots and masked-off pixels must both show the background
+        spec, items = case
+        masked = [CollageItem(region=r, mask=m, distance=d) for r, m, d in items]
+        assignment = layout(masked, spec)
+        assert compose(assignment, spec).tobytes() == reference_compose(assignment, spec).tobytes()
 
 
 class TestMakeCollage:
