@@ -4,9 +4,16 @@ Each tree recursively halves the item set with hyperplanes placed midway
 between two sampled points. The forest is kept flat: a matrix of split
 normals, each item's leaf in each tree, and per leaf its root path. A query
 ranks each leaf by the smallest signed distance from the query to the planes
-on its path, takes leaves best first until its budget is met, then re-ranks
-the candidates by exact distance. A query whose budget covers every item
-scans all items.
+on its path and takes leaves best first until its budget is met. A query
+whose budget covers every item scans all items instead.
+
+The candidates are then re-ranked by exact distance, certified filter first.
+One product x @ q over float64 items gives each item an approximate squared
+distance a = |x|^2 - 2 x.q + |q|^2, and eps = 4 (d + 4) u (|x| + |q|)^2,
+u = 2**-53, bounds how far a and the exact score can lie apart (see query).
+Only candidates whose lower bound a - eps reaches the k-th smallest upper
+bound a + eps are scored exactly, so the answer is the one a full re-rank
+gives, bit for bit.
 
 The forest is a pure function of the items and the config, so it is grown
 only when a query first walks it, and the file form holds the config and the
@@ -26,6 +33,7 @@ from .errors import ConfigError, DecodeError
 MAGIC = b"CSGI"
 VERSION = 2
 METRICS = ("euclidean", "cosine")
+UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,15 @@ class Forest:
     sides: np.ndarray  # (depth, leaves) float64, +1 or -1
 
 
+@dataclass(frozen=True)
+class Rows:
+    """The items as float64, with their squared norms and norms."""
+
+    values: np.ndarray  # (n, dim) float64, equal to the float32 items
+    sq_norms: np.ndarray  # (n,) einsum row sums of values**2
+    norms: np.ndarray  # (n,) sqrt(sq_norms)
+
+
 @dataclass
 class RetrievalResult:
     """Neighbors as (item_id, distance) pairs in ascending distance order."""
@@ -92,15 +109,22 @@ class AnnIndex:
 
     The forest is grown from the items on first access and kept: tree t draws
     from its own stream seeded with config.seed + t, so the forest depends only
-    on the items and (n_trees, leaf_capacity, seed).
+    on the items and (n_trees, leaf_capacity, seed). The float64 rows are made
+    on first access too; queries and forest growth share them.
     """
 
     config: IndexConfig
     items: np.ndarray  # (n, dim) float32; unit rows under the cosine metric
 
     @functools.cached_property
+    def rows(self) -> Rows:
+        x = self.items.astype(np.float64)
+        sq = np.einsum("ij,ij->i", x, x)
+        return Rows(values=x, sq_norms=sq, norms=np.sqrt(sq))
+
+    @functools.cached_property
     def forest(self) -> Forest:
-        return _grow_forest(self.items, self.config)
+        return _grow_forest(self.rows.values, self.config)
 
     @property
     def dim(self) -> int:
@@ -134,8 +158,9 @@ def split_plane(points, rng):
     return None
 
 
-def _grow_forest(items: np.ndarray, cfg: IndexConfig) -> Forest:
-    x = items.astype(np.float64)  # converted once; split_plane's float64 copy is a no-op
+def _grow_forest(x: np.ndarray, cfg: IndexConfig) -> Forest:
+    """Grow cfg.n_trees trees over the float64 items x; split_plane's own
+    float64 conversion of x's rows is then a no-op."""
     normals, offsets, paths = [], [], []  # paths: (split, side) lists
     item_leaf = np.empty((cfg.n_trees, x.shape[0]), dtype=np.intp)
     for t in range(cfg.n_trees):
@@ -224,15 +249,54 @@ def _walk_candidates(index: AnnIndex, qv: np.ndarray, budget: int) -> np.ndarray
     return np.flatnonzero(first <= cut)
 
 
+def _shortlist(rows: Rows, qv: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """The candidate ids, in ascending order, whose exact distance to qv can be
+    among the k closest: those with a - eps <= T (see query)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        qq = qv @ qv
+        approx = (rows.sq_norms - 2.0 * (rows.values @ qv) + qq)[ids]
+        eps = (4 * (len(qv) + 4) * UNIT_ROUNDOFF) * (rows.norms[ids] + np.sqrt(qq)) ** 2
+        upper = approx + eps
+        kth = min(k, len(ids)) - 1
+        bound = np.partition(upper, kth)[kth]
+        # a non-finite upper bound (T is one of them) certifies nothing
+        return ids[(approx - eps <= bound) | ~np.isfinite(upper).all()]
+
+
 def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalResult:
     """Approximate k nearest neighbors of q, re-ranked by exact distance.
 
     The budget is max(search_k, k * n_trees) distinct items. When it is at
-    least the number of items, all items are scored directly: an exact scan,
-    which never grows the forest. Below it, the forest is walked: leaves are
-    taken best first, whole leaves at a time, so at least budget distinct items
-    are inspected. Either way the candidates are scored exactly and the k
-    closest returned in ascending distance order, ties broken by item id.
+    least the number of items, all items are candidates: an exact scan, which
+    never grows the forest. Below it, the forest is walked: leaves are taken
+    best first, whole leaves at a time, so at least budget distinct items are
+    candidates. The k closest candidates are returned in ascending order of
+    their exact distance sqrt(einsum((x - q)**2)), ties broken by item id.
+
+    Only the candidates that can reach the k closest are scored exactly. For
+    item x and query q of dimension d, with u = 2**-53, one product x @ q over
+    all items gives a = |x|^2 - 2 x.q + |q|^2 and eps = 4 (d + 4) u (|x| + |q|)^2.
+    T is the min(k, candidates)-th smallest a + eps over the candidates, and
+    the candidates with a - eps <= T, in ascending id order, are scored.
+
+    Why that is exact. Let s be the true squared distance and E the einsum
+    value. In any summation order a sum's rounding error is at most
+    gamma_m * sum|terms|, gamma_m = m u / (1 - m u), and the absolute terms of
+    both a and E add up to at most (|x| + |q|)^2. So |a - s| and |E - s| are
+    each about (d + 3) u (|x| + |q|)^2. Two distances can round to the same
+    sqrt only when their squares differ by at most about 4 u E. eps exceeds
+    the three terms together, so a - eps <= E - 4 u E and E <= a + eps. The
+    second makes T at least D, the k-th smallest E. By the first, every
+    candidate whose distance is at most the k-th distance, ties included, has
+    a - eps <= E - 4 u E <= D <= T and is kept. Scoring the kept ids in
+    ascending id order and taking the first k of a stable argsort then gives
+    the full re-rank's answer, bit for bit.
+
+    Underflow voids the bound only for a zero row against a query of norm
+    below about 1e-150: zero rows share one a and one E, and every other
+    float32 row lies at squared distance above 1e-90, so the kept set is still
+    right. Where T, or an a or eps of a candidate, is not finite, the bound
+    says nothing and every candidate is kept.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -251,7 +315,9 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
         ids = np.arange(len(index), dtype=np.int64)
     else:
         ids = _walk_candidates(index, qv, budget)
-    diffs = index.items[ids].astype(np.float64) - qv
+    rows = index.rows
+    ids = _shortlist(rows, qv, ids, k)
+    diffs = rows.values[ids] - qv
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     order = np.argsort(dists, kind="stable")[:k]
     return RetrievalResult([(int(ids[i]), float(dists[i])) for i in order])

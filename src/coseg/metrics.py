@@ -105,6 +105,7 @@ def evaluate(
     over items; the report averages are unweighted means over the classes.
     """
     per_item: dict[str, tuple[str, float, float]] = {}
+    gt_pixels: dict[int, int] = {}  # foreground count per mask object; items share masks
     skipped: list[tuple[str, str]] = []
     empty_seg: list[str] = []
     for item_id in _group_item_ids(groups):
@@ -124,7 +125,9 @@ def evaluate(
         cut = box.clip(width, height)
         inside = gt[cut] if cut else gt[:0]
         inter = int(np.count_nonzero(inside))
-        union = inside.size + int(np.count_nonzero(gt)) - inter
+        if id(gt) not in gt_pixels:
+            gt_pixels[id(gt)] = int(np.count_nonzero(gt))
+        union = inside.size + gt_pixels[id(gt)] - inter
         if inside.size == 0:
             empty_seg.append(item_id)
         p = inter / inside.size if inside.size else 0.0

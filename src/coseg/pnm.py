@@ -80,12 +80,13 @@ def _decode_raster(data: bytes) -> np.ndarray:
     into a uint8 array of shape (height, width) or (height, width, 3).
 
     The raster is viewed in place and copied once, so the array owns its memory.
+    The samples are returned as stored, so any maxval but 255 is rejected.
     """
     (w, h, maxval), off = _header_ints(data, 2, 3)
     if w < 1 or h < 1:
         raise DecodeError(f"bad image dimensions {w}x{h}")
-    if not 0 < maxval <= 255:
-        raise DecodeError(f"unsupported maxval {maxval} (only single-byte samples)")
+    if maxval != 255:
+        raise DecodeError(f"unsupported maxval {maxval} (only 255)")
     shape = (h, w) if data[:2] == b"P5" else (h, w, 3)
     need = math.prod(shape)
     if len(data) - off < need:

@@ -37,6 +37,17 @@ def exact_scan(items, q, k):
     return [(int(i), float(d[i])) for i in order]
 
 
+def full_rerank(index, q, k, search_k):
+    """The query with every candidate scored: the walk's candidates, or all
+    items when the budget covers them, re-ranked by exact_scan."""
+    qv = np.asarray(q, dtype=np.float64)
+    if index.config.metric == "cosine" and np.linalg.norm(qv) > 0.0:
+        qv = qv / np.linalg.norm(qv)
+    budget = max(search_k, k * index.config.n_trees)
+    pool = np.arange(len(index)) if budget >= len(index) else annindex._walk_candidates(index, qv, budget)
+    return [(int(pool[i]), d) for i, d in exact_scan(index.items[pool], qv, k)]
+
+
 def forest(index):
     """The index's forest as plain lists: every split's unit normal and offset,
     every item's leaf in each tree, and every leaf's root path and sides, in
@@ -443,14 +454,127 @@ class TestExactScan:
         items = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
         idx = build(items, IndexConfig(n_trees=n_trees, leaf_capacity=leaf_capacity, seed=seed % 7, metric=metric))
         q = rng.integers(-2, 3, size=dim).astype(np.float64)
-        got = query(idx, q, k=k, search_k=search_k)
-        qv = q
-        if metric == "cosine" and np.linalg.norm(q) > 0.0:
-            qv = q / np.linalg.norm(q)
-        budget = max(search_k, k * n_trees)
-        pool = np.arange(n) if budget >= n else annindex._walk_candidates(idx, qv, budget)
-        want = [(int(pool[i]), d) for i, d in exact_scan(idx.items[pool], qv, k)]
-        assert got.neighbors == want
+        assert query(idx, q, k=k, search_k=search_k).neighbors == full_rerank(idx, q, k, search_k)
+
+
+@st.composite
+def rerank_cases(draw):
+    """An index and a query meant to stress the certified filter: tied and
+    near-tied distances, duplicate and zero rows, and queries that are items,
+    zero, or so large that |q|^2 overflows."""
+    n = draw(st.integers(1, 48), label="n")
+    dim = draw(st.integers(1, 8), label="dim")
+    rows = draw(st.sampled_from(["ints", "normal", "permutations"]), label="rows")
+    metric = draw(st.sampled_from(METRICS), label="metric")
+    # a cosine query is scaled to unit length first, so only a euclidean one overflows
+    kinds = ["item", "ints", "normal", "uniform", "zero"] + ["huge"] * (metric == "euclidean")
+    kinds += ["uniform"] * 4 * (rows == "permutations")  # the query permuted rows tie against
+    q_kind = draw(st.sampled_from(kinds), label="query")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if rows == "ints":
+        items = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
+    elif rows == "normal":
+        items = rng.normal(size=(n, dim)).astype(np.float32)
+    else:
+        # every row a permutation of one vector: all at one true distance from
+        # a uniform query, which a and the exact score each round apart their own way
+        base = rng.normal(size=dim).astype(np.float32)
+        items = np.stack([rng.permutation(base) for _ in range(n)])
+    items[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.6]), label="zero share")] = 0.0
+    dups = rng.integers(n, size=(draw(st.integers(0, n), label="duplicates"), 2))
+    items[dups[:, 0]] = items[dups[:, 1]]
+    if q_kind == "item":
+        q = items[rng.integers(n)].astype(np.float64)
+    elif q_kind == "ints":
+        q = rng.integers(-2, 3, size=dim).astype(np.float64)
+    elif q_kind == "normal":
+        q = rng.normal(size=dim)
+    elif q_kind == "uniform":
+        q = np.full(dim, rng.normal())
+    elif q_kind == "zero":
+        q = np.zeros(dim)
+    else:
+        q = rng.normal(size=dim) * 1e160
+    cfg = IndexConfig(
+        n_trees=draw(st.integers(1, 4)),
+        leaf_capacity=draw(st.integers(2, 8)),
+        seed=draw(st.integers(0, 9)),
+        metric=metric,
+    )
+    k = draw(st.integers(1, n + 3), label="k")
+    search_k = draw(st.integers(1, n + 3), label="search_k")
+    return build(items, cfg), q, k, search_k
+
+
+class TestCertifiedRerank:
+    """query scores exactly only the candidates whose bounds can reach the k
+    closest, and answers as the full re-rank does, to the bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=rerank_cases())
+    def test_query_equals_full_rerank(self, case):
+        idx, q, k, search_k = case
+        assert query(idx, q, k=k, search_k=search_k).neighbors == full_rerank(idx, q, k, search_k)
+
+    @pytest.mark.parametrize("dim", [2, 16, 256])
+    def test_permuted_rows_tie_in_exact_distance(self, dim):
+        # rows that permute one vector lie at one true distance from a uniform
+        # query; a and the exact score round that tie apart in different ways,
+        # so without the slack the filter drops rows the re-rank keeps
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            base = rng.normal(size=dim).astype(np.float32)
+            items = np.stack([rng.permutation(base) for _ in range(40)])
+            idx = build(items, IndexConfig(n_trees=2, leaf_capacity=4, seed=1))
+            q = np.full(dim, rng.normal())
+            for k, search_k in ((1, 40), (5, 40), (20, 40), (5, 20)):
+                assert query(idx, q, k=k, search_k=search_k).neighbors == full_rerank(idx, q, k, search_k)
+
+    def test_zero_rows_tie_at_a_zero_query(self):
+        # a = eps = 0 for every zero row: the bound T is 0 and each zero row
+        # must still pass a - eps <= T
+        items = np.zeros((6, 3), dtype=np.float32)
+        items[[1, 4]] = [1.0, 2.0, 3.0]
+        idx = build(items, IndexConfig(n_trees=1, leaf_capacity=2))
+        for k in (1, 3, 4, 6):
+            assert query(idx, np.zeros(3), k=k, search_k=6).neighbors == full_rerank(idx, np.zeros(3), k, 6)
+        assert query(idx, np.zeros(3), k=4, search_k=6).ids == [0, 2, 3, 5]
+
+    def test_overflowing_bound_keeps_every_candidate(self):
+        # |q|^2 overflows, so no a or eps is finite: every candidate is scored,
+        # every distance is inf, and the k closest are the k lowest ids
+        rng = np.random.default_rng(40)
+        items = rng.normal(size=(30, 4)).astype(np.float32)
+        idx = build(items, IndexConfig(n_trees=3, leaf_capacity=4, seed=1))
+        q = np.full(4, 1e160)
+        for search_k in (5, 30):
+            got = query(idx, q, k=4, search_k=search_k)
+            assert got.neighbors == full_rerank(idx, q, 4, search_k)
+            assert got.distances == [np.inf] * 4
+        assert query(idx, q, k=4, search_k=30).ids == [0, 1, 2, 3]
+
+    def test_exact_step_scores_k_rows_plus_ties_at_desk_vga_shape(self):
+        # desk-vga's index: 300 embedded items, 20 trees, leaf capacity 16; each
+        # item queries for k = 11 neighbors under a budget of 220 < 300. Some
+        # rows are duplicated, so exact ties at the k-th distance occur.
+        rng = np.random.default_rng(1404)
+        centers = rng.normal(size=(6, 256)) * 2.0
+        items = (centers[rng.integers(6, size=300)] + rng.normal(size=(300, 256))).astype(np.float32)
+        items[rng.integers(300, size=30)] = items[rng.integers(300, size=30)]
+        idx = build(items, IndexConfig(n_trees=20, search_k=50, leaf_capacity=16, seed=3))
+        k, ties_seen, scored = 11, 0, 0
+        for row in range(300):
+            qv = idx.items[row].astype(np.float64)
+            pool = annindex._walk_candidates(idx, qv, 220)
+            kept = annindex._shortlist(idx.rows, qv, pool, k)
+            dists = [d for _, d in exact_scan(idx.items[pool], qv, len(pool))]
+            ties = sum(d == dists[k - 1] for d in dists[k:])
+            assert len(kept) <= k + ties
+            assert query(idx, qv, k=k).neighbors == full_rerank(idx, qv, k, 50)
+            ties_seen += ties
+            scored += len(kept)
+        assert ties_seen > 0
+        assert scored < 300 * (k + 1)
 
 
 class TestWalk:

@@ -210,6 +210,43 @@ class TestEvaluate:
         assert sum(0 < p < 1 for p, _ in want.values()) > 20
 
 
+    def test_shared_masks_score_as_per_item_arithmetic(self):
+        """Items of one image share its mask object, as the evaluate stage passes
+        them; each item still scores its own box against its own image's mask."""
+        rng = np.random.default_rng(6)
+        images = [rng.random((9, 13)) < p for p in (0.0, 0.4, 0.4, 1.0)]
+        images.append(images[1].copy())  # equal to image 1, another object
+        boxes, gt, classes, per_item = {}, {}, {}, {}
+        for i in range(60):
+            item = f"i{i}"
+            mask_ = images[i % len(images)]
+            x, y, w, h = (int(v) for v in rng.integers([-4, -4, 1, 1], [13, 9, 10, 10]))
+            boxes[item] = BoundingBox(x, y, w, h)
+            gt[item] = mask_
+            classes[item] = f"c{i % 3}"
+            seg = drawn(mask_.shape, boxes[item])
+            inter, seg_px, gt_px = int((seg & mask_).sum()), int(seg.sum()), int(mask_.sum())
+            union = seg_px + gt_px - inter
+            per_item[item] = (inter / seg_px if seg_px else 0.0, inter / union if union else 1.0, seg_px == 0)
+        report = evaluate([group("i0", list(boxes)[1:])], boxes, gt, classes)
+        per_class = {
+            c: ClassMetrics(
+                precision=float(np.mean([per_item[i][0] for i in per_item if classes[i] == c])),
+                jaccard=float(np.mean([per_item[i][1] for i in per_item if classes[i] == c])),
+                count=20,
+            )
+            for c in ("c0", "c1", "c2")
+        }
+        want = MetricsReport(
+            per_class=per_class,
+            avg_precision=float(np.mean([m.precision for m in per_class.values()])),
+            avg_jaccard=float(np.mean([m.jaccard for m in per_class.values()])),
+            empty_segmentations=tuple(i for i in per_item if per_item[i][2]),
+        )
+        assert report.to_json() == want.to_json()
+        assert 0 < len(want.empty_segmentations) < 30
+
+
 class TestReportSerialization:
     def make_report(self):
         groups = [group("a", ["b"])]

@@ -78,6 +78,14 @@ class TestPgmPpm:
         with pytest.raises(DecodeError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("maxval", [b"15", b"1", b"254", b"0"])
+    def test_maxval_other_than_255_rejected(self, tmp_path, maxval):
+        # a maxval-15 white pixel is 15, which would read as 15 of 255
+        path = tmp_path / "g.pgm"
+        path.write_bytes(b"P5\n2 1\n" + maxval + b"\n\x0f\x00")
+        with pytest.raises(DecodeError):
+            read_pgm(path)
+
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 5)
