@@ -23,6 +23,7 @@ items alone.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,7 +152,7 @@ def split_plane(points, rng):
         if j >= i:
             j += 1
         p, q = pts[i], pts[j]
-        if not np.array_equal(p, q):
+        if (p != q).any():
             normal = p - q
             offset = float(normal @ (p + q) / 2.0)
             return normal, offset
@@ -161,33 +162,41 @@ def split_plane(points, rng):
 def _grow_forest(x: np.ndarray, cfg: IndexConfig) -> Forest:
     """Grow cfg.n_trees trees over the float64 items x; split_plane's own
     float64 conversion of x's rows is then a no-op."""
-    normals, offsets, paths = [], [], []  # paths: (split, side) lists
+    normals, offsets, tails = [], [], []  # tails: each leaf's last path entry
     item_leaf = np.empty((cfg.n_trees, x.shape[0]), dtype=np.intp)
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(cfg.seed + t)
-        stack = [(np.arange(x.shape[0], dtype=np.int64), [])]
+        # a path entry is (split, side, parent entry), linked back to the root
+        stack = [(np.arange(x.shape[0], dtype=np.int64), None)]
         while stack:
-            ids, path = stack.pop()
+            ids, tail = stack.pop()
             pts = x[ids] if len(ids) > cfg.leaf_capacity else None
             # Indistinguishable duplicates give no plane: keep an oversized leaf.
             plane = None if pts is None else split_plane(pts, rng)
             if plane is not None:
                 normal, offset = plane
-                norm = float(np.linalg.norm(normal))
+                norm = math.sqrt(normal.dot(normal))
                 # Unit normal, so priorities compare as true plane distances.
                 unit = normal / norm
                 off = offset / norm
                 side = pts @ unit - off >= 0.0
-                if side.any() and not side.all():
+                if 0 < np.count_nonzero(side) < len(ids):
                     split = len(offsets)
                     normals.append(unit)
                     offsets.append(off)
-                    stack.append((ids[side], path + [(split, 1.0)]))
-                    stack.append((ids[~side], path + [(split, -1.0)]))
+                    stack.append((ids[side], (split, 1.0, tail)))
+                    stack.append((ids[~side], (split, -1.0, tail)))
                     continue
-            item_leaf[t, ids] = len(paths)
-            paths.append(path)
+            item_leaf[t, ids] = len(tails)
+            tails.append(tail)
 
+    paths = []
+    for tail in tails:
+        path = []
+        while tail is not None:
+            split, side, tail = tail
+            path.append((split, side))
+        paths.append(path[::-1])
     depth = max(1, *map(len, paths))
     padded = np.array([path + [(len(offsets), 1.0)] * (depth - len(path)) for path in paths])
     splits, sides = np.ascontiguousarray(padded.T)  # depth-major: minima reduce over rows
@@ -263,6 +272,18 @@ def _shortlist(rows: Rows, qv: np.ndarray, ids: np.ndarray, k: int) -> np.ndarra
         return ids[(approx - eps <= bound) | ~np.isfinite(upper).all()]
 
 
+def _unit_query(qv: np.ndarray) -> np.ndarray:
+    """qv scaled to unit length; a zero query stays put. Where |qv|^2 leaves
+    float64's range (the norm reads inf, or 0 for a nonzero qv), qv is divided
+    by its largest magnitude first."""
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(qv))
+    if not 0.0 < norm < np.inf and qv.any():
+        qv = qv / np.abs(qv).max()
+        norm = float(np.linalg.norm(qv))
+    return qv / norm if norm > 0.0 else qv
+
+
 def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalResult:
     """Approximate k nearest neighbors of q, re-ranked by exact distance.
 
@@ -306,9 +327,7 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
     if search_k is None:
         search_k = index.config.search_k
     if index.config.metric == "cosine":
-        norm = float(np.linalg.norm(qv))
-        if norm > 0.0:
-            qv = qv / norm
+        qv = _unit_query(qv)
 
     budget = max(search_k, k * index.config.n_trees)
     if budget >= len(index):

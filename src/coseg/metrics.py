@@ -1,7 +1,8 @@
 """Pixel-level segmentation scoring: precision and Jaccard similarity against
-ground-truth masks, averaged per class and then across classes.
+ground truth, averaged per class and then across classes.
 
-Masks are 2-d arrays where nonzero means foreground; evaluate() scores boxes.
+Masks are 2-d arrays where nonzero means foreground; evaluate() scores boxes
+against masks, or against ground-truth boxes by their areas.
 """
 
 from __future__ import annotations
@@ -40,6 +41,31 @@ def jaccard(seg: np.ndarray, gt: np.ndarray) -> float:
     if union == 0:
         return 1.0
     return int((seg & gt).sum()) / union
+
+
+@dataclass(frozen=True)
+class BoxTruth:
+    """Ground truth given as a box in a width x height frame: the box's pixels
+    inside the frame are foreground. evaluate() scores against it by area, with
+    the counts the box drawn as a mask would give."""
+
+    box: BoundingBox
+    width: int
+    height: int
+
+
+def _pixels(cut) -> int:
+    """Pixel count of a BoundingBox.clip result."""
+    return 0 if cut is None else (cut[0].stop - cut[0].start) * (cut[1].stop - cut[1].start)
+
+
+def _overlap(a, b) -> int:
+    """Pixel count shared by two BoundingBox.clip results."""
+    if a is None or b is None:
+        return 0
+    rows = min(a[0].stop, b[0].stop) - max(a[0].start, b[0].start)
+    cols = min(a[1].stop, b[1].stop) - max(a[1].start, b[1].start)
+    return max(rows, 0) * max(cols, 0)
 
 
 @dataclass(frozen=True)
@@ -94,15 +120,16 @@ def _group_item_ids(groups) -> list[str]:
 def evaluate(
     groups,
     boxes: dict[str, BoundingBox],
-    gt_masks: dict[str, np.ndarray],
+    ground_truth: dict[str, np.ndarray | BoxTruth],
     class_map: dict[str, str],
 ) -> MetricsReport:
     """Score every item referenced by the groups: its box, clipped to its
-    ground-truth mask, gets the precision() and jaccard() of that box drawn.
+    image, gets the precision() and jaccard() of that box drawn against its
+    ground truth, a mask or a BoxTruth.
 
-    Items missing a box, a ground-truth mask (None counts as missing) or a
-    class are excluded and recorded in the report. Scores average per class
-    over items; the report averages are unweighted means over the classes.
+    Items missing a box, ground truth (None counts as missing) or a class are
+    excluded and recorded in the report. Scores average per class over items;
+    the report averages are unweighted means over the classes.
     """
     per_item: dict[str, tuple[str, float, float]] = {}
     gt_pixels: dict[int, int] = {}  # foreground count per mask object; items share masks
@@ -110,7 +137,7 @@ def evaluate(
     empty_seg: list[str] = []
     for item_id in _group_item_ids(groups):
         box = boxes.get(item_id)
-        gt = gt_masks.get(item_id)
+        gt = ground_truth.get(item_id)
         cls = class_map.get(item_id)
         if box is None:
             skipped.append((item_id, "no segmentation mask"))
@@ -121,16 +148,22 @@ def evaluate(
         if cls is None:
             skipped.append((item_id, "no class label"))
             continue
-        height, width = np.shape(gt)  # ValueError unless gt is 2-d
-        cut = box.clip(width, height)
-        inside = gt[cut] if cut else gt[:0]
-        inter = int(np.count_nonzero(inside))
-        if id(gt) not in gt_pixels:
-            gt_pixels[id(gt)] = int(np.count_nonzero(gt))
-        union = inside.size + gt_pixels[id(gt)] - inter
-        if inside.size == 0:
+        if isinstance(gt, BoxTruth):
+            cut = box.clip(gt.width, gt.height)
+            truth = gt.box.clip(gt.width, gt.height)
+            seg_px, gt_px, inter = _pixels(cut), _pixels(truth), _overlap(cut, truth)
+        else:
+            height, width = np.shape(gt)  # ValueError unless gt is 2-d
+            cut = box.clip(width, height)
+            inside = gt[cut] if cut else gt[:0]
+            seg_px, inter = inside.size, int(np.count_nonzero(inside))
+            if id(gt) not in gt_pixels:
+                gt_pixels[id(gt)] = int(np.count_nonzero(gt))
+            gt_px = gt_pixels[id(gt)]
+        union = seg_px + gt_px - inter
+        if seg_px == 0:
             empty_seg.append(item_id)
-        p = inter / inside.size if inside.size else 0.0
+        p = inter / seg_px if seg_px else 0.0
         j = inter / union if union else 1.0
         per_item[item_id] = (cls, p, j)
 

@@ -37,7 +37,7 @@ from .embedder import (
 )
 from .errors import ConfigError, StageError
 from .geometry import BoundingBox, Proposal, dedup_near, load_proposals, nms, top_k
-from .metrics import evaluate, save_report_file
+from .metrics import BoxTruth, evaluate, save_report_file
 from .pnm import read_image, read_pbm, write_ppm
 from .retrieval import (
     embed_all,
@@ -527,8 +527,10 @@ def stage_retrieve(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[s
     save_groups(groups, outputs["groups.jsonl"])
 
 
-def _gt_mask(record: ManifestRecord | None, img_w: int, img_h: int) -> np.ndarray | None:
-    """An image's ground truth as a mask: its PBM, else its box drawn, else None."""
+def _ground_truth(
+    record: ManifestRecord | None, img_w: int, img_h: int
+) -> np.ndarray | BoxTruth | None:
+    """An image's ground truth: its PBM mask, else its box in the frame, else None."""
     if record is not None and record.gt_mask_path:
         gt = read_pbm(record.gt_mask_path)
         if gt.shape != (img_h, img_w):
@@ -537,11 +539,7 @@ def _gt_mask(record: ManifestRecord | None, img_w: int, img_h: int) -> np.ndarra
         return gt
     if record is None or record.gt_box is None:
         return None
-    gt = np.zeros((img_h, img_w), dtype=bool)
-    cut = record.gt_box.clip(img_w, img_h)
-    if cut is not None:
-        gt[cut] = True
-    return gt
+    return BoxTruth(record.gt_box, img_w, img_h)
 
 
 def stage_evaluate(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
@@ -549,7 +547,7 @@ def stage_evaluate(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[s
     items = load_items(inputs["items.csv"])
     manifest = {r.item_id: r for r in load_manifest(inputs["manifest_used.csv"])}
     sizes = {it.proposal.image_id: (it.img_w, it.img_h) for it in items}
-    gt_by_image = {i: _gt_mask(manifest.get(i), w, h) for i, (w, h) in sizes.items()}
+    gt_by_image = {i: _ground_truth(manifest.get(i), w, h) for i, (w, h) in sizes.items()}
     report = evaluate(
         groups,
         {it.item_id: it.proposal.box for it in items},

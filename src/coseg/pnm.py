@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import numpy as np
 from .errors import BadMagicError, DecodeError, TruncatedError
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+_HEAD_BLOCK = 512  # first read of a PGM/PPM file; headers are far shorter
 
 
 def _header_ints(data: bytes, start: int, count: int):
@@ -75,31 +77,50 @@ def write_pbm(path, mask) -> None:
     Path(path).write_bytes(f"P4\n{w} {h}\n".encode("ascii") + packed.tobytes())
 
 
-def _decode_raster(data: bytes) -> np.ndarray:
-    """Decode a binary PGM (P5) or PPM (P6) file's bytes, magic already checked,
-    into a uint8 array of shape (height, width) or (height, width, 3).
-
-    The raster is viewed in place and copied once, so the array owns its memory.
-    The samples are returned as stored, so any maxval but 255 is rejected.
-    """
-    (w, h, maxval), off = _header_ints(data, 2, 3)
-    if w < 1 or h < 1:
-        raise DecodeError(f"bad image dimensions {w}x{h}")
-    if maxval != 255:
-        raise DecodeError(f"unsupported maxval {maxval} (only 255)")
-    shape = (h, w) if data[:2] == b"P5" else (h, w, 3)
-    need = math.prod(shape)
-    if len(data) - off < need:
-        raise TruncatedError(f"raster holds {len(data) - off} bytes, needs {need}")
-    return np.frombuffer(data, dtype=np.uint8, count=need, offset=off).reshape(shape).copy()
-
-
 def _read_raster(path, magics: tuple[bytes, ...]) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if data[:2] not in magics:
-        expected = " or ".join(m.decode() for m in magics)
-        raise BadMagicError(f"{path}: expected {expected}, found {data[:2]!r}")
-    return _decode_raster(data)
+    """Read a binary PGM (P5) or PPM (P6) file into a uint8 array of shape
+    (height, width) or (height, width, 3).
+
+    The header is parsed from the file's first block, read on while a long
+    header needs more, and the raster is read straight into a fresh array: each
+    sample is copied once and the array owns its memory. The samples are
+    returned as stored, so any maxval but 255 is rejected. Bytes after the
+    raster are ignored.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(_HEAD_BLOCK)
+        if head[:2] not in magics:
+            expected = " or ".join(m.decode() for m in magics)
+            raise BadMagicError(f"{path}: expected {expected}, found {head[:2]!r}")
+        while True:
+            try:
+                (w, h, maxval), off = _header_ints(head, 2, 3)
+                break
+            except TruncatedError:
+                more = fh.read(len(head))  # doubling keeps a long header linear
+                if not more:
+                    raise
+                head += more
+        if w < 1 or h < 1:
+            raise DecodeError(f"bad image dimensions {w}x{h}")
+        if maxval != 255:
+            raise DecodeError(f"unsupported maxval {maxval} (only 255)")
+        shape = (h, w) if head[:2] == b"P5" else (h, w, 3)
+        need = math.prod(shape)
+        avail = os.fstat(fh.fileno()).st_size - off  # checked before allocating
+        if avail < need:
+            raise TruncatedError(f"raster holds {avail} bytes, needs {need}")
+        image = np.empty(shape, dtype=np.uint8)
+        flat = image.reshape(-1)
+        held = min(len(head) - off, need)
+        flat[:held] = np.frombuffer(head, dtype=np.uint8, count=held, offset=off)
+        rest = flat[held:]
+        while rest.size:  # an unbuffered read may return less than asked
+            got = fh.readinto(rest)
+            if not got:
+                raise TruncatedError(f"{path} shrank while it was read")
+            rest = rest[got:]
+    return image
 
 
 def read_pgm(path) -> np.ndarray:

@@ -1,4 +1,5 @@
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -41,11 +42,61 @@ def full_rerank(index, q, k, search_k):
     """The query with every candidate scored: the walk's candidates, or all
     items when the budget covers them, re-ranked by exact_scan."""
     qv = np.asarray(q, dtype=np.float64)
-    if index.config.metric == "cosine" and np.linalg.norm(qv) > 0.0:
-        qv = qv / np.linalg.norm(qv)
+    if index.config.metric == "cosine" and qv.any():
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(qv)
+        if norm == np.inf or norm == 0.0:  # |q|^2 out of float64's range
+            qv = qv / np.abs(qv).max()
+            norm = np.linalg.norm(qv)
+        qv = qv / norm
     budget = max(search_k, k * index.config.n_trees)
     pool = np.arange(len(index)) if budget >= len(index) else annindex._walk_candidates(index, qv, budget)
     return [(int(pool[i]), d) for i, d in exact_scan(index.items[pool], qv, k)]
+
+
+def grow_forest_oracle(x, cfg):
+    """The forest grower as first written: a fresh root-path list per node,
+    a NumPy norm per split and two reductions per side test."""
+    normals, offsets, paths = [], [], []
+    item_leaf = np.empty((cfg.n_trees, x.shape[0]), dtype=np.intp)
+    for t in range(cfg.n_trees):
+        rng = np.random.default_rng(cfg.seed + t)
+        stack = [(np.arange(x.shape[0], dtype=np.int64), [])]
+        while stack:
+            ids, path = stack.pop()
+            pts = x[ids] if len(ids) > cfg.leaf_capacity else None
+            plane = None if pts is None else split_plane(pts, rng)
+            if plane is not None:
+                normal, offset = plane
+                norm = float(np.linalg.norm(normal))
+                unit = normal / norm
+                off = offset / norm
+                side = pts @ unit - off >= 0.0
+                if side.any() and not side.all():
+                    split = len(offsets)
+                    normals.append(unit)
+                    offsets.append(off)
+                    stack.append((ids[side], path + [(split, 1.0)]))
+                    stack.append((ids[~side], path + [(split, -1.0)]))
+                    continue
+            item_leaf[t, ids] = len(paths)
+            paths.append(path)
+    depth = max(1, *map(len, paths))
+    padded = np.array([path + [(len(offsets), 1.0)] * (depth - len(path)) for path in paths])
+    splits, sides = np.ascontiguousarray(padded.T)
+    return Forest(
+        normals=np.vstack(normals + [np.zeros(x.shape[1])]),
+        offsets=np.array(offsets + [-np.inf]),
+        item_leaf=item_leaf,
+        paths=splits.astype(np.intp),
+        sides=sides,
+    )
+
+
+def assert_forests_equal(got, want):
+    for name in ("normals", "offsets", "item_leaf", "paths", "sides"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def forest(index):
@@ -253,6 +304,27 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(np.zeros((3, 0)), IndexConfig())
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 80),
+        dim=st.integers(1, 6),
+        n_trees=st.integers(1, 4),
+        leaf_capacity=st.integers(2, 8),
+        ints=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_forest_equals_oracle_grower(self, n, dim, n_trees, leaf_capacity, ints, seed):
+        rng = np.random.default_rng(seed)
+        items = rng.integers(-2, 3, size=(n, dim)) if ints else rng.normal(size=(n, dim))
+        idx = build(items, IndexConfig(n_trees=n_trees, leaf_capacity=leaf_capacity, seed=seed % 7))
+        assert_forests_equal(idx.forest, grow_forest_oracle(idx.rows.values, idx.config))
+
+    def test_forest_equals_oracle_grower_at_desk_vga_shape(self):
+        # 300 embedded items of dimension 256, 20 trees of leaf capacity 16
+        rng = np.random.default_rng(15)
+        idx = build(rng.normal(size=(300, 256)), IndexConfig(n_trees=20, leaf_capacity=16, seed=3))
+        assert_forests_equal(idx.forest, grow_forest_oracle(idx.rows.values, idx.config))
+
     def test_cosine_stores_unit_rows(self):
         items = np.array([[3.0, 4.0], [0.0, 2.0]])
         idx = build(items, IndexConfig(n_trees=1, metric="cosine"))
@@ -351,6 +423,21 @@ class TestQuery:
         # items 0 and 2 both point along x; magnitude must not matter
         assert set(res.ids[:2]) == {0, 2}
         assert res.ids[2] == 1
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 1e-200])
+    def test_cosine_query_ranks_alike_at_any_scale(self, scale):
+        # |q|^2 overflows to inf or underflows to 0 at these scales; the query
+        # must still rank by angle, not as if asked from the origin
+        rng = np.random.default_rng(16)
+        items = rng.normal(size=(40, 4))
+        idx = build(items, IndexConfig(n_trees=3, leaf_capacity=4, seed=1, metric="cosine"))
+        want = query(idx, items[3], k=5, search_k=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = query(idx, items[3] * scale, k=5, search_k=40)
+        assert got.ids[0] == 3
+        assert got.ids == want.ids
+        assert got.distances == pytest.approx(want.distances, abs=1e-6)
 
     def test_recall_reasonable_on_clustered_data(self):
         rng = np.random.default_rng(10)
@@ -461,13 +548,12 @@ class TestExactScan:
 def rerank_cases(draw):
     """An index and a query meant to stress the certified filter: tied and
     near-tied distances, duplicate and zero rows, and queries that are items,
-    zero, or so large that |q|^2 overflows."""
+    zero, or so large or small that |q|^2 overflows or underflows."""
     n = draw(st.integers(1, 48), label="n")
     dim = draw(st.integers(1, 8), label="dim")
     rows = draw(st.sampled_from(["ints", "normal", "permutations"]), label="rows")
     metric = draw(st.sampled_from(METRICS), label="metric")
-    # a cosine query is scaled to unit length first, so only a euclidean one overflows
-    kinds = ["item", "ints", "normal", "uniform", "zero"] + ["huge"] * (metric == "euclidean")
+    kinds = ["item", "ints", "normal", "uniform", "zero", "huge", "tiny"]
     kinds += ["uniform"] * 4 * (rows == "permutations")  # the query permuted rows tie against
     q_kind = draw(st.sampled_from(kinds), label="query")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -493,8 +579,10 @@ def rerank_cases(draw):
         q = np.full(dim, rng.normal())
     elif q_kind == "zero":
         q = np.zeros(dim)
-    else:
+    elif q_kind == "huge":
         q = rng.normal(size=dim) * 1e160
+    else:
+        q = rng.normal(size=dim) * 1e-170
     cfg = IndexConfig(
         n_trees=draw(st.integers(1, 4)),
         leaf_capacity=draw(st.integers(2, 8)),

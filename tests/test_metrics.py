@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coseg.annindex import RetrievalResult
 from coseg.geometry import BoundingBox
 from coseg.metrics import (
+    BoxTruth,
     ClassMetrics,
     MetricsReport,
     evaluate,
@@ -245,6 +248,71 @@ class TestEvaluate:
         )
         assert report.to_json() == want.to_json()
         assert 0 < len(want.empty_segmentations) < 30
+
+
+@st.composite
+def boxes_around(draw, width, height):
+    """A box inside, across or wholly outside a width x height frame."""
+    return BoundingBox(
+        draw(st.integers(-width - 4, width + 4)),
+        draw(st.integers(-height - 4, height + 4)),
+        draw(st.integers(1, width + 8)),
+        draw(st.integers(1, height + 8)),
+    )
+
+
+@st.composite
+def box_truth_cases(draw):
+    """Items over a few images of random frame sizes, each image with a
+    ground-truth box or none, and every box anywhere around its frame."""
+    frames = []
+    for _ in range(draw(st.integers(1, 4))):
+        width, height = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+        frames.append((width, height, draw(st.none() | boxes_around(width, height))))
+    boxes, on, classes = {}, {}, {}
+    for i in range(draw(st.integers(1, 24))):
+        item = f"i{i}"
+        on[item] = draw(st.integers(0, len(frames) - 1))
+        width, height, _ = frames[on[item]]
+        boxes[item] = draw(boxes_around(width, height))
+        classes[item] = draw(st.sampled_from(["mug", "cup", "jar"]))
+    return frames, boxes, on, classes
+
+
+class TestBoxTruth:
+    """Ground-truth boxes scored by area give the report that drawing them
+    into full-frame masks gives, as the evaluate stage once did: the drawn
+    masks are the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=box_truth_cases())
+    def test_areas_equal_drawn_masks(self, case):
+        frames, boxes, on, classes = case
+        truths = [None if t is None else BoxTruth(t, w, h) for w, h, t in frames]
+        masks = [None if t is None else drawn((t.height, t.width), t.box) for t in truths]
+        groups = [group("i0", list(boxes)[1:] + ["unknown"])]
+        got = evaluate(groups, boxes, {i: truths[on[i]] for i in boxes}, classes)
+        want = evaluate(groups, boxes, {i: masks[on[i]] for i in boxes}, classes)
+        assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("truth, item, scores", [
+        # ground truth clipped to nothing: every pixel of the box is a miss
+        (BoundingBox(10, 0, 3, 3), BoundingBox(0, 0, 2, 2), (0.0, 0.0)),
+        # no overlap inside the frame
+        (BoundingBox(0, 0, 2, 2), BoundingBox(3, 3, 2, 2), (0.0, 0.0)),
+        # the item wholly outside the frame: an empty segmentation
+        (BoundingBox(0, 0, 2, 2), BoundingBox(-5, 0, 2, 2), (0.0, 0.0)),
+        # both cut by the frame's corner to the same 2x2 pixels
+        (BoundingBox(-3, -3, 5, 5), BoundingBox(-1, -1, 3, 3), (1.0, 1.0)),
+        # a 2x2 box across a 3x3 truth: 4 of 4 pixels, 4 of 9
+        (BoundingBox(1, 1, 3, 3), BoundingBox(2, 2, 2, 2), (1.0, 4 / 9)),
+    ])
+    def test_cases_by_hand(self, truth, item, scores):
+        frame = BoxTruth(truth, 5, 4)
+        report = evaluate([group("a", [])], {"a": item}, {"a": frame}, {"a": "k"})
+        assert (report.avg_precision, report.avg_jaccard) == scores
+        want = evaluate([group("a", [])], {"a": item}, {"a": drawn((4, 5), truth)}, {"a": "k"})
+        assert report.to_json() == want.to_json()
 
 
 class TestReportSerialization:

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from coseg import pnm
 from coseg.errors import BadMagicError, DecodeError, TruncatedError
 from coseg.pnm import (
     read_image,
@@ -128,3 +131,63 @@ class TestPgmPpm:
         img = read_pgm(path)
         img[0, 0] = 9  # must be writable
         assert img[0, 0] == 9
+
+
+class TestOneCopyRead:
+    """PGM/PPM readers parse the header from the file's first block and read
+    the raster straight into the array they return."""
+
+    @pytest.mark.parametrize("comment", [100, pnm._HEAD_BLOCK, 3 * pnm._HEAD_BLOCK + 7])
+    def test_header_longer_than_first_block(self, tmp_path, comment):
+        rng = np.random.default_rng(comment)
+        img = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
+        path = tmp_path / "c.ppm"
+        path.write_bytes(b"P6\n# " + b"x" * comment + b"\n7 # " + b"y" * comment + b"\n5\n255\n" + img.tobytes())
+        assert path.stat().st_size > comment * 2
+        assert np.array_equal(read_ppm(path), img)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (480, 640, 3), (64, 64)])
+    def test_raster_one_byte_short(self, tmp_path, shape):
+        img = np.zeros(shape, dtype=np.uint8)
+        path = tmp_path / "i.pnm"
+        (write_ppm if len(shape) == 3 else write_pgm)(path, img)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(TruncatedError):
+            read_image(path)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (480, 640, 3), (64, 64)])
+    def test_trailing_bytes_accepted(self, tmp_path, shape):
+        rng = np.random.default_rng(3)
+        img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        path = tmp_path / "i.pnm"
+        (write_ppm if len(shape) == 3 else write_pgm)(path, img)
+        with open(path, "ab") as fh:
+            fh.write(b"trailing bytes")
+        assert np.array_equal(read_image(path), img)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (480, 640, 3), (3, 1)])
+    def test_result_owns_writable_memory(self, tmp_path, shape):
+        path = tmp_path / "i.pnm"
+        (write_ppm if len(shape) == 3 else write_pgm)(path, np.full(shape, 7, dtype=np.uint8))
+        img = read_image(path)
+        assert img.flags.owndata and img.flags.writeable and img.flags.c_contiguous
+        assert img.base is None
+        img[...] = 9
+        assert (img == 9).all()
+
+    def test_huge_declared_size_is_truncated_not_allocated(self, tmp_path):
+        path = tmp_path / "g.pgm"
+        path.write_bytes(b"P5\n99999999999 99999999999\n255\n\x00")
+        with pytest.raises(TruncatedError):
+            read_pgm(path)
+
+    def test_file_shorter_than_its_size_raises(self, tmp_path, monkeypatch):
+        # a size that overstates what a read returns must not leave the
+        # raster's tail uninitialised
+        path = tmp_path / "g.pgm"
+        write_pgm(path, np.zeros((40, 40), dtype=np.uint8))
+        full = os.stat(path)
+        path.write_bytes(path.read_bytes()[:-1])
+        monkeypatch.setattr(pnm.os, "fstat", lambda fd: full)
+        with pytest.raises(TruncatedError):
+            read_pgm(path)
