@@ -46,14 +46,10 @@ class IndexConfig:
     metric: str = "euclidean"
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.search_k < 1:
-            raise ConfigError(f"search_k must be >= 1, got {self.search_k}")
-        if self.leaf_capacity < 2:
-            raise ConfigError(f"leaf_capacity must be >= 2, got {self.leaf_capacity}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        for name, (low, bits) in FIELD_BOUNDS.items():
+            value = getattr(self, name)
+            if not low <= value < 2**bits:
+                raise ConfigError(f"{name} must be >= {low} and < 2**{bits}, got {value}")
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
@@ -340,6 +336,11 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     order = np.argsort(dists, kind="stable")[:k]
     return RetrievalResult([(int(ids[i]), float(dists[i])) for i in order])
+
+
+# IndexConfig's integer fields: (least value, bits). save() writes each as an
+# unsigned integer of that many bits, so it must also be below 2**bits.
+FIELD_BOUNDS = {"n_trees": (1, 32), "search_k": (1, 32), "leaf_capacity": (2, 32), "seed": (0, 64)}
 
 
 def save(index: AnnIndex) -> bytes:

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .errors import ConfigError, StageError
-from .pipeline import DEFAULTS, STAGE_NAMES, load_config, merge_config, run_pipeline, run_stage
+from .pipeline import KEYS, STAGE_NAMES, load_config, merge_config, run_pipeline, run_stage
 
 _STAGE_HELP = {
     "ingest": "reduce proposals per image and crop patch descriptors",
@@ -22,7 +22,7 @@ _STAGE_HELP = {
     "embed": "embed test-split descriptors with the trained encoder",
     "index": "build the nearest-neighbor index over test embeddings",
     "retrieve": "query the index for each item's similarity group",
-    "evaluate": "score proposal boxes against ground-truth masks and write the report",
+    "evaluate": "score proposal boxes against ground-truth boxes or masks and write the report",
     "collage": "render summary collages for the retrieved groups",
     "pipeline": "run every stage in order",
 }
@@ -37,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in (*STAGE_NAMES, "pipeline"):
         p = sub.add_parser(name, help=_STAGE_HELP[name])
         p.add_argument("--config", metavar="FILE", help="key=value config file")
-        for key in DEFAULTS:
-            default = DEFAULTS[key] or "unset"
+        for key, spec in KEYS.items():
+            default = spec.default or "unset"
             p.add_argument(
                 f"--{key}",
                 dest=key,
@@ -60,7 +60,7 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
     cli_layer = {
         key: value
         for key, value in vars(args).items()
-        if key in DEFAULTS and value is not None
+        if key in KEYS and value is not None
     }
     env_layer: dict[str, str] = {}
     env_seed = os.environ.get("COSEG_SEED")

@@ -23,7 +23,7 @@ from ._binio import Reader, pack_u32
 MODEL_MAGIC = b"CSGM"
 MODEL_VERSION = 1
 
-_MINING_MODES = ("random", "aggressive")
+MINING_MODES = ("random", "aggressive")
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,8 @@ class TrainConfig:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.mining not in _MINING_MODES:
-            raise ConfigError(f"mining must be one of {_MINING_MODES}, got {self.mining!r}")
+        if self.mining not in MINING_MODES:
+            raise ConfigError(f"mining must be one of {MINING_MODES}, got {self.mining!r}")
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
         if len(self.layer_sizes) == 0 or any(s < 1 for s in self.layer_sizes):
             raise ConfigError(f"layer_sizes must be positive integers, got {self.layer_sizes}")

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import os
 import shutil
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
-from .annindex import IndexConfig, build
+from .annindex import FIELD_BOUNDS, METRICS, IndexConfig, build
 from .annindex import load_file as load_index_file
 from .annindex import save_file as save_index_file
 from .collage import CollageItem, CollageSpec, make_collage
@@ -29,6 +31,7 @@ from .descriptors import (
     save_descriptors_file,
 )
 from .embedder import (
+    MINING_MODES,
     LabeledDescriptors,
     TrainConfig,
     load_model_file,
@@ -61,40 +64,76 @@ ITEMS_FIELDS = [
     "x", "y", "w", "h", "score", "source", "img_w", "img_h",
 ]
 
-# config keys with their defaults; values are kept as strings until a stage
-# parses them
-DEFAULTS = {
-    "seed": "0",
-    "data.manifest": "",
-    "data.proposals": "",
-    "data.out_dir": "",
-    "split.resplit": "false",
-    "split.train_fraction": "0.8",
-    "ingest.dedup_threshold": "0.95",
-    "ingest.nms_threshold": "0.7",
-    "ingest.top_k": "10",
-    "train.lr": "0.01",
-    "train.momentum": "0.9",
-    "train.batch_size": "128",
-    "train.margin": "1.0",
-    "train.iterations": "100000",
-    "train.mining": "aggressive",
-    "train.layers": "128,256",
-    "train.pool_factor": "10",
-    "train.classical_hinge": "false",
-    "index.n_trees": "350",
-    "index.search_k": "50",
-    "index.leaf_capacity": "16",
-    "index.metric": "euclidean",
-    "retrieve.k": "10",
-    "retrieve.search_k": "50",
-    "retrieve.iou_filter": "0.5",
-    "collage.background": "135,206,235",
-    "collage.limit": "8",
-}
-
 # ---------------------------------------------------------------------------
 # config
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its default string, the parser that types a value, and
+    the rule the typed value must meet, in words and as a predicate."""
+
+    default: str
+    parse: Callable[[str], Any]
+    rule: str
+    ok: Callable[[Any], bool] = lambda value: True
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(","))
+
+
+def _path(raw: str) -> Path:
+    if not raw:
+        raise ValueError("unset")
+    return Path(raw)
+
+
+def _int(default: str, low: int, bits: int | None = None) -> Key:
+    """An integer >= low, and < 2**bits when bits is given."""
+    if bits is None:
+        return Key(default, int, f">= {low}", lambda v: v >= low)
+    return Key(default, int, f">= {low} and < 2**{bits}", lambda v: low <= v < 2**bits)
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_FLAG = Key("false", lambda raw: _BOOLS[raw.lower()], "true or false")
+_PATH = Key("", _path, "set")
+
+# Every config key in one place. DEFAULTS, the unknown-key checks and the CLI
+# flags derive from it; parse_config types and checks values by it.
+KEYS: dict[str, Key] = {
+    "seed": _int("0", *FIELD_BOUNDS["seed"]),
+    "data.manifest": _PATH,
+    "data.proposals": _PATH,
+    "data.out_dir": _PATH,
+    "split.resplit": _FLAG,
+    "split.train_fraction": Key("0.8", float, "in (0, 1)", lambda v: 0 < v < 1),
+    "ingest.dedup_threshold": Key("0.95", float, "in (0, 1]", lambda v: 0 < v <= 1),
+    "ingest.nms_threshold": Key("0.7", float, "in (0, 1]", lambda v: 0 < v <= 1),
+    "ingest.top_k": _int("10", 1),
+    "train.lr": Key("0.01", float, "finite and > 0", lambda v: 0 < v < math.inf),
+    "train.momentum": Key("0.9", float, "in [0, 1)", lambda v: 0 <= v < 1),
+    "train.batch_size": _int("128", 1),
+    "train.margin": Key("1.0", float, "finite and > 0", lambda v: 0 < v < math.inf),
+    "train.iterations": _int("100000", 0),
+    "train.mining": Key("aggressive", str, "one of " + ", ".join(MINING_MODES), MINING_MODES.__contains__),
+    "train.layers": Key("128,256", _ints, "comma-separated integers >= 1", lambda v: min(v) >= 1),
+    "train.pool_factor": _int("10", 1),
+    "train.classical_hinge": _FLAG,
+    "index.n_trees": _int("350", *FIELD_BOUNDS["n_trees"]),
+    "index.search_k": _int("50", *FIELD_BOUNDS["search_k"]),
+    "index.leaf_capacity": _int("16", *FIELD_BOUNDS["leaf_capacity"]),
+    "index.metric": Key("euclidean", str, "one of " + ", ".join(METRICS), METRICS.__contains__),
+    "retrieve.k": _int("10", 1),
+    "retrieve.search_k": _int("50", 1),
+    "retrieve.iou_filter": Key("0.5", float, "in [0, 1]", lambda v: 0 <= v <= 1),
+    "collage.background": Key("135,206,235", _ints, "three comma-separated integers in [0, 255]",
+                              lambda v: len(v) == 3 and all(0 <= c <= 255 for c in v)),
+    "collage.limit": _int("8", 0),
+}
+
+DEFAULTS = {key: spec.default for key, spec in KEYS.items()}
 
 
 def load_config(path) -> dict[str, str]:
@@ -110,7 +149,7 @@ def load_config(path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in DEFAULTS:
+        if key not in KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         cfg[key] = value.strip()
     return cfg
@@ -121,51 +160,28 @@ def merge_config(*layers: dict[str, str]) -> dict[str, str]:
     cfg = dict(DEFAULTS)
     for layer in layers:
         for key, value in layer.items():
-            if key not in DEFAULTS:
+            if key not in KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             cfg[key] = value
     return cfg
 
 
-def _cfg_int(cfg: dict[str, str], key: str) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}") from None
-
-
-def _cfg_float(cfg: dict[str, str], key: str) -> float:
-    try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from None
-
-
-def _cfg_check(cfg: dict[str, str], key: str, ok: bool, rule: str) -> None:
-    if not ok:
-        raise ConfigError(f"{key} must be {rule}, got {cfg[key]!r}")
-
-
-def _cfg_bool(cfg: dict[str, str], key: str) -> bool:
-    value = cfg[key].lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key} must be true or false, got {cfg[key]!r}")
-
-
-def _cfg_path(cfg: dict[str, str], key: str) -> Path:
-    if not cfg[key]:
-        raise ConfigError(f"{key} is required but not set")
-    return Path(cfg[key])
-
-
-def _cfg_int_tuple(cfg: dict[str, str], key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in cfg[key].split(","))
-    except ValueError:
-        raise ConfigError(f"{key} must be comma-separated integers, got {cfg[key]!r}") from None
+def parse_config(cfg: dict[str, str]) -> dict[str, Any]:
+    """Each value typed by its KEYS row; ConfigError names the first value
+    that does not parse or breaks its key's rule."""
+    typed: dict[str, Any] = {}
+    for key, raw in cfg.items():
+        if key not in KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        spec = KEYS[key]
+        try:
+            typed[key] = spec.parse(raw)
+            ok = spec.ok(typed[key])
+        except (KeyError, ValueError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key} must be {spec.rule}, got {raw!r}")
+    return typed
 
 
 # ---------------------------------------------------------------------------
@@ -433,28 +449,19 @@ def _resolve_paths(record: ManifestRecord, base: Path) -> ManifestRecord:
     )
 
 
-def stage_ingest(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+def stage_ingest(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     """Later stages read images and masks through manifest_used.csv, whose
     paths are resolved here, against the manifest's directory."""
-    seed = _cfg_int(cfg, "seed")
-    _cfg_check(cfg, "seed", seed >= 0, ">= 0")
-    fraction = _cfg_float(cfg, "split.train_fraction")
-    _cfg_check(cfg, "split.train_fraction", 0.0 < fraction < 1.0, "in (0, 1)")
-    dedup_threshold = _cfg_float(cfg, "ingest.dedup_threshold")
-    _cfg_check(cfg, "ingest.dedup_threshold", 0.0 < dedup_threshold <= 1.0, "in (0, 1]")
-    nms_threshold = _cfg_float(cfg, "ingest.nms_threshold")
-    _cfg_check(cfg, "ingest.nms_threshold", 0.0 < nms_threshold <= 1.0, "in (0, 1]")
-    keep_top = _cfg_int(cfg, "ingest.top_k")
-    _cfg_check(cfg, "ingest.top_k", keep_top >= 1, ">= 1")
-    manifest_path = _cfg_path(cfg, "data.manifest")
+    manifest_path = cfg["data.manifest"]
     manifest = [_resolve_paths(r, manifest_path.parent) for r in load_manifest(manifest_path)]
-    if _cfg_bool(cfg, "split.resplit"):
-        train_recs, test_recs = split_dataset(manifest, fraction, seed)
+    if cfg["split.resplit"]:
+        train_recs, test_recs = split_dataset(manifest, cfg["split.train_fraction"], cfg["seed"])
         by_id = {r.item_id: r for r in train_recs + test_recs}
         manifest = [by_id[r.item_id] for r in manifest]
     save_manifest(manifest, outputs["manifest_used.csv"])
-    proposals = load_proposals(_cfg_path(cfg, "data.proposals"))
-    result = ingest(manifest, proposals, dedup_threshold, nms_threshold, keep_top)
+    proposals = load_proposals(cfg["data.proposals"])
+    result = ingest(manifest, proposals, cfg["ingest.dedup_threshold"],
+                    cfg["ingest.nms_threshold"], cfg["ingest.top_k"])
     save_items(result.items, outputs["items.csv"])
     for split in SPLITS:
         sel = [i for i, it in enumerate(result.items) if it.split == split]
@@ -462,18 +469,18 @@ def stage_ingest(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str
         save_descriptors_file(ids, result.vectors[sel], outputs[f"desc_{split}.csgd"])
 
 
-def stage_train(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+def stage_train(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     tc = TrainConfig(
-        learning_rate=_cfg_float(cfg, "train.lr"),
-        momentum=_cfg_float(cfg, "train.momentum"),
-        batch_size=_cfg_int(cfg, "train.batch_size"),
-        margin=_cfg_float(cfg, "train.margin"),
-        iterations=_cfg_int(cfg, "train.iterations"),
-        seed=_cfg_int(cfg, "seed"),
+        learning_rate=cfg["train.lr"],
+        momentum=cfg["train.momentum"],
+        batch_size=cfg["train.batch_size"],
+        margin=cfg["train.margin"],
+        iterations=cfg["train.iterations"],
+        seed=cfg["seed"],
         mining=cfg["train.mining"],
-        layer_sizes=_cfg_int_tuple(cfg, "train.layers"),
-        pool_factor=_cfg_int(cfg, "train.pool_factor"),
-        classical_hinge=_cfg_bool(cfg, "train.classical_hinge"),
+        layer_sizes=cfg["train.layers"],
+        pool_factor=cfg["train.pool_factor"],
+        classical_hinge=cfg["train.classical_hinge"],
     )
     ids, vectors = load_descriptors_file(inputs["desc_train.csgd"])
     items = {it.item_id: it for it in load_items(inputs["items.csv"])}
@@ -486,44 +493,39 @@ def stage_train(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str,
             fh.write(f"{i},{loss!r}\n")
 
 
-def stage_embed(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+def stage_embed(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     params = load_model_file(inputs["model.csgm"])
     ids, vectors = load_descriptors_file(inputs["desc_test.csgd"])
     embeddings = embed_all(params, vectors)
     save_descriptors_file(ids, embeddings.astype(np.float32), outputs["emb_test.csgd"])
 
 
-def stage_index(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+def stage_index(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     ic = IndexConfig(
-        n_trees=_cfg_int(cfg, "index.n_trees"),
-        search_k=_cfg_int(cfg, "index.search_k"),
-        leaf_capacity=_cfg_int(cfg, "index.leaf_capacity"),
-        seed=_cfg_int(cfg, "seed"),
+        n_trees=cfg["index.n_trees"],
+        search_k=cfg["index.search_k"],
+        leaf_capacity=cfg["index.leaf_capacity"],
+        seed=cfg["seed"],
         metric=cfg["index.metric"],
     )
     _, embeddings = load_descriptors_file(inputs["emb_test.csgd"])
     save_index_file(build(embeddings, ic), outputs["index.csgi"])
 
 
-def stage_retrieve(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
-    threshold = _cfg_float(cfg, "retrieve.iou_filter")
-    _cfg_check(cfg, "retrieve.iou_filter", 0.0 <= threshold <= 1.0, "in [0, 1]")
-    k = _cfg_int(cfg, "retrieve.k")
-    _cfg_check(cfg, "retrieve.k", k >= 1, ">= 1")
-    search_k = _cfg_int(cfg, "retrieve.search_k")
-    _cfg_check(cfg, "retrieve.search_k", search_k >= 1, ">= 1")
+def stage_retrieve(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     index = load_index_file(inputs["index.csgi"])
     ids, embeddings = load_descriptors_file(inputs["emb_test.csgd"])
     items = {it.item_id: it for it in load_items(inputs["items.csv"])}
     hints = {i: items[i].class_name for i in ids if i in items}
     groups = retrieve_similar(
-        index, embeddings, k=k, search_k=search_k, ids=ids, class_hints=hints
+        index, embeddings, k=cfg["retrieve.k"], search_k=cfg["retrieve.search_k"],
+        ids=ids, class_hints=hints,
     )
     manifest = load_manifest(inputs["manifest_used.csv"])
     gt_boxes = {r.item_id: r.gt_box for r in manifest if r.gt_box is not None}
-    if gt_boxes and threshold > 0:
+    if gt_boxes and cfg["retrieve.iou_filter"] > 0:
         proposals = {i: items[i].proposal for i in items}
-        groups = [filter_candidates(g, proposals, gt_boxes, threshold) for g in groups]
+        groups = [filter_candidates(g, proposals, gt_boxes, cfg["retrieve.iou_filter"]) for g in groups]
     save_groups(groups, outputs["groups.jsonl"])
 
 
@@ -542,7 +544,7 @@ def _ground_truth(
     return BoxTruth(record.gt_box, img_w, img_h)
 
 
-def stage_evaluate(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+def stage_evaluate(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     groups = load_groups(inputs["groups.jsonl"])
     items = load_items(inputs["items.csv"])
     manifest = {r.item_id: r for r in load_manifest(inputs["manifest_used.csv"])}
@@ -561,14 +563,8 @@ def _safe_name(item_id: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in item_id)
 
 
-def stage_collage(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
-    background = _cfg_int_tuple(cfg, "collage.background")
-    try:
-        spec = CollageSpec(background=background)
-    except ValueError as exc:
-        raise ConfigError(f"collage.background: {exc}") from None
-    limit = _cfg_int(cfg, "collage.limit")
-    _cfg_check(cfg, "collage.limit", limit >= 0, ">= 0")
+def stage_collage(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+    spec = CollageSpec(background=cfg["collage.background"])
     groups = load_groups(inputs["groups.jsonl"])
     items = {it.item_id: it for it in load_items(inputs["items.csv"])}
     manifest = {r.item_id: r for r in load_manifest(inputs["manifest_used.csv"])}
@@ -577,7 +573,7 @@ def stage_collage(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[st
     image_cache: dict[str, np.ndarray] = {}
     rendered: dict[str, str] = {}  # collage file name -> its group's anchor
 
-    for group in groups[:limit]:
+    for group in groups[:cfg["collage.limit"]]:
         collage_items: list[CollageItem] = []
         for member_id, dist in group.members.neighbors[:10]:
             it = items.get(member_id)
@@ -610,11 +606,11 @@ def stage_collage(cfg: dict[str, str], inputs: dict[str, Path], outputs: dict[st
 @dataclass(frozen=True)
 class Stage:
     """One row of STAGES. A stage's name is its config namespace: run gets
-    the keys under that prefix plus those in shared (a key such as seed, or
-    a namespace such as split), and {artifact: path} maps for reads and
-    writes, names under data.out_dir; a directory (collages) is one artifact."""
+    the typed keys under that prefix plus those in shared (a key such as
+    seed, or a namespace such as split), and {artifact: path} maps for reads
+    and writes, names under data.out_dir; a directory (collages) is one artifact."""
 
-    run: Callable[[dict[str, str], dict[str, Path], dict[str, Path]], None]
+    run: Callable[[dict[str, Any], dict[str, Path], dict[str, Path]], None]
     reads: tuple[str, ...]
     writes: tuple[str, ...]
     shared: tuple[str, ...] = ()
@@ -644,7 +640,8 @@ def run_stage(name: str, cfg: dict[str, str]) -> float:
     """Run one stage and commit its outputs; returns its wall time.
 
     The only code that knows data.out_dir. The stage gets the config keys
-    its STAGES row grants, its inputs as paths under data.out_dir and its
+    its STAGES row grants, typed and checked by parse_config before anything
+    is read or written, its inputs as paths under data.out_dir and its
     outputs as paths in a staging directory there, so an undeclared key or
     artifact, or an undeclared file left in staging, fails it. Each output
     then replaces its predecessor by os.replace; an old directory is moved
@@ -659,10 +656,10 @@ def run_stage(name: str, cfg: dict[str, str]) -> float:
     if stage is None:
         raise ConfigError(f"unknown stage {name!r} (expected one of {STAGE_NAMES})")
     start = time.perf_counter()
-    out = _cfg_path(cfg, "data.out_dir")
+    out = parse_config({"data.out_dir": cfg["data.out_dir"]})["data.out_dir"]
     staging = out / ".staging"  # inside data.out_dir, so os.replace never crosses file systems
     scope = {name, *stage.shared}
-    view = {k: v for k, v in cfg.items() if k in scope or k.partition(".")[0] in scope}
+    view = parse_config({k: v for k, v in cfg.items() if k in scope or k.partition(".")[0] in scope})
     try:
         shutil.rmtree(staging, ignore_errors=True)
         staging.mkdir(parents=True)
@@ -674,8 +671,6 @@ def run_stage(name: str, cfg: dict[str, str]) -> float:
             if (out / artifact).is_dir():  # rename cannot replace a non-empty directory
                 os.replace(out / artifact, staging / ".old")
             os.replace(staging / artifact, out / artifact)
-    except ConfigError:
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
     finally:
@@ -686,9 +681,11 @@ def run_stage(name: str, cfg: dict[str, str]) -> float:
 def run_pipeline(cfg: dict[str, str]) -> dict[str, float]:
     """Run every stage in order; returns stage -> wall time in seconds.
 
-    A failing stage aborts the run; artifacts written by earlier stages stay
-    on disk.
+    The whole config is checked first, so a bad value stops the run before
+    any stage reads or writes. A failing stage aborts the run; artifacts
+    written by earlier stages stay on disk.
     """
+    parse_config(cfg)
     timings: dict[str, float] = {}
     for name in STAGE_NAMES:
         timings[name] = run_stage(name, cfg)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coseg import annindex
 from coseg.annindex import (
+    FIELD_BOUNDS,
     METRICS,
     AnnIndex,
     Forest,
@@ -179,6 +180,10 @@ class TestIndexConfig:
             {"leaf_capacity": 1},
             {"seed": -1},
             {"metric": "manhattan"},
+            {"n_trees": 2**32},
+            {"search_k": 2**32},
+            {"leaf_capacity": 2**32},
+            {"seed": 2**64},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -766,6 +771,11 @@ class TestSerialization:
         assert int.from_bytes(data[8:12], "little") == 1  # n_trees
         assert int.from_bytes(data[12:16], "little") == 7  # search_k
         assert int.from_bytes(data[16:20], "little") == 3  # leaf_capacity
+
+    def test_largest_config_round_trips(self):
+        top = IndexConfig(**{name: 2**bits - 1 for name, (_, bits) in FIELD_BOUNDS.items()})
+        idx = AnnIndex(top, np.eye(2, dtype=np.float32))
+        assert load(save(idx)).config == top
 
     def test_bad_magic(self):
         data = save(self.build_sample())

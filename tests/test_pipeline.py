@@ -24,7 +24,9 @@ from coseg.geometry import (
 import coseg.pipeline
 from coseg.pipeline import (
     DEFAULTS,
+    KEYS,
     ItemRecord,
+    Key,
     ManifestRecord,
     STAGE_NAMES,
     STAGES,
@@ -34,6 +36,7 @@ from coseg.pipeline import (
     load_items,
     load_manifest,
     merge_config,
+    parse_config,
     run_pipeline,
     run_stage,
     save_items,
@@ -73,6 +76,11 @@ def pipeline_run(tmp_path_factory):
     )
     timings = run_pipeline(cfg)
     return root, out, cfg, timings
+
+
+def flags(cfg: dict[str, str]) -> list[str]:
+    """cfg as command-line flags."""
+    return [arg for key, value in cfg.items() for arg in (f"--{key}", value)]
 
 
 def fresh_copy(pipeline_run, tmp_path):
@@ -611,7 +619,8 @@ class TestStageTable:
             for path in outputs.values():
                 path.touch()
 
-        cfg = merge_config({"data.out_dir": str(tmp_path)})
+        # every value must pass its KEYS rule, so the data paths are set
+        cfg = merge_config({"data.out_dir": str(tmp_path), "data.manifest": "m", "data.proposals": "p"})
         for name, stage in STAGES.items():
             monkeypatch.setitem(STAGES, name, replace(stage, run=record, reads=()))
             run_stage(name, cfg)
@@ -626,10 +635,11 @@ class TestStageTable:
         (tmp_path / "a.txt").write_text("a", encoding="utf-8")
 
         def copy(cfg, inputs, outputs):
-            text = inputs["a.txt"].read_text(encoding="utf-8") + cfg["seed"] + cfg["stub.x"]
+            text = inputs["a.txt"].read_text(encoding="utf-8") + str(cfg["seed"]) + cfg["stub.x"]
             outputs["b.txt"].write_text(text, encoding="utf-8")
 
         monkeypatch.setitem(STAGES, "stub", Stage(copy, ("a.txt",), ("b.txt",), ("seed",)))
+        monkeypatch.setitem(KEYS, "stub.x", Key("", str, "any string"))
         run_stage("stub", {"data.out_dir": str(tmp_path), "seed": "1", "stub.x": "2"})
         assert (tmp_path / "b.txt").read_text(encoding="utf-8") == "a12"
         assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
@@ -650,6 +660,74 @@ class TestStageTable:
         assert exc_info.value.stage == "stub"
         assert sorted(os.listdir(tmp_path)) == ["b.txt"]
         assert (tmp_path / "b.txt").read_text(encoding="utf-8") == "old"
+
+
+# One rejected value for every KEYS rule and every parser, each with the
+# stage that reads the key. No stage input exists, so a stage that read
+# anything before checking its config would exit 1, not 2.
+REJECTED = [
+    ("ingest", "seed", "-1"),
+    ("index", "seed", str(2**64)),
+    ("ingest", "data.manifest", ""),
+    ("ingest", "data.proposals", ""),
+    ("train", "data.out_dir", ""),
+    ("ingest", "split.resplit", "maybe"),
+    ("ingest", "split.train_fraction", "0"),
+    ("ingest", "ingest.dedup_threshold", "1.5"),
+    ("ingest", "ingest.nms_threshold", "0"),
+    ("ingest", "ingest.top_k", "many"),
+    ("train", "train.lr", "0"),
+    ("train", "train.lr", "inf"),
+    ("train", "train.lr", "abc"),
+    ("train", "train.momentum", "1"),
+    ("train", "train.batch_size", "0"),
+    ("train", "train.margin", "nan"),
+    ("train", "train.iterations", "-1"),
+    ("train", "train.mining", "hardest"),
+    ("train", "train.layers", "64,0"),
+    ("train", "train.layers", "64,x"),
+    ("train", "train.pool_factor", "0"),
+    ("train", "train.classical_hinge", "2"),
+    ("index", "index.n_trees", str(2**32)),
+    ("index", "index.search_k", "0"),
+    ("index", "index.search_k", str(2**32)),
+    ("index", "index.leaf_capacity", "1"),
+    ("index", "index.leaf_capacity", str(2**32)),
+    ("index", "index.metric", "Euclidean"),
+    ("retrieve", "retrieve.k", "1.5"),
+    ("retrieve", "retrieve.search_k", "0"),
+    ("retrieve", "retrieve.iou_filter", "nan"),
+    ("collage", "collage.background", "1,2"),
+    ("collage", "collage.limit", "-1"),
+]
+
+
+class TestKeys:
+    def test_every_key_has_a_rejected_value(self):
+        assert {key for _, key, _ in REJECTED} == set(KEYS)
+
+    def test_defaults_pass_their_rules(self):
+        parsed = parse_config({**DEFAULTS, "data.manifest": "m", "data.proposals": "p", "data.out_dir": "o"})
+        assert parsed["train.layers"] == (128, 256)
+        assert parsed["split.resplit"] is False
+
+    @pytest.mark.parametrize("raw,value", [("true", True), ("YES", True), ("1", True), ("no", False), ("False", False)])
+    def test_bool_spellings(self, raw, value):
+        assert parse_config({"split.resplit": raw}) == {"split.resplit": value}
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config key 'train.optimizer'"):
+            parse_config({"train.optimizer": "adam"})
+
+    def test_readme_table_lists_keys_in_order(self):
+        lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| key | default | rule | meaning |") + 2
+        rows = []
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            rows.append(tuple(cell.strip().strip("`") for cell in line.strip("|").split("|")[:3]))
+        assert rows == [(key, spec.default, spec.rule) for key, spec in KEYS.items()]
 
 
 class TestCli:
@@ -750,6 +828,24 @@ class TestCli:
         ])
         assert code == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage,key,value", REJECTED)
+    def test_rejected_value_exits_2_before_any_read(self, tmp_path, capsys, stage, key, value):
+        out = tmp_path / "out"
+        cfg = {"data.out_dir": str(out), "data.manifest": "m", "data.proposals": "p", key: value}
+        assert main([stage, *flags(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key} must be {KEYS[key].rule}, got {value!r}" in err
+        assert not out.exists()
+
+    def test_pipeline_checks_whole_config_before_first_stage(self, pipeline_run, tmp_path, capsys):
+        _, _, cfg, _ = pipeline_run
+        out = tmp_path / "out"
+        cfg = {**FAST_OVERRIDES, "data.manifest": cfg["data.manifest"],
+               "data.proposals": cfg["data.proposals"], "data.out_dir": str(out), "collage.limit": "-3"}
+        assert main(["pipeline", *flags(cfg)]) == 2
+        assert "collage.limit must be >= 0, got '-3'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("COSEG_SEED", "elephant")
