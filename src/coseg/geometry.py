@@ -107,9 +107,10 @@ def top_k(props: list[Proposal], k: int) -> list[Proposal]:
 
 
 def load_proposals(path) -> list[Proposal]:
-    """Read proposals from `image_id,x,y,w,h,score,source` lines (UTF-8, LF)."""
+    """Read proposals from `image_id,x,y,w,h,score,source` lines (UTF-8, LF;
+    a byte-order mark at the start is skipped)."""
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

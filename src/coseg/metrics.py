@@ -132,7 +132,6 @@ def evaluate(
     the report averages are unweighted means over the classes.
     """
     per_item: dict[str, tuple[str, float, float]] = {}
-    gt_pixels: dict[int, int] = {}  # foreground count per mask object; items share masks
     skipped: list[tuple[str, str]] = []
     empty_seg: list[str] = []
     for item_id in _group_item_ids(groups):
@@ -157,9 +156,7 @@ def evaluate(
             cut = box.clip(width, height)
             inside = gt[cut] if cut else gt[:0]
             seg_px, inter = inside.size, int(np.count_nonzero(inside))
-            if id(gt) not in gt_pixels:
-                gt_pixels[id(gt)] = int(np.count_nonzero(gt))
-            gt_px = gt_pixels[id(gt)]
+            gt_px = int(np.count_nonzero(gt))
         union = seg_px + gt_px - inter
         if seg_px == 0:
             empty_seg.append(item_id)

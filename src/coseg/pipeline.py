@@ -137,10 +137,11 @@ DEFAULTS = {key: spec.default for key, spec in KEYS.items()}
 
 
 def load_config(path) -> dict[str, str]:
-    """Parse a flat key=value config file; # starts a comment line."""
+    """Parse a flat key=value config file (UTF-8, a byte-order mark at the
+    start skipped); # starts a comment line."""
     cfg: dict[str, str] = {}
     for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
     ):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -206,61 +207,65 @@ class ManifestRecord:
             raise ValueError("item_id must be non-empty")
 
 
-def _reject_extra_fields(row: dict) -> None:
-    # csv.DictReader files a long row's extra fields under the key None
-    if None in row:
-        raise ValueError(f"{len(row[None])} field(s) beyond the header")
+def _read_table(path, fields: list[str], parse_row: Callable[[dict[str, str]], Any]) -> list:
+    """Parse each row of a CSV table whose header is exactly fields.
+
+    UTF-8, with a byte-order mark allowed at the start. A row with fields
+    beyond the header, or one parse_row rejects, fails with path:line."""
+    rows = []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != fields:
+            raise ValueError(f"{path}: header must be {','.join(fields)}, got {reader.fieldnames}")
+        for row in reader:
+            try:
+                if None in row:  # DictReader files a long row's extra fields under None
+                    raise ValueError(f"{len(row[None])} field(s) beyond the header")
+                rows.append(parse_row(row))
+            except (ValueError, TypeError, KeyError) as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return rows
+
+
+def _write_table(path, fields: list[str], rows) -> None:
+    """Write the header, then one line per row (UTF-8, LF)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(rows)
 
 
 def load_manifest(path) -> list[ManifestRecord]:
-    records: list[ManifestRecord] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_FIELDS:
-            raise ValueError(
-                f"{path}: header must be {','.join(MANIFEST_FIELDS)}, "
-                f"got {reader.fieldnames}"
-            )
-        for row in reader:
-            lineno = reader.line_num
-            try:
-                _reject_extra_fields(row)
-                box_fields = [row["gt_x"], row["gt_y"], row["gt_w"], row["gt_h"]]
-                filled = [f for f in box_fields if f not in ("", None)]
-                if len(filled) not in (0, 4):
-                    raise ValueError("gt box needs all of gt_x,gt_y,gt_w,gt_h or none")
-                gt_box = (
-                    BoundingBox(*(int(f) for f in box_fields)) if len(filled) == 4 else None
-                )
-                record = ManifestRecord(
-                    item_id=row["item_id"],
-                    image_path=row["image_path"],
-                    class_name=row["class"],
-                    split=row["split"],
-                    gt_box=gt_box,
-                    gt_mask_path=row["gt_mask_path"] or None,
-                )
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if record.item_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate item_id {record.item_id!r}")
-            seen.add(record.item_id)
-            records.append(record)
-    return records
+
+    def parse_row(row: dict[str, str]) -> ManifestRecord:
+        box_fields = [row["gt_x"], row["gt_y"], row["gt_w"], row["gt_h"]]
+        filled = [f for f in box_fields if f not in ("", None)]
+        if len(filled) not in (0, 4):
+            raise ValueError("gt box needs all of gt_x,gt_y,gt_w,gt_h or none")
+        record = ManifestRecord(
+            item_id=row["item_id"],
+            image_path=row["image_path"],
+            class_name=row["class"],
+            split=row["split"],
+            gt_box=BoundingBox(*(int(f) for f in box_fields)) if filled else None,
+            gt_mask_path=row["gt_mask_path"] or None,
+        )
+        if record.item_id in seen:
+            raise ValueError(f"duplicate item_id {record.item_id!r}")
+        seen.add(record.item_id)
+        return record
+
+    return _read_table(path, MANIFEST_FIELDS, parse_row)
 
 
 def save_manifest(records: list[ManifestRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_FIELDS)
-        for r in records:
-            box = (
-                [r.gt_box.x, r.gt_box.y, r.gt_box.w, r.gt_box.h] if r.gt_box else ["", "", "", ""]
-            )
-            writer.writerow(
-                [r.item_id, r.image_path, r.class_name, r.split, *box, r.gt_mask_path or ""]
-            )
+    _write_table(path, MANIFEST_FIELDS, (
+        [r.item_id, r.image_path, r.class_name, r.split,
+         *((r.gt_box.x, r.gt_box.y, r.gt_box.w, r.gt_box.h) if r.gt_box else ("", "", "", "")),
+         r.gt_mask_path or ""]
+        for r in records
+    ))
 
 
 def split_dataset(
@@ -316,49 +321,28 @@ class ItemRecord:
 
 
 def save_items(items: list[ItemRecord], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ITEMS_FIELDS)
-        for it in items:
-            p = it.proposal
-            writer.writerow(
-                [
-                    it.item_id, p.image_id, it.class_name, it.split,
-                    p.box.x, p.box.y, p.box.w, p.box.h, repr(p.score), p.source,
-                    it.img_w, it.img_h,
-                ]
-            )
+    _write_table(path, ITEMS_FIELDS, (
+        [it.item_id, it.proposal.image_id, it.class_name, it.split,
+         it.proposal.box.x, it.proposal.box.y, it.proposal.box.w, it.proposal.box.h,
+         repr(it.proposal.score), it.proposal.source, it.img_w, it.img_h]
+        for it in items
+    ))
 
 
 def load_items(path) -> list[ItemRecord]:
-    items: list[ItemRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ITEMS_FIELDS:
-            raise ValueError(
-                f"{path}: header must be {','.join(ITEMS_FIELDS)}, got {reader.fieldnames}"
-            )
-        for row in reader:
-            try:
-                _reject_extra_fields(row)
-                items.append(
-                    ItemRecord(
-                        item_id=row["item_id"],
-                        proposal=Proposal(
-                            row["image_id"],
-                            BoundingBox(int(row["x"]), int(row["y"]), int(row["w"]), int(row["h"])),
-                            float(row["score"]),
-                            row["source"],
-                        ),
-                        class_name=row["class"],
-                        split=row["split"],
-                        img_w=int(row["img_w"]),
-                        img_h=int(row["img_h"]),
-                    )
-                )
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    return items
+    return _read_table(path, ITEMS_FIELDS, lambda row: ItemRecord(
+        item_id=row["item_id"],
+        proposal=Proposal(
+            row["image_id"],
+            BoundingBox(int(row["x"]), int(row["y"]), int(row["w"]), int(row["h"])),
+            float(row["score"]),
+            row["source"],
+        ),
+        class_name=row["class"],
+        split=row["split"],
+        img_w=int(row["img_w"]),
+        img_h=int(row["img_h"]),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +471,8 @@ def stage_train(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str,
     labels, _ = _class_labels([items[i] for i in ids])
     result = train(LabeledDescriptors(vectors=vectors, labels=labels), tc)
     save_model_file(result.params, outputs["model.csgm"])
-    with open(outputs["loss_trace.csv"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,loss\n")
-        for i, loss in enumerate(result.loss_trace):
-            fh.write(f"{i},{loss!r}\n")
+    _write_table(outputs["loss_trace.csv"], ["iteration", "loss"],
+                 ((i, repr(loss)) for i, loss in enumerate(result.loss_trace)))
 
 
 def stage_embed(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
@@ -575,7 +557,7 @@ def stage_collage(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[st
 
     for group in groups[:cfg["collage.limit"]]:
         collage_items: list[CollageItem] = []
-        for member_id, dist in group.members.neighbors[:10]:
+        for member_id, dist in group.members.neighbors[:len(spec.slots)]:
             it = items.get(member_id)
             if it is None:
                 raise ValueError(f"group member {member_id!r} missing from items table")

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import BadMagicError, DecodeError, TruncatedError
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
-_HEAD_BLOCK = 512  # first read of a PGM/PPM file; headers are far shorter
+_HEAD_BLOCK = 512  # first read of a raster file; headers are far shorter
 
 
 def _header_ints(data: bytes, start: int, count: int):
@@ -52,19 +52,7 @@ def read_pbm(path) -> np.ndarray:
 
     True marks set bits (PBM black), used throughout as mask foreground.
     """
-    data = Path(path).read_bytes()
-    if data[:2] != b"P4":
-        raise BadMagicError(f"expected P4, found {data[:2]!r}")
-    (w, h), off = _header_ints(data, 2, 2)
-    if w < 1 or h < 1:
-        raise DecodeError(f"bad bitmap dimensions {w}x{h}")
-    row_bytes = (w + 7) // 8
-    need = row_bytes * h
-    raster = data[off : off + need]
-    if len(raster) < need:
-        raise TruncatedError(f"raster holds {len(raster)} bytes, needs {need}")
-    rows = np.frombuffer(raster, dtype=np.uint8).reshape(h, row_bytes)
-    return np.unpackbits(rows, axis=1)[:, :w].astype(bool)
+    return _read_raster(path, (b"P4",))
 
 
 def write_pbm(path, mask) -> None:
@@ -78,34 +66,37 @@ def write_pbm(path, mask) -> None:
 
 
 def _read_raster(path, magics: tuple[bytes, ...]) -> np.ndarray:
-    """Read a binary PGM (P5) or PPM (P6) file into a uint8 array of shape
-    (height, width) or (height, width, 3).
+    """Read a binary PBM (P4), PGM (P5) or PPM (P6) file into a bool array of
+    shape (height, width), or a uint8 array of shape (height, width) or
+    (height, width, 3).
 
     The header is parsed from the file's first block, read on while a long
     header needs more, and the raster is read straight into a fresh array: each
-    sample is copied once and the array owns its memory. The samples are
-    returned as stored, so any maxval but 255 is rejected. Bytes after the
-    raster are ignored.
+    sample is copied once and the array owns its memory (a bitmap's packed rows
+    are then unpacked). The samples are returned as stored, so any maxval but
+    255 is rejected. Bytes after the raster are ignored.
     """
     with open(path, "rb", buffering=0) as fh:
         head = fh.read(_HEAD_BLOCK)
-        if head[:2] not in magics:
+        magic = head[:2]
+        if magic not in magics:
             expected = " or ".join(m.decode() for m in magics)
-            raise BadMagicError(f"{path}: expected {expected}, found {head[:2]!r}")
+            raise BadMagicError(f"{path}: expected {expected}, found {magic!r}")
         while True:
             try:
-                (w, h, maxval), off = _header_ints(head, 2, 3)
+                fields, off = _header_ints(head, 2, 2 if magic == b"P4" else 3)
                 break
             except TruncatedError:
                 more = fh.read(len(head))  # doubling keeps a long header linear
                 if not more:
                     raise
                 head += more
+        w, h = fields[:2]
         if w < 1 or h < 1:
             raise DecodeError(f"bad image dimensions {w}x{h}")
-        if maxval != 255:
-            raise DecodeError(f"unsupported maxval {maxval} (only 255)")
-        shape = (h, w) if head[:2] == b"P5" else (h, w, 3)
+        if magic != b"P4" and fields[2] != 255:
+            raise DecodeError(f"unsupported maxval {fields[2]} (only 255)")
+        shape = {b"P4": (h, (w + 7) // 8), b"P5": (h, w)}.get(magic, (h, w, 3))
         need = math.prod(shape)
         avail = os.fstat(fh.fileno()).st_size - off  # checked before allocating
         if avail < need:
@@ -120,6 +111,8 @@ def _read_raster(path, magics: tuple[bytes, ...]) -> np.ndarray:
             if not got:
                 raise TruncatedError(f"{path} shrank while it was read")
             rest = rest[got:]
+    if magic == b"P4":
+        return np.unpackbits(image, axis=1, count=w).astype(bool)
     return image
 
 

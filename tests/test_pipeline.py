@@ -25,6 +25,7 @@ import coseg.pipeline
 from coseg.pipeline import (
     DEFAULTS,
     KEYS,
+    MANIFEST_FIELDS,
     ItemRecord,
     Key,
     ManifestRecord,
@@ -195,6 +196,18 @@ class TestManifest:
             ManifestRecord("x", "a.ppm", "mug", "validation")
         with pytest.raises(ValueError):
             ManifestRecord("", "a.ppm", "mug", "train")
+
+
+@pytest.mark.parametrize("reader, text, want", [
+    (load_manifest, ",".join(MANIFEST_FIELDS) + "\nimgA,a.ppm,mug,train,1,2,3,4,\n",
+     [ManifestRecord("imgA", "a.ppm", "mug", "train", gt_box=BoundingBox(1, 2, 3, 4))]),
+    (load_config, "seed=3\n", {"seed": "3"}),
+    (load_proposals, "imgA,1,2,3,4,0.5,gen\n", [Proposal("imgA", BoundingBox(1, 2, 3, 4), 0.5, "gen")]),
+], ids=["manifest", "config", "proposals"])
+def test_input_byte_order_mark_skipped(tmp_path, reader, text, want):
+    path = tmp_path / "input"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert reader(path) == want
 
 
 class TestSplitDataset:
@@ -437,6 +450,9 @@ class TestFullPipeline:
         lines = (out / "loss_trace.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "iteration,loss"
         assert len(lines) == 301  # header + one row per iteration
+        for i, line in enumerate(lines[1:]):
+            index, loss = line.split(",")
+            assert index == str(i) and repr(float(loss)) == loss
 
     def test_stage_rerun_reproduces_artifacts(self, pipeline_run, tmp_path):
         _, cfg = fresh_copy(pipeline_run, tmp_path)

@@ -134,8 +134,8 @@ class TestPgmPpm:
 
 
 class TestOneCopyRead:
-    """PGM/PPM readers parse the header from the file's first block and read
-    the raster straight into the array they return."""
+    """PBM/PGM/PPM readers parse the header from the file's first block and
+    read the raster straight into the array they return."""
 
     @pytest.mark.parametrize("comment", [100, pnm._HEAD_BLOCK, 3 * pnm._HEAD_BLOCK + 7])
     def test_header_longer_than_first_block(self, tmp_path, comment):
@@ -145,6 +145,11 @@ class TestOneCopyRead:
         path.write_bytes(b"P6\n# " + b"x" * comment + b"\n7 # " + b"y" * comment + b"\n5\n255\n" + img.tobytes())
         assert path.stat().st_size > comment * 2
         assert np.array_equal(read_ppm(path), img)
+        mask = rng.random((5, 13)) < 0.5
+        path = tmp_path / "m.pbm"
+        path.write_bytes(b"P4\n# " + b"x" * comment + b"\n13 # " + b"y" * comment + b"\n5\n"
+                         + np.packbits(mask, axis=1).tobytes())
+        assert np.array_equal(read_pbm(path), mask)
 
     @pytest.mark.parametrize("shape", [(2, 2, 3), (480, 640, 3), (64, 64)])
     def test_raster_one_byte_short(self, tmp_path, shape):
@@ -154,6 +159,10 @@ class TestOneCopyRead:
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(TruncatedError):
             read_image(path)
+        write_pbm(path, np.ones(shape[:2], dtype=bool))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(TruncatedError):
+            read_pbm(path)
 
     @pytest.mark.parametrize("shape", [(2, 2, 3), (480, 640, 3), (64, 64)])
     def test_trailing_bytes_accepted(self, tmp_path, shape):
@@ -180,6 +189,10 @@ class TestOneCopyRead:
         path.write_bytes(b"P5\n99999999999 99999999999\n255\n\x00")
         with pytest.raises(TruncatedError):
             read_pgm(path)
+        path = tmp_path / "m.pbm"
+        path.write_bytes(b"P4\n99999999999 99999999999\n\x00")
+        with pytest.raises(TruncatedError):
+            read_pbm(path)
 
     def test_file_shorter_than_its_size_raises(self, tmp_path, monkeypatch):
         # a size that overstates what a read returns must not leave the
