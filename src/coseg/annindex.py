@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,23 +342,21 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
 # IndexConfig's integer fields: (least value, bits). save() writes each as an
 # unsigned integer of that many bits, so it must also be below 2**bits.
 FIELD_BOUNDS = {"n_trees": (1, 32), "search_k": (1, 32), "leaf_capacity": (2, 32), "seed": (0, 64)}
+# The file header after magic and version: n_trees, search_k, leaf_capacity,
+# seed, metric id, dim, n.
+HEADER = "<IIIQBIQ"
 
 
 def save(index: AnnIndex) -> bytes:
-    """Serialize the index: magic, version, config, item block. No forest:
-    it is grown again from the items."""
+    """Serialize the index: magic, version, then `HEADER` (config, dim, n)
+    and the item block. No forest: it is grown again from the items."""
     c = index.config
     n, dim = index.items.shape
+    metric_id = METRICS.index(c.metric)
     return b"".join([
         MAGIC,
-        _binio.pack_u32(VERSION),
-        _binio.pack_u32(c.n_trees),
-        _binio.pack_u32(c.search_k),
-        _binio.pack_u32(c.leaf_capacity),
-        _binio.pack_u64(c.seed),
-        _binio.pack_u8(METRICS.index(c.metric)),
-        _binio.pack_u32(dim),
-        _binio.pack_u64(n),
+        struct.pack("<I", VERSION),
+        struct.pack(HEADER, c.n_trees, c.search_k, c.leaf_capacity, c.seed, metric_id, dim, n),
         index.items.astype("<f4", copy=False).tobytes(),
     ])
 
@@ -367,22 +366,16 @@ def load(data: bytes) -> AnnIndex:
     r = _binio.Reader(data)
     r.expect_magic(MAGIC)
     r.expect_version(VERSION)
-    n_trees = r.u32()
-    search_k = r.u32()
-    leaf_capacity = r.u32()
-    seed = r.u64()
-    metric_id = r.u8()
+    n_trees, search_k, leaf_capacity, seed, metric_id, dim, n = r.unpack(HEADER)
     if metric_id >= len(METRICS):
         raise DecodeError(f"unknown metric id {metric_id}")
     try:
         cfg = IndexConfig(n_trees, search_k, leaf_capacity, seed, METRICS[metric_id])
     except ValueError as e:
         raise DecodeError(f"index header: {e}") from e
-    dim = r.u32()
-    n = r.u64()
     if n == 0 or dim == 0:
         raise DecodeError(f"index file declares {n} items of dimension {dim}")
-    items = r.f32_array(n * dim).reshape(n, dim)
+    items = r.array("<f4", n * dim).reshape(n, dim)
     r.expect_eof()
     return AnnIndex(config=cfg, items=items)
 

@@ -53,8 +53,8 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
     if args.config:
         try:
             file_layer = load_config(args.config)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}") from None
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config file {args.config}: {e}") from None
     else:
         file_layer = {}
     cli_layer = {

@@ -4,9 +4,11 @@ binary descriptor file format used to exchange them between pipeline stages.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
-from ._binio import Reader, pack_u16, pack_u32, pack_u64
+from ._binio import Reader
 from .errors import DecodeError, TruncatedError
 from .geometry import BoundingBox
 
@@ -63,23 +65,20 @@ def patch_descriptor(image: np.ndarray, box: BoundingBox) -> np.ndarray:
 
 
 def save_descriptors(ids: list[str], vectors: np.ndarray) -> bytes:
-    """Serialize id/vector records: magic, version, dim, count, then per
-    record a u16 length-prefixed UTF-8 id followed by dim float32 values."""
+    """Serialize id/vector records: magic, version, dim and count `<IQ`, then
+    per record a `<H` length-prefixed UTF-8 id followed by dim float32 values."""
     vectors = np.asarray(vectors, dtype=np.float32)
     if vectors.ndim != 2:
         raise ValueError(f"vectors must be 2-d, got shape {vectors.shape}")
     if len(ids) != vectors.shape[0]:
         raise ValueError(f"{len(ids)} ids but {vectors.shape[0]} vectors")
-    out = bytearray()
-    out += DESCRIPTOR_MAGIC
-    out += pack_u32(DESCRIPTOR_VERSION)
-    out += pack_u32(vectors.shape[1])
-    out += pack_u64(vectors.shape[0])
+    out = bytearray(DESCRIPTOR_MAGIC)
+    out += struct.pack("<IIQ", DESCRIPTOR_VERSION, vectors.shape[1], vectors.shape[0])
     for item_id, vec in zip(ids, vectors):
         raw = item_id.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise ValueError(f"item id too long to encode: {item_id[:32]!r}...")
-        out += pack_u16(len(raw))
+        out += struct.pack("<H", len(raw))
         out += raw
         out += np.ascontiguousarray(vec, dtype="<f4").tobytes()
     return bytes(out)
@@ -89,8 +88,7 @@ def load_descriptors(data: bytes) -> tuple[list[str], np.ndarray]:
     r = Reader(data)
     r.expect_magic(DESCRIPTOR_MAGIC)
     r.expect_version(DESCRIPTOR_VERSION)
-    dim = r.u32()
-    count = r.u64()
+    dim, count = r.unpack("<IQ")
     if dim == 0:
         raise DecodeError("descriptor file declares zero dimension")
     if count * (2 + 4 * dim) > len(data) - r.pos:  # a u16 id length and dim floats each
@@ -98,12 +96,12 @@ def load_descriptors(data: bytes) -> tuple[list[str], np.ndarray]:
     ids: list[str] = []
     vectors = np.empty((count, dim), dtype=np.float32)
     for i in range(count):
-        n = r.u16()
+        (n,) = r.unpack("<H")
         try:
             ids.append(r.take(n).decode("utf-8"))
         except UnicodeDecodeError as e:
             raise DecodeError(f"descriptor {i} id is not UTF-8: {e}") from e
-        vectors[i] = r.f32_array(dim)
+        vectors[i] = r.array("<f4", dim)
     r.expect_eof()
     return ids, vectors
 

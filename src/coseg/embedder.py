@@ -12,13 +12,14 @@ activations to both the pair mining and the batch gradient.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DecodeError, TrainingDiverged
-from ._binio import Reader, pack_u32
+from ._binio import Reader
 
 MODEL_MAGIC = b"CSGM"
 MODEL_VERSION = 1
@@ -117,10 +118,6 @@ class LabeledDescriptors:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    @property
-    def classes(self) -> np.ndarray:
-        return np.unique(self.labels)
 
 
 @dataclass(frozen=True)
@@ -464,15 +461,12 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
 
 
 def save_model(params: EncoderParams) -> bytes:
-    """Serialize params: magic, version, layer count, then per layer the
-    row/col sizes, row-major weights, and bias, all little-endian float64."""
-    out = bytearray()
-    out += MODEL_MAGIC
-    out += pack_u32(MODEL_VERSION)
-    out += pack_u32(len(params.weights))
+    """Serialize params: magic, version, layer count `<I`, then per layer its
+    row/col sizes `<II`, row-major weights and bias, little-endian float64."""
+    out = bytearray(MODEL_MAGIC)
+    out += struct.pack("<II", MODEL_VERSION, len(params.weights))
     for w, b in zip(params.weights, params.biases):
-        out += pack_u32(w.shape[0])
-        out += pack_u32(w.shape[1])
+        out += struct.pack("<II", *w.shape)
         out += np.ascontiguousarray(w, dtype="<f8").tobytes()
         out += np.ascontiguousarray(b, dtype="<f8").tobytes()
     return bytes(out)
@@ -482,22 +476,21 @@ def load_model(data: bytes) -> EncoderParams:
     r = Reader(data)
     r.expect_magic(MODEL_MAGIC)
     r.expect_version(MODEL_VERSION)
-    n_layers = r.u32()
+    (n_layers,) = r.unpack("<I")
     if n_layers == 0:
         raise DecodeError("model file declares zero layers")
     weights = []
     biases = []
     for i in range(n_layers):
-        rows = r.u32()
-        cols = r.u32()
+        rows, cols = r.unpack("<II")
         if rows == 0 or cols == 0:
             raise DecodeError(f"model layer {i} has empty shape {rows}x{cols}")
         if weights and cols != weights[-1].shape[0]:
             raise DecodeError(
                 f"model layer {i} expects {cols} inputs but layer {i - 1} outputs {weights[-1].shape[0]}"
             )
-        weights.append(r.f64_array(rows * cols).reshape(rows, cols))
-        biases.append(r.f64_array(rows))
+        weights.append(r.array("<f8", rows * cols).reshape(rows, cols))
+        biases.append(r.array("<f8", rows))
     r.expect_eof()
     return EncoderParams(weights=tuple(weights), biases=tuple(biases))
 

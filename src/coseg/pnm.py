@@ -4,47 +4,36 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadMagicError, DecodeError, TruncatedError
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
 _HEAD_BLOCK = 512  # first read of a raster file; headers are far shorter
+# Whitespace and # comments (each up to a CR or LF), then a field's digits.
+_FIELD = re.compile(rb"(?:\s|#[^\r\n]*)*(\d*)")
 
 
 def _header_ints(data: bytes, start: int, count: int):
     """Parse `count` decimal header fields, skipping whitespace and # comments.
 
-    Returns the values and the offset of the raster (one whitespace byte after
-    the last field is consumed, as the formats require).
+    Each field must end at a whitespace byte. Returns the values and the offset
+    of the raster, one whitespace byte after the last field. Raises
+    TruncatedError when `data` ends first, since more bytes may complete it.
     """
     vals = []
-    i = start
-    while len(vals) < count:
-        while i < len(data):
-            c = data[i]
-            if c in _WHITESPACE:
-                i += 1
-            elif c == ord("#"):
-                while i < len(data) and data[i] not in (10, 13):
-                    i += 1
-            else:
-                break
-        j = i
-        while j < len(data) and data[j] not in _WHITESPACE:
-            j += 1
-        if j == i:
-            raise TruncatedError("header ended before all fields were read")
-        tok = data[i:j]
-        if not tok.isdigit():
-            raise DecodeError(f"bad header field {tok!r}")
-        vals.append(int(tok))
-        i = j
-    if i >= len(data):
-        raise TruncatedError("no raster after header")
-    return vals, i + 1
+    end = start
+    for _ in range(count):
+        m = _FIELD.match(data, end)
+        end = m.end()
+        if end == len(data):
+            raise TruncatedError("header ended before all fields and the raster were read")
+        if not m[1] or not data[end : end + 1].isspace():
+            raise DecodeError(f"bad header field {data[m.start(1) : end + 1]!r}")
+        vals.append(int(m[1]))
+    return vals, end + 1
 
 
 def read_pbm(path) -> np.ndarray:
@@ -71,9 +60,9 @@ def _read_raster(path, magics: tuple[bytes, ...]) -> np.ndarray:
     (height, width, 3).
 
     The header is parsed from the file's first block, read on while a long
-    header needs more, and the raster is read straight into a fresh array: each
-    sample is copied once and the array owns its memory (a bitmap's packed rows
-    are then unpacked). The samples are returned as stored, so any maxval but
+    header needs more, and the raster is read from its offset straight into a
+    fresh array that owns its memory (a bitmap's packed rows are then
+    unpacked). The samples are returned as stored, so any maxval but
     255 is rejected. Bytes after the raster are ignored.
     """
     with open(path, "rb", buffering=0) as fh:
@@ -101,16 +90,11 @@ def _read_raster(path, magics: tuple[bytes, ...]) -> np.ndarray:
         avail = os.fstat(fh.fileno()).st_size - off  # checked before allocating
         if avail < need:
             raise TruncatedError(f"raster holds {avail} bytes, needs {need}")
-        image = np.empty(shape, dtype=np.uint8)
-        flat = image.reshape(-1)
-        held = min(len(head) - off, need)
-        flat[:held] = np.frombuffer(head, dtype=np.uint8, count=held, offset=off)
-        rest = flat[held:]
-        while rest.size:  # an unbuffered read may return less than asked
-            got = fh.readinto(rest)
-            if not got:
-                raise TruncatedError(f"{path} shrank while it was read")
-            rest = rest[got:]
+        fh.seek(off)
+        image = np.fromfile(fh, np.uint8, count=need)
+    if image.size < need:
+        raise TruncatedError(f"{path} shrank while it was read")
+    image.shape = shape  # in place: reshape would return a view
     if magic == b"P4":
         return np.unpackbits(image, axis=1, count=w).astype(bool)
     return image

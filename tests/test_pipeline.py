@@ -752,9 +752,16 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_missing_config_file_exits_2(self, capsys):
-        code = main(["train", "--config", "/nonexistent/run.cfg"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_missing_config_file_exits_2(self, capsys, tmp_path, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"seed=\xff\n")
+        code = main(["train", "--config", str(path)])
         assert code == 2
+        assert f"config error: cannot read config file {path}" in capsys.readouterr().err
 
     def test_stage_failure_exits_1(self, capsys, tmp_path):
         missing = tmp_path / "nope.csv"

@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coseg import pnm
 from coseg.errors import BadMagicError, DecodeError, TruncatedError
@@ -204,3 +206,69 @@ class TestOneCopyRead:
         monkeypatch.setattr(pnm.os, "fstat", lambda fd: full)
         with pytest.raises(TruncatedError):
             read_pgm(path)
+
+
+def _header_ints_oracle(data: bytes, start: int, count: int):
+    """The byte-by-byte header tokenizer pnm._header_ints replaced, kept as
+    the reference it must agree with."""
+    whitespace = b" \t\r\n\x0b\x0c"
+    vals = []
+    i = start
+    while len(vals) < count:
+        while i < len(data):
+            c = data[i]
+            if c in whitespace:
+                i += 1
+            elif c == ord("#"):
+                while i < len(data) and data[i] not in (10, 13):
+                    i += 1
+            else:
+                break
+        j = i
+        while j < len(data) and data[j] not in whitespace:
+            j += 1
+        if j == i:
+            raise TruncatedError("header ended before all fields were read")
+        tok = data[i:j]
+        if not tok.isdigit():
+            raise DecodeError(f"bad header field {tok!r}")
+        vals.append(int(tok))
+        i = j
+    if i >= len(data):
+        raise TruncatedError("no raster after header")
+    return vals, i + 1
+
+
+def _outcome(parse, data: bytes, count: int):
+    try:
+        return parse(data, 2, count)
+    except (TruncatedError, DecodeError) as e:
+        return type(e)
+
+
+_PIECES = st.one_of(
+    st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c", b"\r\n"]),
+    st.builds(
+        lambda text, end: b"#" + text + end,
+        st.binary(max_size=6).map(lambda b: b.replace(b"\r", b"").replace(b"\n", b"")),
+        st.sampled_from([b"\n", b"\r"]),
+    ),
+    st.integers(0, 10**12).map(lambda v: str(v).encode()),
+    st.sampled_from([b"x", b"+1", b"1#", b"-2", b"\xb2", b"\xff", b"\xc2\xa0", b"\x85", b"\x1c"]),
+)
+
+
+class TestHeaderParser:
+    """Headers of whitespace, comments, fields and junk, cut at every length,
+    give the same values and raster offset, or the same error class, from
+    pnm._header_ints as from the tokenizer it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_PIECES, max_size=12))
+    def test_agrees_with_byte_tokenizer_at_every_cut(self, pieces):
+        header = b"P5" + b"".join(pieces) + b"\n"
+        for cut in range(2, len(header) + 1):
+            for count in (2, 3):
+                data = header[:cut]
+                expected = _outcome(_header_ints_oracle, data, count)
+                assert _outcome(pnm._header_ints, data, count) == expected
