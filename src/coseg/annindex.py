@@ -62,16 +62,16 @@ class Forest:
     Leaves go tree by tree, left to right: forest order. Each tree partitions
     all items, so item_leaf[t, i] names the one leaf of tree t holding item i;
     tree t's leaves are one index range that follows tree t-1's. Column j of
-    paths and sides holds leaf j's splits from the root down and its side of
-    each: +1 where normal . x - offset >= 0, else -1. Columns are padded to a
-    common depth of at least 1 with the last split, whose margin reads +inf.
+    paths holds leaf j's steps from the root down: split s where the leaf lies on
+    its side normal . x - offset >= 0, else s + len(offsets), past the margins
+    into their negations. Columns are padded to a common depth of at least 1
+    with the last split, whose margin reads +inf.
     """
 
     normals: np.ndarray  # (splits + 1, dim) float64 unit normals; the last is 0
     offsets: np.ndarray  # (splits + 1,) float64; the last is -inf
     item_leaf: np.ndarray  # (trees, items) intp leaf of each item in each tree
-    paths: np.ndarray  # (depth, leaves) split indices
-    sides: np.ndarray  # (depth, leaves) float64, +1 or -1
+    paths: np.ndarray  # (depth, leaves) intp steps, below 2 * len(offsets)
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def _grow_forest(x: np.ndarray, cfg: IndexConfig) -> Forest:
     item_leaf = np.empty((cfg.n_trees, x.shape[0]), dtype=np.intp)
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(cfg.seed + t)
-        # a path entry is (split, side, parent entry), linked back to the root
+        # a path entry is (split, or ~split on the < 0 side, parent entry), linked back to the root
         stack = [(np.arange(x.shape[0], dtype=np.int64), None)]
         while stack:
             ids, tail = stack.pop()
@@ -181,8 +181,8 @@ def _grow_forest(x: np.ndarray, cfg: IndexConfig) -> Forest:
                     split = len(offsets)
                     normals.append(unit)
                     offsets.append(off)
-                    stack.append((ids[side], (split, 1.0, tail)))
-                    stack.append((ids[~side], (split, -1.0, tail)))
+                    stack.append((ids[side], (split, tail)))
+                    stack.append((ids[~side], (~split, tail)))
                     continue
             item_leaf[t, ids] = len(tails)
             tails.append(tail)
@@ -191,18 +191,17 @@ def _grow_forest(x: np.ndarray, cfg: IndexConfig) -> Forest:
     for tail in tails:
         path = []
         while tail is not None:
-            split, side, tail = tail
-            path.append((split, side))
+            step, tail = tail
+            path.append(step)
         paths.append(path[::-1])
     depth = max(1, *map(len, paths))
-    padded = np.array([path + [(len(offsets), 1.0)] * (depth - len(path)) for path in paths])
-    splits, sides = np.ascontiguousarray(padded.T)  # depth-major: minima reduce over rows
+    padded = np.array([path + [len(offsets)] * (depth - len(path)) for path in paths], dtype=np.intp)
+    steps = np.where(padded < 0, ~padded + len(offsets) + 1, padded)  # + 1: the padding split
     return Forest(
         normals=np.vstack(normals + [np.zeros(x.shape[1])]),
         offsets=np.array(offsets + [-np.inf]),
         item_leaf=item_leaf,
-        paths=splits.astype(np.intp),
-        sides=sides,
+        paths=np.ascontiguousarray(steps.T),  # depth-major: minima reduce over rows
     )
 
 
@@ -238,7 +237,8 @@ def _walk_candidates(index: AnnIndex, qv: np.ndarray, budget: int) -> np.ndarray
 
     No child outranks its parent, so a best-first tree walk takes leaves in
     descending order of the least signed margin on their paths. Here one
-    product gives every margin, and ties go in forest order.
+    product gives every margin, each step takes it or its negation, and ties
+    go in forest order.
 
     An item's first position is the rank of the best leaf holding it. After
     the first r + 1 leaves, the items in are those whose first position is at
@@ -247,7 +247,7 @@ def _walk_candidates(index: AnnIndex, qv: np.ndarray, budget: int) -> np.ndarray
     """
     forest = index.forest
     margins = forest.normals @ qv - forest.offsets
-    priorities = (forest.sides * margins[forest.paths]).min(axis=0)
+    priorities = np.concatenate([margins, -margins])[forest.paths].min(axis=0)
     rank = np.empty(len(priorities), dtype=np.intp)
     rank[np.argsort(-priorities, kind="stable")] = np.arange(len(priorities))
     first = rank[forest.item_leaf].min(axis=0)

@@ -354,10 +354,10 @@ def _class_members(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _sample_pair_indices(
-    labels: np.ndarray, count: int, rng: np.random.Generator
+    members: tuple[np.ndarray, np.ndarray, np.ndarray], count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Balanced random pair indices: ceil(count/2) positives then the negatives."""
-    order, starts, counts = _class_members(labels)
+    """Balanced random pair indices, ceil(count/2) positives then the negatives."""
+    order, starts, counts = members
     eligible = np.flatnonzero(counts >= 2)
     n_pos = (count + 1) // 2
     n_neg = count // 2
@@ -384,20 +384,20 @@ def _sample_pair_indices(
 
 def _mine_hard_indices(
     emb: np.ndarray,
-    labels: np.ndarray,
+    members: tuple[np.ndarray, np.ndarray, np.ndarray],
     count: int,
     rng: np.random.Generator,
     pool_factor: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pick the hardest pairs out of a random pool of pool_factor*count.
 
-    emb holds the embedding of every row that labels describes; no forward
+    emb holds the embedding of every row that members indexes; no forward
     pass runs here. The pool's squared embedding distances are scored one
     batch (count pairs) at a time, so the temporaries stay batch-sized; each
     distance is still one row's own sum. Positives are ranked by descending
     and negatives by ascending distance, ties in pool order.
     """
-    ia, ib, y = _sample_pair_indices(labels, pool_factor * count, rng)
+    ia, ib, y = _sample_pair_indices(members, pool_factor * count, rng)
     d2 = np.empty(len(ia))
     for s in range(0, len(ia), count):
         diff = emb[ia[s : s + count]] - emb[ib[s : s + count]]
@@ -430,7 +430,7 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     """
     if len(dataset) < 2:
         raise ValueError("training needs at least 2 descriptors")
-    _class_members(dataset.labels)  # enough classes for pair sampling
+    members = _class_members(dataset.labels)  # checks there are enough classes
     params = init_params(dataset.dim, cfg.layer_sizes, cfg.seed)
     arrays = (*params.weights, *params.biases)
     velocity = [np.zeros_like(a) for a in arrays]
@@ -439,11 +439,9 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     for it in range(cfg.iterations):
         if cfg.mining == "aggressive":
             acts = forward_batch(params, dataset.vectors, all_layers=True)
-            ia, ib, y = _mine_hard_indices(
-                acts[-1], dataset.labels, cfg.batch_size, rng, cfg.pool_factor
-            )
+            ia, ib, y = _mine_hard_indices(acts[-1], members, cfg.batch_size, rng, cfg.pool_factor)
         else:
-            ia, ib, y = _sample_pair_indices(dataset.labels, cfg.batch_size, rng)
+            ia, ib, y = _sample_pair_indices(members, cfg.batch_size, rng)
             rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
             acts = _forward_activations(params, dataset.vectors[rows])
             ia, ib = inv[: len(ia)], inv[len(ia) :]
@@ -477,22 +475,19 @@ def load_model(data: bytes) -> EncoderParams:
     r.expect_magic(MODEL_MAGIC)
     r.expect_version(MODEL_VERSION)
     (n_layers,) = r.unpack("<I")
-    if n_layers == 0:
-        raise DecodeError("model file declares zero layers")
     weights = []
     biases = []
     for i in range(n_layers):
         rows, cols = r.unpack("<II")
         if rows == 0 or cols == 0:
             raise DecodeError(f"model layer {i} has empty shape {rows}x{cols}")
-        if weights and cols != weights[-1].shape[0]:
-            raise DecodeError(
-                f"model layer {i} expects {cols} inputs but layer {i - 1} outputs {weights[-1].shape[0]}"
-            )
         weights.append(r.array("<f8", rows * cols).reshape(rows, cols))
         biases.append(r.array("<f8", rows))
     r.expect_eof()
-    return EncoderParams(weights=tuple(weights), biases=tuple(biases))
+    try:
+        return EncoderParams(weights=tuple(weights), biases=tuple(biases))
+    except ValueError as e:
+        raise DecodeError(f"model file: {e}") from e
 
 
 def save_model_file(params: EncoderParams, path) -> None:

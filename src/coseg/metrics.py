@@ -131,7 +131,7 @@ def evaluate(
     excluded and recorded in the report. Scores average per class over items;
     the report averages are unweighted means over the classes.
     """
-    per_item: dict[str, tuple[str, float, float]] = {}
+    by_class: dict[str, list[tuple[float, float]]] = {}
     skipped: list[tuple[str, str]] = []
     empty_seg: list[str] = []
     for item_id in _group_item_ids(groups):
@@ -162,11 +162,8 @@ def evaluate(
             empty_seg.append(item_id)
         p = inter / seg_px if seg_px else 0.0
         j = inter / union if union else 1.0
-        per_item[item_id] = (cls, p, j)
-
-    by_class: dict[str, list[tuple[float, float]]] = {}
-    for cls, p, j in per_item.values():
         by_class.setdefault(cls, []).append((p, j))
+
     per_class = {
         cls: ClassMetrics(
             precision=float(np.mean([p for p, _ in scores])),

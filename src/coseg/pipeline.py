@@ -45,6 +45,7 @@ from .pnm import read_image, read_pbm, write_ppm
 from .retrieval import (
     embed_all,
     filter_candidates,
+    iou_verdicts,
     load_groups,
     retrieve_similar,
     save_groups,
@@ -270,8 +271,9 @@ def save_manifest(records: list[ManifestRecord], path) -> None:
 
 def split_dataset(
     records: list[ManifestRecord], train_fraction: float, seed: int
-) -> tuple[list[ManifestRecord], list[ManifestRecord]]:
-    """Stratified train/test split, deterministic for a given seed.
+) -> list[ManifestRecord]:
+    """The records in input order, each with its new split: a stratified
+    train/test split, deterministic for a given seed.
 
     Per class, round(n * fraction) items go to train, clamped so both sides
     stay non-empty whenever the class has two or more items. A single-item
@@ -295,13 +297,7 @@ def split_dataset(
         n_train = min(max(n_train, 1), n - 1)
         order = rng.permutation(n)
         train_idx.update(members[j] for j in order[:n_train])
-    train_records = [
-        replace(r, split="train") for i, r in enumerate(records) if i in train_idx
-    ]
-    test_records = [
-        replace(r, split="test") for i, r in enumerate(records) if i not in train_idx
-    ]
-    return train_records, test_records
+    return [replace(r, split="train" if i in train_idx else "test") for i, r in enumerate(records)]
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +412,11 @@ def ingest(
 # stages
 
 
-def _class_labels(items: list[ItemRecord]) -> tuple[np.ndarray, list[str]]:
+def _class_labels(items: list[ItemRecord]) -> np.ndarray:
     """Map class names to stable integer labels (sorted name order)."""
     names = sorted({it.class_name for it in items})
     index = {n: i for i, n in enumerate(names)}
-    return np.array([index[it.class_name] for it in items], dtype=np.int64), names
+    return np.array([index[it.class_name] for it in items], dtype=np.int64)
 
 
 def _resolve_paths(record: ManifestRecord, base: Path) -> ManifestRecord:
@@ -439,9 +435,7 @@ def stage_ingest(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str
     manifest_path = cfg["data.manifest"]
     manifest = [_resolve_paths(r, manifest_path.parent) for r in load_manifest(manifest_path)]
     if cfg["split.resplit"]:
-        train_recs, test_recs = split_dataset(manifest, cfg["split.train_fraction"], cfg["seed"])
-        by_id = {r.item_id: r for r in train_recs + test_recs}
-        manifest = [by_id[r.item_id] for r in manifest]
+        manifest = split_dataset(manifest, cfg["split.train_fraction"], cfg["seed"])
     save_manifest(manifest, outputs["manifest_used.csv"])
     proposals = load_proposals(cfg["data.proposals"])
     result = ingest(manifest, proposals, cfg["ingest.dedup_threshold"],
@@ -468,7 +462,7 @@ def stage_train(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str,
     )
     ids, vectors = load_descriptors_file(inputs["desc_train.csgd"])
     items = {it.item_id: it for it in load_items(inputs["items.csv"])}
-    labels, _ = _class_labels([items[i] for i in ids])
+    labels = _class_labels([items[i] for i in ids])
     result = train(LabeledDescriptors(vectors=vectors, labels=labels), tc)
     save_model_file(result.params, outputs["model.csgm"])
     _write_table(outputs["loss_trace.csv"], ["iteration", "loss"],
@@ -506,8 +500,9 @@ def stage_retrieve(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[s
     manifest = load_manifest(inputs["manifest_used.csv"])
     gt_boxes = {r.item_id: r.gt_box for r in manifest if r.gt_box is not None}
     if gt_boxes and cfg["retrieve.iou_filter"] > 0:
-        proposals = {i: items[i].proposal for i in items}
-        groups = [filter_candidates(g, proposals, gt_boxes, cfg["retrieve.iou_filter"]) for g in groups]
+        proposals = {i: items[i].proposal for i in ids if i in items}
+        verdicts = iou_verdicts(proposals, gt_boxes, cfg["retrieve.iou_filter"])
+        groups = [filter_candidates(g, verdicts) for g in groups]
     save_groups(groups, outputs["groups.jsonl"])
 
 
@@ -671,5 +666,4 @@ def run_pipeline(cfg: dict[str, str]) -> dict[str, float]:
     timings: dict[str, float] = {}
     for name in STAGE_NAMES:
         timings[name] = run_stage(name, cfg)
-        logger.info("stage %s finished in %.3fs", name, timings[name])
     return timings

@@ -89,28 +89,29 @@ def retrieve_similar(
     return groups
 
 
-def filter_candidates(
-    group: SimilarityGroup,
+def iou_verdicts(
     proposals: dict[str, Proposal],
     gt_boxes: dict[str, BoundingBox],
     threshold: float = 0.5,
-) -> SimilarityGroup:
-    """Keep members whose proposal box overlaps its image's ground-truth box
-    with IoU >= threshold. Members whose image has no ground truth pass
-    through. Member order and distances are preserved."""
+) -> dict[str, bool]:
+    """Whether each proposal's box overlaps its image's ground-truth box with
+    IoU >= threshold; a proposal whose image has no ground truth passes."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    kept = []
-    for member_id, dist in group.members.neighbors:
-        prop = proposals.get(member_id)
-        if prop is None:
+    gt = {i: gt_boxes.get(p.image_id) for i, p in proposals.items()}
+    return {i: gt[i] is None or iou(p.box, gt[i]) >= threshold for i, p in proposals.items()}
+
+
+def filter_candidates(group: SimilarityGroup, verdicts: dict[str, bool]) -> SimilarityGroup:
+    """Keep the members whose iou_verdicts verdict holds, in order, with their
+    distances and the group's class hint."""
+    for member_id, _ in group.members.neighbors:
+        if member_id not in verdicts:
             raise ValueError(f"member {member_id!r} has no proposal record")
-        gt = gt_boxes.get(prop.image_id)
-        if gt is None or iou(prop.box, gt) >= threshold:
-            kept.append((member_id, dist))
+    kept = tuple(m for m in group.members.neighbors if verdicts[m[0]])
     return SimilarityGroup(
         anchor=group.anchor,
-        members=RetrievalResult(neighbors=tuple(kept)),
+        members=RetrievalResult(neighbors=kept),
         class_hint=group.class_hint,
     )
 

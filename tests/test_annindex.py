@@ -89,13 +89,24 @@ def grow_forest_oracle(x, cfg):
         normals=np.vstack(normals + [np.zeros(x.shape[1])]),
         offsets=np.array(offsets + [-np.inf]),
         item_leaf=item_leaf,
-        paths=splits.astype(np.intp),
-        sides=sides,
+        paths=to_steps(splits.astype(np.intp), sides, len(offsets) + 1),
     )
 
 
+def to_steps(splits, sides, n_planes):
+    """Forest.paths from split indices and their sides (+1 or -1): a step on
+    the -1 side is its split + n_planes, the index of the negated margin."""
+    return np.where(np.asarray(sides) < 0, splits + n_planes, splits).astype(np.intp)
+
+
+def from_steps(f):
+    """Forest f's paths as (split indices, sides), each (depth, leaves)."""
+    n_planes = len(f.offsets)
+    return f.paths % n_planes, np.where(f.paths < n_planes, 1.0, -1.0)
+
+
 def assert_forests_equal(got, want):
-    for name in ("normals", "offsets", "item_leaf", "paths", "sides"):
+    for name in ("normals", "offsets", "item_leaf", "paths"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
@@ -105,7 +116,8 @@ def forest(index):
     every item's leaf in each tree, and every leaf's root path and sides, in
     forest order."""
     f = index.forest
-    return (f.normals.tolist(), f.offsets.tolist(), f.item_leaf.tolist(), f.paths.tolist(), f.sides.tolist())
+    splits, sides = from_steps(f)
+    return (f.normals.tolist(), f.offsets.tolist(), f.item_leaf.tolist(), splits.tolist(), sides.tolist())
 
 
 def leaves(index):
@@ -133,9 +145,10 @@ def walk_oracle(index, qv, budget):
     f = index.forest
     margins = (f.normals @ qv - f.offsets).tolist()
     priorities = []
-    for path, sides in zip(f.paths.T.tolist(), f.sides.T.tolist()):
+    splits, sides = from_steps(f)
+    for path, path_sides in zip(splits.T.tolist(), sides.T.tolist()):
         priority = float("inf")
-        for split, side in zip(path, sides):
+        for split, side in zip(path, path_sides):
             priority = min(priority, side * margins[split])
         priorities.append(priority)
     order = sorted(range(len(priorities)), key=lambda leaf: -priorities[leaf])
@@ -159,8 +172,7 @@ def line_forest(at, leaves, sides):
         normals=np.array([[1.0], [0.0]]),
         offsets=np.array([at, -np.inf]),
         item_leaf=item_leaf,
-        paths=np.zeros((1, len(leaves)), dtype=np.intp),
-        sides=np.array([sides], dtype=np.float64),
+        paths=to_steps(np.zeros((1, len(leaves)), dtype=np.intp), [sides], 2),
     )
 
 
@@ -252,10 +264,10 @@ class TestBuild:
             assert all(len(leaf) <= 10 for leaf in tree)
         # forest order runs left to right: the first leaf lies left of every
         # split on its path, the last leaf right of every split on its path
-        f = idx.forest
-        real = f.paths != len(f.offsets) - 1
-        assert (f.sides[real[:, 0], 0] == -1).all()
-        assert (f.sides[real[:, -1], -1] == 1).all()
+        splits, sides = from_steps(idx.forest)
+        real = splits != len(idx.forest.offsets) - 1
+        assert (sides[real[:, 0], 0] == -1).all()
+        assert (sides[real[:, -1], -1] == 1).all()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -278,7 +290,7 @@ class TestBuild:
             used = np.unique(row)
             assert used.tolist() == list(range(start, start + len(used)))
             start += len(used)
-        assert start == f.paths.shape[1] == f.sides.shape[1]
+        assert start == f.paths.shape[1]
 
     def test_duplicate_items_land_in_oversized_leaf(self):
         items = np.repeat([[1.0, 1.0]], 40, axis=0)
@@ -403,7 +415,6 @@ class TestQuery:
             f.offsets,
             np.vstack([f.item_leaf, f.item_leaf + n_leaves]),
             np.hstack([f.paths] * 2),
-            np.hstack([f.sides] * 2),
         )
         q = rng.normal(size=4)
         assert len(annindex._walk_candidates(twin, q, 48)) >= 48

@@ -7,6 +7,7 @@ from coseg.embedder import (
     PairSample,
     TrainConfig,
     _batch_gradient,
+    _class_members,
     _forward_activations,
     _mine_hard_indices,
     _sample_pair_indices,
@@ -429,7 +430,7 @@ class TestBatchGradient:
         cfg = TrainConfig(iterations=3, batch_size=6, layer_sizes=(6, 3), seed=1)
         seen, via_forward_batch = self.forward_calls(monkeypatch, ds, cfg)
         rng = np.random.default_rng(cfg.seed + 1)
-        steps = [_sample_pair_indices(ds.labels, cfg.batch_size, rng) for _ in range(3)]
+        steps = [_sample_pair_indices(_class_members(ds.labels), cfg.batch_size, rng) for _ in range(3)]
         assert len(seen) == 3 and via_forward_batch == []
         for batch, (ia, ib, _) in zip(seen, steps):
             rows = np.unique(np.concatenate([ia, ib]))
@@ -466,7 +467,7 @@ class TestTrainUpdate:
             if cfg.mining == "aggressive":
                 ia, ib, y = unblocked_mine(params, ds, cfg.batch_size, rng, cfg.pool_factor)
             else:
-                ia, ib, y = _sample_pair_indices(ds.labels, cfg.batch_size, rng)
+                ia, ib, y = _sample_pair_indices(_class_members(ds.labels), cfg.batch_size, rng)
             _, grad_w, grad_b = add_at_gradient(
                 params, ds.vectors, ia, ib, y, cfg.margin, cfg.classical_hinge,
             )
@@ -562,39 +563,39 @@ class TestTrainConfig:
 
 class TestSamplePairs:
     def test_balanced_counts_even(self):
-        _, _, y = _sample_pair_indices(small_dataset().labels, 10, np.random.default_rng(0))
+        _, _, y = _sample_pair_indices(_class_members(small_dataset().labels), 10, np.random.default_rng(0))
         assert y.tolist() == [1] * 5 + [0] * 5
 
     def test_balanced_counts_odd(self):
-        _, _, y = _sample_pair_indices(small_dataset().labels, 7, np.random.default_rng(0))
+        _, _, y = _sample_pair_indices(_class_members(small_dataset().labels), 7, np.random.default_rng(0))
         assert y.tolist() == [1] * 4 + [0] * 3
 
     def test_labels_match_classes(self):
         labels = small_dataset(seed=1).labels
-        ia, ib, y = _sample_pair_indices(labels, 40, np.random.default_rng(5))
+        ia, ib, y = _sample_pair_indices(_class_members(labels), 40, np.random.default_rng(5))
         assert np.array_equal(labels[ia] == labels[ib], y == 1)
         assert np.all(ia[y == 1] != ib[y == 1])  # distinct members
 
     def test_deterministic(self):
         labels = small_dataset().labels
-        a = _sample_pair_indices(labels, 12, np.random.default_rng(3))
-        b = _sample_pair_indices(labels, 12, np.random.default_rng(3))
+        a = _sample_pair_indices(_class_members(labels), 12, np.random.default_rng(3))
+        b = _sample_pair_indices(_class_members(labels), 12, np.random.default_rng(3))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            _sample_pair_indices(np.zeros(4, dtype=int), 2, np.random.default_rng(0))
+            _sample_pair_indices(_class_members(np.zeros(4, dtype=int)), 2, np.random.default_rng(0))
 
     def test_no_class_with_two_items_rejected(self):
         with pytest.raises(ValueError, match="2 or more items"):
-            _sample_pair_indices(np.arange(3), 2, np.random.default_rng(0))
+            _sample_pair_indices(_class_members(np.arange(3)), 2, np.random.default_rng(0))
 
     @pytest.mark.parametrize("count", [1, 2, 7, 10, 33])
     @pytest.mark.parametrize("seed", range(10))
     def test_draws_match_padded_table(self, seed, count):
         # uneven classes, one of a single item, labels shuffled and not 0..n-1
         labels = np.random.default_rng(100 + seed).permutation(np.repeat([4, 9, 2, 7], [1, 5, 3, 8]))
-        got = _sample_pair_indices(labels, count, np.random.default_rng(seed))
+        got = _sample_pair_indices(_class_members(labels), count, np.random.default_rng(seed))
         want = padded_table_pairs(labels, count, np.random.default_rng(seed))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -629,7 +630,7 @@ def padded_table_pairs(labels, count, rng):
 def unblocked_mine(params, dataset, count, rng, pool_factor):
     """Reference: the whole pool scored by one unblocked expression, then
     the hardest positives and negatives, ties in pool order."""
-    ia, ib, y = _sample_pair_indices(dataset.labels, pool_factor * count, rng)
+    ia, ib, y = _sample_pair_indices(_class_members(dataset.labels), pool_factor * count, rng)
     emb = forward_batch(params, dataset.vectors)
     d2 = np.sum((emb[ia] - emb[ib]) ** 2, axis=1)
     pos_idx = np.flatnonzero(y == 1)
@@ -665,7 +666,9 @@ class TestMineHardPairs:
         ds = LabeledDescriptors(vectors=vectors, labels=labels)
         params = EncoderParams(weights=(np.eye(2),), biases=(np.zeros(2),))
         emb = forward_batch(params, ds.vectors)
-        ia, ib, y = _mine_hard_indices(emb, ds.labels, 4, np.random.default_rng(0), pool_factor=20)
+        ia, ib, y = _mine_hard_indices(
+            emb, _class_members(ds.labels), 4, np.random.default_rng(0), pool_factor=20
+        )
         negs = np.flatnonzero(y == 0)
         assert len(negs), "mining must return negatives"
         assert embedding_d2(params, ds, ia[negs[:1]], ib[negs[:1]])[0] == 0.0
@@ -678,9 +681,9 @@ class TestMineHardPairs:
             weights=(np.zeros((2, ds.dim)),), biases=(np.array([1.0, 1.0]),)
         )
         emb = forward_batch(params, ds.vectors)
-        mined = _mine_hard_indices(emb, ds.labels, 6, np.random.default_rng(9), pool_factor=4)
+        mined = _mine_hard_indices(emb, _class_members(ds.labels), 6, np.random.default_rng(9), pool_factor=4)
         # same seed, pool_factor*count draws: 12 positives then 12 negatives
-        pool = _sample_pair_indices(ds.labels, 24, np.random.default_rng(9))
+        pool = _sample_pair_indices(_class_members(ds.labels), 24, np.random.default_rng(9))
         keep = np.r_[0:3, 12:15]
         assert all(np.array_equal(m, p[keep]) for m, p in zip(mined, pool))
 
@@ -694,14 +697,14 @@ class TestMineHardPairs:
         else:
             params = init_params(24, (16, 8), seed=3)
         emb = forward_batch(params, ds.vectors)
-        got = _mine_hard_indices(emb, ds.labels, count, np.random.default_rng(5), pool_factor)
+        got = _mine_hard_indices(emb, _class_members(ds.labels), count, np.random.default_rng(5), pool_factor)
         want = unblocked_mine(params, ds, count, np.random.default_rng(5), pool_factor)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_permuted_pool_has_exact_ties(self):
         ds = permuted_dataset()
         params = EncoderParams(weights=(np.eye(24),), biases=(np.zeros(24),))
-        ia, ib, y = _sample_pair_indices(ds.labels, 1280, np.random.default_rng(5))
+        ia, ib, y = _sample_pair_indices(_class_members(ds.labels), 1280, np.random.default_rng(5))
         d2 = embedding_d2(params, ds, ia, ib)
         assert len(np.unique(d2[y == 0])) < np.sum(y == 0)
         assert len(np.unique(d2[y == 1])) < np.sum(y == 1)
@@ -711,14 +714,15 @@ class TestMineHardPairs:
         params = init_params(5, (3,), seed=1)
         emb = forward_batch(params, ds.vectors)
         ia, ib, y = _mine_hard_indices(
-            emb, ds.labels, 10, np.random.default_rng(11), pool_factor=10
+            emb, _class_members(ds.labels), 10, np.random.default_rng(11), pool_factor=10
         )
         d2 = embedding_d2(params, ds, ia, ib)
         pos_d2, neg_d2 = d2[y == 1], d2[y == 0]
         # positives arrive hardest (largest distance) first, negatives closest first
         assert np.all(np.diff(pos_d2) <= 0)
         assert np.all(np.diff(neg_d2) >= 0)
-        pool_a, pool_b, pool_y = _sample_pair_indices(ds.labels, 100, np.random.default_rng(11))
+        members = _class_members(ds.labels)
+        pool_a, pool_b, pool_y = _sample_pair_indices(members, 100, np.random.default_rng(11))
         pool_d2 = embedding_d2(params, ds, pool_a, pool_b)
         assert pos_d2.min() >= np.sort(pool_d2[pool_y == 1])[-5]
         assert neg_d2.max() <= np.sort(pool_d2[pool_y == 0])[4]
@@ -775,6 +779,24 @@ class TestTrain:
         cfg = TrainConfig(iterations=8, batch_size=6, layer_sizes=(3,), seed=0, mining="aggressive")
         result = train(ds, cfg)
         assert len(result.loss_trace) == 8
+
+    @pytest.mark.parametrize("mining", ["random", "aggressive"])
+    def test_class_index_built_once_per_run(self, monkeypatch, mining):
+        # the labels cannot change during a run, so neither can their index
+        from coseg import embedder
+
+        ds = small_dataset()
+        cfg = TrainConfig(iterations=5, batch_size=6, layer_sizes=(3,), seed=0, mining=mining)
+        want = save_model(train(ds, cfg).params)
+        calls = []
+
+        def counting(labels):
+            calls.append(len(labels))
+            return _class_members(labels)
+
+        monkeypatch.setattr(embedder, "_class_members", counting)
+        assert save_model(train(ds, cfg).params) == want
+        assert calls == [len(ds)]
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_raises_with_iteration(self):

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import shutil
 from dataclasses import replace
@@ -16,12 +17,15 @@ from coseg.geometry import (
     BoundingBox,
     Proposal,
     dedup_near,
+    iou,
     load_proposals,
     nms,
     save_proposals,
     top_k,
 )
+import coseg.annindex
 import coseg.pipeline
+import coseg.retrieval
 from coseg.pipeline import (
     DEFAULTS,
     KEYS,
@@ -42,7 +46,6 @@ from coseg.pipeline import (
     run_stage,
     save_items,
     save_manifest,
-    split_dataset,
 )
 from coseg.pnm import read_image, read_ppm, write_pbm
 from coseg.retrieval import load_groups
@@ -210,6 +213,12 @@ def test_input_byte_order_mark_skipped(tmp_path, reader, text, want):
     assert reader(path) == want
 
 
+def split_dataset(records, train_fraction, seed):
+    """coseg.pipeline.split_dataset's records cut into (train, test) lists."""
+    out = coseg.pipeline.split_dataset(records, train_fraction, seed)
+    return [r for r in out if r.split == "train"], [r for r in out if r.split == "test"]
+
+
 class TestSplitDataset:
     def make(self, counts):
         recs = []
@@ -260,6 +269,12 @@ class TestSplitDataset:
         assert any(r.class_name == "lonely" for r in train)
         assert not any(r.class_name == "lonely" for r in test)
         assert "lonely" in caplog.text
+
+    def test_records_keep_input_order(self):
+        recs = self.make({"a": 6, "b": 4})
+        out = coseg.pipeline.split_dataset(recs, 0.5, seed=1)
+        assert [r.item_id for r in out] == [r.item_id for r in recs]
+        assert {r.split for r in out} == {"train", "test"}
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
@@ -465,6 +480,94 @@ class TestFullPipeline:
             run_stage(stage, cfg)
         for name, data in before.items():
             assert (out / name).read_bytes() == data, f"{name} changed on re-run"
+
+
+def tree_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_resplit_random_mining_cosine_walking_run(tmp_path, monkeypatch):
+    """Settings no benchmark workload runs: a resplit manifest, random mining,
+    the cosine metric, and a forest small enough that every query walks it."""
+    manifest, proposals = synthdata.make_image_dataset(
+        tmp_path, n_classes=3, per_class=6, train_per_class=4, seed=4
+    )
+    walks = []
+    walk = coseg.annindex._walk_candidates
+
+    def counting(index, qv, budget):
+        walks.append(budget)
+        return walk(index, qv, budget)
+
+    monkeypatch.setattr(coseg.annindex, "_walk_candidates", counting)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        run_pipeline(merge_config({
+            "data.manifest": str(manifest),
+            "data.proposals": str(proposals),
+            "data.out_dir": str(out),
+            "seed": "5",
+            "split.resplit": "true",
+            "split.train_fraction": "0.5",
+            "train.mining": "random",
+            "train.iterations": "20",
+            "train.batch_size": "16",
+            "train.layers": "16,8",
+            "index.metric": "cosine",
+            "index.n_trees": "3",
+            "index.leaf_capacity": "4",
+            "retrieve.k": "2",
+            "retrieve.search_k": "1",
+            "collage.limit": "2",
+        }))
+    assert tree_bytes(outs[0]) == tree_bytes(outs[1])
+
+    out = outs[0]
+    original = load_manifest(manifest)
+    used = load_manifest(out / "manifest_used.csv")
+    assert [r.item_id for r in used] == [r.item_id for r in original]
+    assert [r.split for r in used] == [r.split for r in coseg.pipeline.split_dataset(original, 0.5, 5)]
+    assert [r.split for r in used] != [r.split for r in original]
+    split_of = {r.item_id: r.split for r in used}
+    items = {it.item_id: it for it in load_items(out / "items.csv")}
+    ids, _ = load_descriptors_file(out / "desc_test.csgd")
+    assert all(split_of[items[i].proposal.image_id] == "test" for i in ids)
+    # a query asks for k + 1 = 3 neighbors: its budget max(1, 3 * 3) is below the item count
+    assert len(ids) > 9 and len(walks) == 2 * len(ids)
+    assert [g.anchor for g in load_groups(out / "groups.jsonl")] == ids
+
+
+class TestRetrieveStage:
+    def test_ground_truth_iou_once_per_test_item(self, pipeline_run, tmp_path, monkeypatch):
+        # a member's verdict is decided once per item, not once per group it is in
+        _, cfg = fresh_copy(pipeline_run, tmp_path)
+        out = Path(cfg["data.out_dir"])
+        run_stage("retrieve", {**cfg, "retrieve.iou_filter": "0"})
+        unfiltered = load_groups(out / "groups.jsonl")
+        calls = []
+
+        def counting(a, b):
+            calls.append(a)
+            return iou(a, b)
+
+        monkeypatch.setattr(coseg.retrieval, "iou", counting)
+        run_stage("retrieve", cfg)
+        ids, _ = load_descriptors_file(out / "emb_test.csgd")
+        assert len(calls) == len(ids)
+
+        # the members kept are those that pass their own IoU test
+        items = {it.item_id: it.proposal for it in load_items(out / "items.csv")}
+        gt = {r.item_id: r.gt_box for r in load_manifest(out / "manifest_used.csv")}
+        threshold = float(cfg["retrieve.iou_filter"])
+        want = [
+            [(m, d) for m, d in g.members.neighbors
+             if iou(items[m].box, gt[items[m].image_id]) >= threshold]
+            for g in unfiltered
+        ]
+        assert [list(g.members.neighbors) for g in load_groups(out / "groups.jsonl")] == want
+        assert sum(map(len, want)) < sum(len(g.members) for g in unfiltered)
+        assert (out / "groups.jsonl").read_bytes() == (pipeline_run[1] / "groups.jsonl").read_bytes()
 
 
 class TestManifestPaths:
@@ -873,6 +976,27 @@ class TestCli:
     def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("COSEG_SEED", "elephant")
         assert main(["train"]) == 2
+
+    def test_pipeline_prints_each_stage_time_once(self, tmp_path, capsys, caplog):
+        # the timings go to stdout once; the pipeline logger does not repeat them
+        manifest, proposals = synthdata.make_image_dataset(
+            tmp_path, n_classes=2, per_class=4, train_per_class=3, seed=2
+        )
+        with caplog.at_level(logging.INFO, logger="coseg.pipeline"):
+            code = main([
+                "pipeline",
+                "--data.manifest", str(manifest),
+                "--data.proposals", str(proposals),
+                "--data.out_dir", str(tmp_path / "out"),
+                "--train.iterations", "5",
+                "--train.layers", "8",
+                "--index.n_trees", "2",
+                "--collage.limit", "1",
+            ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert [line.split(":")[0] for line in captured.out.splitlines()] == [*STAGE_NAMES, "total"]
+        assert "finished in" not in captured.err + caplog.text
 
     def test_pipeline_subcommand_runs_everything(self, tmp_path, capsys):
         manifest, proposals = synthdata.make_image_dataset(

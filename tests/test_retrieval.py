@@ -8,6 +8,7 @@ from coseg.retrieval import (
     SimilarityGroup,
     embed_all,
     filter_candidates,
+    iou_verdicts,
     load_groups,
     retrieve_similar,
     save_groups,
@@ -144,12 +145,12 @@ class TestFilterCandidates:
 
     def test_keeps_overlapping_drops_rest(self):
         g = group("q", [("a#0", 0.1), ("a#1", 0.2)])
-        out = filter_candidates(g, self.props, self.gt, threshold=0.5)
+        out = filter_candidates(g, iou_verdicts(self.props, self.gt, threshold=0.5))
         assert out.members.neighbors == (("a#0", 0.1),)
 
     def test_member_without_gt_passes(self):
         g = group("q", [("b#0", 0.3)])
-        out = filter_candidates(g, self.props, self.gt, threshold=0.5)
+        out = filter_candidates(g, iou_verdicts(self.props, self.gt, threshold=0.5))
         assert out.members.neighbors == (("b#0", 0.3),)
 
     def test_threshold_is_inclusive(self):
@@ -157,27 +158,26 @@ class TestFilterCandidates:
         props = {"p": Proposal("img", BoundingBox(5, 0, 10, 10), 0.5)}
         gt = {"img": BoundingBox(0, 0, 10, 10)}
         g = group("q", [("p", 0.0)])
-        kept = filter_candidates(g, props, gt, threshold=1 / 3)
+        kept = filter_candidates(g, iou_verdicts(props, gt, threshold=1 / 3))
         assert len(kept.members) == 1
-        dropped = filter_candidates(g, props, gt, threshold=0.34)
+        dropped = filter_candidates(g, iou_verdicts(props, gt, threshold=0.34))
         assert len(dropped.members) == 0
 
     def test_unknown_member_rejected(self):
         g = group("q", [("missing", 0.1)])
         with pytest.raises(ValueError, match="missing"):
-            filter_candidates(g, self.props, self.gt)
+            filter_candidates(g, iou_verdicts(self.props, self.gt))
 
     def test_order_and_metadata_preserved(self):
         g = group("q", [("a#0", 0.1), ("b#0", 0.2), ("a#1", 0.3)], hint="mug")
-        out = filter_candidates(g, self.props, self.gt, threshold=0.5)
+        out = filter_candidates(g, iou_verdicts(self.props, self.gt, threshold=0.5))
         assert out.anchor == "q"
         assert out.class_hint == "mug"
         assert out.members.neighbors == (("a#0", 0.1), ("b#0", 0.2))
 
     def test_threshold_validation(self):
-        g = group("q", [])
         with pytest.raises(ValueError):
-            filter_candidates(g, {}, {}, threshold=1.5)
+            iou_verdicts({}, {}, threshold=1.5)
 
 
 class TestGroupFiles:
