@@ -159,14 +159,14 @@ def split_plane(points, rng):
 def _grow_forest(x: np.ndarray, cfg: IndexConfig) -> Forest:
     """Grow cfg.n_trees trees over the float64 items x; split_plane's own
     float64 conversion of x's rows is then a no-op."""
-    normals, offsets, tails = [], [], []  # tails: each leaf's last path entry
+    normals, offsets, paths = [], [], []  # paths: each leaf's splits from the root
     item_leaf = np.empty((cfg.n_trees, x.shape[0]), dtype=np.intp)
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(cfg.seed + t)
-        # a path entry is (split, or ~split on the < 0 side, parent entry), linked back to the root
-        stack = [(np.arange(x.shape[0], dtype=np.int64), None)]
+        # a path step is a split, or ~split on its < 0 side
+        stack = [(np.arange(x.shape[0], dtype=np.int64), [])]
         while stack:
-            ids, tail = stack.pop()
+            ids, path = stack.pop()
             pts = x[ids] if len(ids) > cfg.leaf_capacity else None
             # Indistinguishable duplicates give no plane: keep an oversized leaf.
             plane = None if pts is None else split_plane(pts, rng)
@@ -181,19 +181,12 @@ def _grow_forest(x: np.ndarray, cfg: IndexConfig) -> Forest:
                     split = len(offsets)
                     normals.append(unit)
                     offsets.append(off)
-                    stack.append((ids[side], (split, tail)))
-                    stack.append((ids[~side], (~split, tail)))
+                    stack.append((ids[side], path + [split]))
+                    stack.append((ids[~side], path + [~split]))
                     continue
-            item_leaf[t, ids] = len(tails)
-            tails.append(tail)
+            item_leaf[t, ids] = len(paths)
+            paths.append(path)
 
-    paths = []
-    for tail in tails:
-        path = []
-        while tail is not None:
-            step, tail = tail
-            path.append(step)
-        paths.append(path[::-1])
     depth = max(1, *map(len, paths))
     padded = np.array([path + [len(offsets)] * (depth - len(path)) for path in paths], dtype=np.intp)
     steps = np.where(padded < 0, ~padded + len(offsets) + 1, padded)  # + 1: the padding split

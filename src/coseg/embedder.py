@@ -45,8 +45,8 @@ class EncoderParams:
         object.__setattr__(self, "biases", tuple(np.asarray(b, dtype=np.float64) for b in self.biases))
         prev_out = None
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2:
-                raise ValueError(f"layer {i}: weight must be 2-d, got shape {w.shape}")
+            if w.ndim != 2 or 0 in w.shape:
+                raise ValueError(f"layer {i}: weight must be 2-d and non-empty, got shape {w.shape}")
             if b.shape != (w.shape[0],):
                 raise ValueError(
                     f"layer {i}: bias shape {b.shape} does not match {w.shape[0]} output rows"
@@ -217,10 +217,8 @@ def forward_batch(
 def forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     """Embed one descriptor vector."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != params.input_dim:
-        raise ValueError(
-            f"descriptor shape {x.shape} does not match input dimension {params.input_dim}"
-        )
+    if x.ndim != 1:
+        raise ValueError(f"descriptor must be 1-d, got shape {x.shape}")
     return forward_batch(params, x[None, :])[0]
 
 
@@ -477,10 +475,8 @@ def load_model(data: bytes) -> EncoderParams:
     (n_layers,) = r.unpack("<I")
     weights = []
     biases = []
-    for i in range(n_layers):
+    for _ in range(n_layers):
         rows, cols = r.unpack("<II")
-        if rows == 0 or cols == 0:
-            raise DecodeError(f"model layer {i} has empty shape {rows}x{cols}")
         weights.append(r.array("<f8", rows * cols).reshape(rows, cols))
         biases.append(r.array("<f8", rows))
     r.expect_eof()

@@ -107,11 +107,11 @@ def top_k(props: list[Proposal], k: int) -> list[Proposal]:
 
 
 def load_proposals(path) -> list[Proposal]:
-    """Read proposals from `image_id,x,y,w,h,score,source` lines (UTF-8, LF;
-    a byte-order mark at the start is skipped)."""
+    """Read proposals from `image_id,x,y,w,h,score,source` lines (UTF-8, a leading
+    byte-order mark skipped). A line ends at LF, one CR before it dropped; nothing is stripped."""
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
-        line = line.strip()
+    for lineno, line in enumerate(Path(path).read_bytes().decode("utf-8-sig").split("\n"), start=1):
+        line = line.removesuffix("\r")
         if not line:
             continue
         parts = line.split(",")
@@ -130,7 +130,7 @@ def save_proposals(path, props) -> None:
     """Write proposals as `image_id,x,y,w,h,score,source` lines (UTF-8, LF)."""
     lines = []
     for p in props:
-        if "," in p.image_id or "," in p.source:
-            raise ValueError(f"image_id/source may not contain commas: {p.image_id!r}, {p.source!r}")
+        if any(c in p.image_id or c in p.source for c in ",\r\n"):
+            raise ValueError(f"image_id/source may not hold a comma, CR or LF: {p.image_id!r}, {p.source!r}")
         lines.append(f"{p.image_id},{p.box.x},{p.box.y},{p.box.w},{p.box.h},{p.score!r},{p.source}")
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")

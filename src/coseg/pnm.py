@@ -100,18 +100,8 @@ def _read_raster(path, magics: tuple[bytes, ...]) -> np.ndarray:
     return image
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5) file into a uint8 array (height, width)."""
-    return _read_raster(path, (b"P5",))
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM (P6) file into a uint8 array (height, width, 3)."""
-    return _read_raster(path, (b"P6",))
-
-
 def read_image(path) -> np.ndarray:
-    """Read a P5 or P6 file, dispatching on the magic bytes."""
+    """Read a PGM (P5) as uint8 (height, width) or a PPM (P6) as (height, width, 3)."""
     return _read_raster(path, (b"P5", b"P6"))
 
 

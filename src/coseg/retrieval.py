@@ -59,7 +59,7 @@ def retrieve_similar(
     The queries must be the indexed embeddings in index order; ids gives the
     item name for each index position (defaults to the position as a string).
     Each query asks for k+1 neighbors so that dropping the anchor's own entry
-    still leaves k.
+    still leaves k; search_k goes to query as given.
     """
     embeddings = np.asarray(embeddings)
     if embeddings.ndim == 1:
@@ -74,8 +74,6 @@ def retrieve_similar(
         ids = [str(i) for i in range(n_items)]
     elif len(ids) != n_items:
         raise ValueError(f"{len(ids)} ids for {n_items} indexed items")
-    if search_k is None:
-        search_k = index.config.search_k
 
     groups: list[SimilarityGroup] = []
     for pos, vec in enumerate(embeddings):

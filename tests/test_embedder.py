@@ -52,6 +52,11 @@ class TestEncoderParams:
         with pytest.raises(ValueError):
             EncoderParams(weights=(np.zeros((3, 2)),), biases=(np.zeros(2),))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_empty_layer_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            EncoderParams(weights=(np.zeros(shape),), biases=(np.zeros(shape[0]),))
+
     def test_dims(self):
         p = tiny_params()
         assert p.input_dim == 2
@@ -113,6 +118,8 @@ class TestForward:
         p = tiny_params()
         with pytest.raises(ValueError):
             forward(p, np.zeros(5))
+        with pytest.raises(ValueError):
+            forward(p, np.zeros((1, 2)))  # the right width, but 2-d
         with pytest.raises(ValueError):
             forward_batch(p, np.zeros((3, 5)))
 
@@ -871,9 +878,10 @@ class TestModelSerialization:
             out += rows.to_bytes(4, "little") + cols.to_bytes(4, "little") + bytes(8 * (rows * cols + rows))
         return out
 
-    @pytest.mark.parametrize("layers", [(), ((0, 3),), ((2, 0),), ((3, 4), (2, 2))])
+    @pytest.mark.parametrize("layers", [(), ((0, 3),), ((2, 0),), ((3, 4), (2, 2)), ((3, 4), (0, 3))])
     def test_malformed_layers_rejected(self, layers):
-        # zero layers, an empty layer, shapes that do not chain: once plain ValueError
+        # zero layers, an empty first or later layer, shapes that do not chain:
+        # EncoderParams' ValueError, re-raised as the decoder's error
         with pytest.raises(DecodeError):
             load_model(self.model_bytes(*layers))
 

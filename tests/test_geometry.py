@@ -245,3 +245,25 @@ class TestProposalFiles:
         path = tmp_path / "p.csv"
         path.write_text("\nimgA,0,0,5,5,0.5,gen\n\n", encoding="utf-8")
         assert len(load_proposals(path)) == 1
+
+    def test_round_trip_keeps_line_separators_and_spaces_other_than_lf(self, tmp_path):
+        # str.splitlines breaks at each of these; a record ends only at LF
+        odd = ["a\u2028b", "a\x85b", "a\x0cb", "a\x1eb", " padded ", "\tab"]
+        props = [prop(i, 0, 1, 1, 0.5, image_id=s, source=s) for i, s in enumerate(odd)]
+        path = tmp_path / "p.csv"
+        save_proposals(path, props)
+        assert load_proposals(path) == props
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"imgA,0,0,5,5,0.5,gen\r\n\r\nimgB,1,1,2,2,0.25,\r\n")
+        assert load_proposals(path) == [
+            prop(0, 0, 5, 5, 0.5, image_id="imgA"),
+            prop(1, 1, 2, 2, 0.25, image_id="imgB", source=""),
+        ]
+
+    @pytest.mark.parametrize("bad", ["a\nb", "a\rb"])
+    def test_line_break_in_id_or_source_rejected_on_save(self, tmp_path, bad):
+        for p in (prop(0, 0, 1, 1, 0.5, image_id=bad), prop(0, 0, 1, 1, 0.5, source=bad)):
+            with pytest.raises(ValueError, match="CR or LF"):
+                save_proposals(tmp_path / "x.csv", [p])

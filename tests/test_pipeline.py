@@ -47,7 +47,7 @@ from coseg.pipeline import (
     save_items,
     save_manifest,
 )
-from coseg.pnm import read_image, read_ppm, write_pbm
+from coseg.pnm import read_image, write_pbm
 from coseg.retrieval import load_groups
 
 FAST_OVERRIDES = {
@@ -458,7 +458,7 @@ class TestFullPipeline:
         files = sorted((out / "collages").glob("*.ppm"))
         assert 0 < len(files) <= 3  # collage.limit
         for f in files:
-            assert read_ppm(f).shape == (512, 512, 3)
+            assert read_image(f).shape == (512, 512, 3)
 
     def test_loss_trace_rows(self, pipeline_run):
         _, out, _, _ = pipeline_run
@@ -487,9 +487,11 @@ def tree_bytes(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_resplit_random_mining_cosine_walking_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("classical_hinge", ["false", "true"])
+def test_resplit_random_mining_cosine_walking_run(tmp_path, monkeypatch, classical_hinge):
     """Settings no benchmark workload runs: a resplit manifest, random mining,
-    the cosine metric, and a forest small enough that every query walks it."""
+    either hinge, the cosine metric, and a forest small enough that every
+    query walks it."""
     manifest, proposals = synthdata.make_image_dataset(
         tmp_path, n_classes=3, per_class=6, train_per_class=4, seed=4
     )
@@ -511,6 +513,7 @@ def test_resplit_random_mining_cosine_walking_run(tmp_path, monkeypatch):
             "split.resplit": "true",
             "split.train_fraction": "0.5",
             "train.mining": "random",
+            "train.classical_hinge": classical_hinge,
             "train.iterations": "20",
             "train.batch_size": "16",
             "train.layers": "16,8",
@@ -539,9 +542,11 @@ def test_resplit_random_mining_cosine_walking_run(tmp_path, monkeypatch):
 
 
 class TestRetrieveStage:
-    def test_ground_truth_iou_once_per_test_item(self, pipeline_run, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("iou_filter", ["0.3", "0.5", "0.8"])
+    def test_ground_truth_iou_once_per_test_item(self, pipeline_run, tmp_path, monkeypatch, iou_filter):
         # a member's verdict is decided once per item, not once per group it is in
         _, cfg = fresh_copy(pipeline_run, tmp_path)
+        cfg["retrieve.iou_filter"] = iou_filter
         out = Path(cfg["data.out_dir"])
         run_stage("retrieve", {**cfg, "retrieve.iou_filter": "0"})
         unfiltered = load_groups(out / "groups.jsonl")
@@ -567,7 +572,8 @@ class TestRetrieveStage:
         ]
         assert [list(g.members.neighbors) for g in load_groups(out / "groups.jsonl")] == want
         assert sum(map(len, want)) < sum(len(g.members) for g in unfiltered)
-        assert (out / "groups.jsonl").read_bytes() == (pipeline_run[1] / "groups.jsonl").read_bytes()
+        if iou_filter == pipeline_run[2]["retrieve.iou_filter"]:
+            assert (out / "groups.jsonl").read_bytes() == (pipeline_run[1] / "groups.jsonl").read_bytes()
 
 
 class TestManifestPaths:

@@ -10,8 +10,6 @@ from coseg.errors import BadMagicError, DecodeError, TruncatedError
 from coseg.pnm import (
     read_image,
     read_pbm,
-    read_pgm,
-    read_ppm,
     write_pbm,
     write_pgm,
     write_ppm,
@@ -63,25 +61,25 @@ class TestPgmPpm:
         img = rng.integers(0, 256, size=(11, 5), dtype=np.uint8)
         path = tmp_path / "g.pgm"
         write_pgm(path, img)
-        assert np.array_equal(read_pgm(path), img)
+        assert np.array_equal(read_image(path), img)
 
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         img = rng.integers(0, 256, size=(6, 7, 3), dtype=np.uint8)
         path = tmp_path / "c.ppm"
         write_ppm(path, img)
-        assert np.array_equal(read_ppm(path), img)
+        assert np.array_equal(read_image(path), img)
 
     def test_header_comments_and_whitespace(self, tmp_path):
         path = tmp_path / "g.pgm"
         path.write_bytes(b"P5 # gray\n# another comment\n 2\t2 #x\n255\n\x01\x02\x03\x04")
-        assert np.array_equal(read_pgm(path), [[1, 2], [3, 4]])
+        assert np.array_equal(read_image(path), [[1, 2], [3, 4]])
 
     def test_maxval_over_255_rejected(self, tmp_path):
         path = tmp_path / "g.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(DecodeError):
-            read_pgm(path)
+            read_image(path)
 
     @pytest.mark.parametrize("maxval", [b"15", b"1", b"254", b"0"])
     def test_maxval_other_than_255_rejected(self, tmp_path, maxval):
@@ -89,25 +87,25 @@ class TestPgmPpm:
         path = tmp_path / "g.pgm"
         path.write_bytes(b"P5\n2 1\n" + maxval + b"\n\x0f\x00")
         with pytest.raises(DecodeError):
-            read_pgm(path)
+            read_image(path)
 
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 5)
         with pytest.raises(TruncatedError):
-            read_ppm(path)
+            read_image(path)
 
     def test_missing_header_field(self, tmp_path):
         path = tmp_path / "g.pgm"
         path.write_bytes(b"P5\n2\n")
         with pytest.raises(TruncatedError):
-            read_pgm(path)
+            read_image(path)
 
     def test_non_numeric_header(self, tmp_path):
         path = tmp_path / "g.pgm"
         path.write_bytes(b"P5\n2 two\n255\n\x00\x00\x00\x00")
         with pytest.raises(DecodeError):
-            read_pgm(path)
+            read_image(path)
 
     def test_write_shape_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -130,7 +128,7 @@ class TestPgmPpm:
     def test_raster_not_aliased_to_file_buffer(self, tmp_path):
         path = tmp_path / "g.pgm"
         write_pgm(path, np.zeros((2, 2), dtype=np.uint8))
-        img = read_pgm(path)
+        img = read_image(path)
         img[0, 0] = 9  # must be writable
         assert img[0, 0] == 9
 
@@ -146,7 +144,7 @@ class TestOneCopyRead:
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n# " + b"x" * comment + b"\n7 # " + b"y" * comment + b"\n5\n255\n" + img.tobytes())
         assert path.stat().st_size > comment * 2
-        assert np.array_equal(read_ppm(path), img)
+        assert np.array_equal(read_image(path), img)
         mask = rng.random((5, 13)) < 0.5
         path = tmp_path / "m.pbm"
         path.write_bytes(b"P4\n# " + b"x" * comment + b"\n13 # " + b"y" * comment + b"\n5\n"
@@ -190,7 +188,7 @@ class TestOneCopyRead:
         path = tmp_path / "g.pgm"
         path.write_bytes(b"P5\n99999999999 99999999999\n255\n\x00")
         with pytest.raises(TruncatedError):
-            read_pgm(path)
+            read_image(path)
         path = tmp_path / "m.pbm"
         path.write_bytes(b"P4\n99999999999 99999999999\n\x00")
         with pytest.raises(TruncatedError):
@@ -205,7 +203,7 @@ class TestOneCopyRead:
         path.write_bytes(path.read_bytes()[:-1])
         monkeypatch.setattr(pnm.os, "fstat", lambda fd: full)
         with pytest.raises(TruncatedError):
-            read_pgm(path)
+            read_image(path)
 
 
 def _header_ints_oracle(data: bytes, start: int, count: int):

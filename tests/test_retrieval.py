@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coseg import annindex
 from coseg.annindex import IndexConfig, RetrievalResult, build
 from coseg.embedder import EncoderParams, forward, init_params
 from coseg.geometry import BoundingBox, Proposal
@@ -132,6 +133,22 @@ class TestRetrieveSimilar:
         emb = np.array([[0.0], [1.0]])
         with pytest.raises(ValueError):
             retrieve_similar(self.make_index(emb), emb, k=1, ids=["only-one"])
+
+    def test_default_budget_is_the_index_config(self, monkeypatch):
+        # budget max(20, (2 + 1) * 3) = 20 is below the 200 items, so every query walks
+        emb = np.random.default_rng(5).normal(size=(200, 4))
+        index = self.make_index(emb, search_k=20)
+        budgets = []
+        walk = annindex._walk_candidates
+
+        def counting(idx, qv, budget):
+            budgets.append(budget)
+            return walk(idx, qv, budget)
+
+        monkeypatch.setattr(annindex, "_walk_candidates", counting)
+        default = retrieve_similar(index, emb, k=2)
+        assert retrieve_similar(index, emb, k=2, search_k=index.config.search_k) == default
+        assert budgets == [20] * 400
 
 
 class TestFilterCandidates:
