@@ -232,6 +232,8 @@ def contrastive_loss(
     """0.5 * (Y * D**2 + (1 - Y) * max(0, m - D**2)) with D the Euclidean distance.
 
     With classical_hinge the dissimilar term becomes 0.5 * max(0, m - D)**2.
+    Training's batch loss takes each pair's value from the same formula, so a
+    NaN embedding gives a NaN loss here as it does there.
     """
     fa = np.asarray(fa, dtype=np.float64)
     fb = np.asarray(fb, dtype=np.float64)
@@ -241,12 +243,18 @@ def contrastive_loss(
         raise ValueError(f"label must be 0 or 1, got {label!r}")
     if not margin > 0:
         raise ValueError(f"margin must be positive, got {margin}")
-    d2 = float(np.sum((fa - fb) ** 2))
-    if label == 1:
-        return 0.5 * d2
+    diff = fa - fb
+    return float(_pair_losses(np.sum(diff * diff), label == 1, margin, classical_hinge))
+
+
+def _pair_losses(d2, pos, margin: float, classical_hinge: bool) -> np.ndarray:
+    """Each pair's contrastive loss from its squared distance d2 and whether it
+    is a similar pair (pos). A NaN distance gives a NaN loss on either label."""
     if classical_hinge:
-        return 0.5 * max(0.0, margin - math.sqrt(d2)) ** 2
-    return 0.5 * max(0.0, margin - d2)
+        dissimilar = 0.5 * np.maximum(0.0, margin - np.sqrt(d2)) ** 2
+    else:
+        dissimilar = 0.5 * np.maximum(0.0, margin - d2)
+    return np.where(pos, 0.5 * d2, dissimilar)
 
 
 def _batch_gradient(
@@ -277,16 +285,14 @@ def _batch_gradient(
     diff = acts[-1][ia] - acts[-1][ib]
     d2 = np.sum(diff * diff, axis=1)
     pos = np.asarray(labels) == 1
+    loss = float(np.mean(_pair_losses(d2, pos, margin, classical_hinge)))
     if classical_hinge:
         d = np.sqrt(d2)
-        per_pair = np.where(pos, 0.5 * d2, 0.5 * np.maximum(0.0, margin - d) ** 2)
         active = (~pos) & (d < margin) & (d > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             neg_coeff = np.where(active, -(margin - d) / np.where(d > 0, d, 1.0), 0.0)
     else:
-        per_pair = np.where(pos, 0.5 * d2, 0.5 * np.maximum(0.0, margin - d2))
         neg_coeff = np.where((~pos) & (d2 < margin), -1.0, 0.0)
-    loss = float(np.mean(per_pair))
 
     coeff = (np.where(pos, 1.0, 0.0) + neg_coeff) / n
     pair_delta = coeff[:, None] * diff
@@ -317,13 +323,9 @@ def loss_gradient(
     """Analytic gradient of contrastive_loss(forward(a), forward(b)) wrt params."""
     if not margin > 0:
         raise ValueError(f"margin must be positive, got {margin}")
-    if pair.a.shape[0] != params.input_dim:
-        raise ValueError(
-            f"pair dimension {pair.a.shape[0]} does not match input dimension {params.input_dim}"
-        )
     _, grad_w, grad_b = _batch_gradient(
         params,
-        _forward_activations(params, np.stack([pair.a, pair.b])),
+        forward_batch(params, np.stack([pair.a, pair.b]), all_layers=True),
         np.array([0]),
         np.array([1]),
         np.array([pair.label]),
@@ -426,9 +428,7 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     Each step is one momentum update, applied in place to the initial params:
     v <- momentum*v - lr*g; params <- params + v.
     """
-    if len(dataset) < 2:
-        raise ValueError("training needs at least 2 descriptors")
-    members = _class_members(dataset.labels)  # checks there are enough classes
+    members = _class_members(dataset.labels)  # checks there are enough classes and items
     params = init_params(dataset.dim, cfg.layer_sizes, cfg.seed)
     arrays = (*params.weights, *params.biases)
     velocity = [np.zeros_like(a) for a in arrays]

@@ -22,25 +22,26 @@ def _check_same_shape(seg: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.n
     return seg != 0, gt != 0
 
 
+def _scores(seg_px: int, gt_px: int, inter: int) -> tuple[float, float]:
+    """(precision, jaccard) from the segmented, ground-truth and shared pixel
+    counts. An empty segmentation has precision 0; an empty union has Jaccard 1."""
+    union = seg_px + gt_px - inter
+    return (inter / seg_px if seg_px else 0.0), (inter / union if union else 1.0)
+
+
 def precision(seg: np.ndarray, gt: np.ndarray) -> float:
     """Fraction of segmented pixels that are ground-truth foreground.
 
     An empty segmentation scores 0; evaluate() flags those items.
     """
     seg, gt = _check_same_shape(seg, gt)
-    seg_count = int(seg.sum())
-    if seg_count == 0:
-        return 0.0
-    return int((seg & gt).sum()) / seg_count
+    return _scores(int(seg.sum()), int(gt.sum()), int((seg & gt).sum()))[0]
 
 
 def jaccard(seg: np.ndarray, gt: np.ndarray) -> float:
     """Intersection over union of foreground pixels; 1 when both are empty."""
     seg, gt = _check_same_shape(seg, gt)
-    union = int((seg | gt).sum())
-    if union == 0:
-        return 1.0
-    return int((seg & gt).sum()) / union
+    return _scores(int(seg.sum()), int(gt.sum()), int((seg & gt).sum()))[1]
 
 
 @dataclass(frozen=True)
@@ -157,12 +158,9 @@ def evaluate(
             inside = gt[cut] if cut else gt[:0]
             seg_px, inter = inside.size, int(np.count_nonzero(inside))
             gt_px = int(np.count_nonzero(gt))
-        union = seg_px + gt_px - inter
         if seg_px == 0:
             empty_seg.append(item_id)
-        p = inter / seg_px if seg_px else 0.0
-        j = inter / union if union else 1.0
-        by_class.setdefault(cls, []).append((p, j))
+        by_class.setdefault(cls, []).append(_scores(seg_px, gt_px, inter))
 
     per_class = {
         cls: ClassMetrics(

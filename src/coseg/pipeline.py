@@ -139,11 +139,11 @@ DEFAULTS = {key: spec.default for key, spec in KEYS.items()}
 
 def load_config(path) -> dict[str, str]:
     """Parse a flat key=value config file (UTF-8, a byte-order mark at the
-    start skipped); # starts a comment line."""
+    start skipped); # starts a comment line. A line ends at LF only, so any
+    other line-breaking character inside a value stays in it; whitespace, a CR
+    before the LF included, is stripped from each line and around key and value."""
     cfg: dict[str, str] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(Path(path).read_bytes().decode("utf-8-sig").split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -385,10 +385,7 @@ def ingest(
             logger.warning("image %r has no proposals; skipping", record.item_id)
             continue
         survivors = top_k(nms(dedup_near(props, dedup_threshold), nms_threshold), keep_top)
-        path = Path(record.image_path)
-        if not path.exists():
-            raise FileNotFoundError(f"image file missing for {record.item_id!r}: {path}")
-        image = read_image(path)
+        image = read_image(record.image_path)
         img_h, img_w = image.shape[:2]
         for j, prop in enumerate(survivors):
             items.append(

@@ -39,8 +39,6 @@ class SimilarityGroup:
 def embed_all(params: EncoderParams, descriptors: np.ndarray) -> np.ndarray:
     """Embed descriptor rows in order; (n, d_in) -> (n, d_out)."""
     descriptors = np.asarray(descriptors, dtype=np.float64)
-    if descriptors.size == 0:
-        return np.empty((0, params.output_dim))
     if descriptors.ndim == 1:
         descriptors = descriptors[None, :]
     return forward_batch(params, descriptors)

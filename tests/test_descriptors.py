@@ -221,3 +221,17 @@ class TestDescriptorFiles:
         data = save_descriptors(["a"], np.zeros((1, 2), dtype=np.float32))
         with pytest.raises(ValueError):
             load_descriptors(data + b"!")
+
+
+@pytest.mark.parametrize(
+    "ids, vectors, message",
+    [
+        (["a"], np.zeros(3), "vectors must be 2-d"),
+        # 32,768 two-byte characters: the u16 length prefix counts UTF-8 bytes
+        (["\u00e9" * 32768], np.zeros((1, 2)), "item id too long"),
+    ],
+    ids=["vectors-1d", "id-over-65535-bytes"],
+)
+def test_save_descriptors_errors(ids, vectors, message):
+    with pytest.raises(ValueError, match=message):
+        save_descriptors(ids, vectors)

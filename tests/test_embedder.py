@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coseg.embedder import (
     EncoderParams,
@@ -183,6 +185,31 @@ class TestContrastiveLoss:
             contrastive_loss(f, f, 2, 1.0)
         with pytest.raises(ValueError):
             contrastive_loss(f, f, 1, 0.0)
+
+    @pytest.mark.parametrize("classical", [False, True])
+    def test_nan_dissimilar_pair_is_nan(self, classical):
+        # a dissimilar pair's hinge must not turn NaN into 0: training's batch
+        # loss for this pair is NaN, and train stops with TrainingDiverged
+        fa, fb = np.array([np.nan, 0.0]), np.zeros(2)
+        assert np.isnan(contrastive_loss(fa, fb, 0, 1.0, classical))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda d: st.lists(
+            st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d), min_size=2, max_size=2)),
+        st.sampled_from([0, 1]),
+        st.floats(1e-6, 1e6),
+        st.booleans(),
+    )
+    def test_equals_training_loss_bit_for_bit(self, pair, label, margin, classical):
+        emb = np.array(pair)
+        # one linear layer: the pair's rows are both its input and its embedding
+        params = EncoderParams(weights=(np.eye(emb.shape[1]),), biases=(np.zeros(emb.shape[1]),))
+        trained, _, _ = _batch_gradient(
+            params, [emb, emb], np.array([0]), np.array([1]), np.array([label]), margin, classical
+        )
+        got = contrastive_loss(emb[0], emb[1], label, margin, classical)
+        assert np.float64(got).view(np.uint64) == np.float64(trained).view(np.uint64)
 
 
 def numeric_gradient(params, pair, margin, classical, step=1e-6):
@@ -887,3 +914,24 @@ class TestModelSerialization:
 
     def test_chained_layers_load(self):
         assert load_model(self.model_bytes((3, 4), (2, 3))).layer_sizes == (3, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: EncoderParams(weights=(np.eye(2),), biases=()), "1 weight matrices but 0 biases"),
+        (lambda: PairSample(a=np.zeros(2), b=np.zeros(2), label=2), "label must be 0 or 1"),
+        (lambda: PairSample(a=np.zeros(2), b=np.zeros(3), label=1), "equal-length vectors"),
+        (lambda: LabeledDescriptors(vectors=np.zeros(3), labels=np.zeros(3)), "vectors must be 2-d"),
+        (lambda: LabeledDescriptors(vectors=np.zeros((3, 2)), labels=np.zeros(2)), "3 vectors but label shape"),
+        (lambda: init_params(0, (2,), seed=0), "input_dim must be >= 1"),
+        (lambda: init_params(2, (), seed=0), "layer_sizes must be non-empty"),
+        (lambda: loss_gradient(tiny_params(), PairSample(a=np.ones(2), b=np.ones(2), label=1), 0.0),
+         "margin must be positive"),
+    ],
+    ids=["weight-bias-count", "pair-label", "pair-shapes", "descriptors-1d", "label-count",
+         "input-dim-0", "no-layers", "gradient-margin-0"],
+)
+def test_argument_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -267,3 +267,10 @@ class TestProposalFiles:
         for p in (prop(0, 0, 1, 1, 0.5, image_id=bad), prop(0, 0, 1, 1, 0.5, source=bad)):
             with pytest.raises(ValueError, match="CR or LF"):
                 save_proposals(tmp_path / "x.csv", [p])
+
+
+@pytest.mark.parametrize("reduce", [nms, dedup_near])
+def test_suppression_rejects_proposals_of_two_images(reduce):
+    props = [prop(0, 0, 4, 4, 0.9, image_id="a"), prop(10, 10, 4, 4, 0.8, image_id="b")]
+    with pytest.raises(ValueError, match=r"proposals span multiple images: \['a', 'b'\]"):
+        reduce(props, 0.5)

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -47,7 +48,8 @@ from coseg.pipeline import (
     save_items,
     save_manifest,
 )
-from coseg.pnm import read_image, write_pbm
+from coseg.metrics import jaccard, precision
+from coseg.pnm import read_image, write_pbm, write_pgm, write_ppm
 from coseg.retrieval import load_groups
 
 FAST_OVERRIDES = {
@@ -125,6 +127,18 @@ class TestLoadConfig:
         path = tmp_path / "run.cfg"
         path.write_text("data.out_dir=/tmp/x=y\n", encoding="utf-8")
         assert load_config(path)["data.out_dir"] == "/tmp/x=y"
+
+    @pytest.mark.parametrize("char", ["\u2028", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"],
+                             ids=lambda c: f"U+{ord(c):04X}")
+    def test_line_ends_at_lf_only(self, tmp_path, char):
+        # str.splitlines would end a line at each of these characters
+        path = tmp_path / "c.cfg"
+        value = f"/tmp/a{char}b"
+        path.write_bytes(f"# settings\r\ndata.out_dir={value}\r\n\r\nseed = 3\r\n".encode())
+        assert load_config(path) == {"data.out_dir": value, "seed": "3"}
+        path.write_bytes(f"data.out_dir={value}\nbogus\n".encode())
+        with pytest.raises(ConfigError, match=r"c\.cfg:2: expected key=value, got 'bogus'"):
+            load_config(path)
 
 
 class TestMergeConfig:
@@ -384,7 +398,8 @@ class TestIngest:
     def test_missing_image_file_rejected(self, dataset, tmp_path):
         root, manifest, proposals = dataset
         moved = [replace(r, image_path=str(tmp_path / Path(r.image_path).name)) for r in manifest]
-        with pytest.raises(FileNotFoundError):
+        # read_image's own error names the first missing file
+        with pytest.raises(FileNotFoundError, match=re.escape(moved[0].image_path)):
             ingest(moved, proposals, 0.95, 0.7, 10)
 
     def test_empty_proposals_warn_and_empty_result(self, dataset, caplog):
@@ -653,6 +668,30 @@ class TestCollageStage:
         assert "'cat 1#" in message and "'cat_1#" in message and "collage file cat_1_" in message
 
 
+    def test_grayscale_frames_render_as_gray_colour_frames(self, pipeline_run, tmp_path):
+        # collage stacks a P5 frame into three equal channels, so its canvases
+        # equal those drawn from P6 copies holding the gray level in each channel
+        _, out, cfg, _ = pipeline_run
+        writers = {
+            "pgm": write_pgm,
+            "ppm": lambda path, gray: write_ppm(path, np.stack([gray] * 3, axis=2)),
+        }
+        canvases = []
+        for suffix, write in writers.items():
+            run_out = tmp_path / suffix / "out"
+            shutil.copytree(out, run_out)
+            records = []
+            for r in load_manifest(out / "manifest_used.csv"):
+                frame = tmp_path / suffix / f"{r.item_id}.{suffix}"
+                write(frame, read_image(r.image_path)[:, :, 0])
+                records.append(replace(r, image_path=str(frame)))
+            save_manifest(records, run_out / "manifest_used.csv")
+            run_stage("collage", merge_config({
+                "data.out_dir": str(run_out), "collage.limit": cfg["collage.limit"],
+            }))
+            canvases.append({p.name: p.read_bytes() for p in (run_out / "collages").glob("*.ppm")})
+        assert canvases[0] and canvases[0] == canvases[1]
+
     def test_rerun_with_lower_limit_leaves_only_current_canvases(self, pipeline_run, tmp_path):
         _, cfg = fresh_copy(pipeline_run, tmp_path)
         cfg["retrieve.iou_filter"] = "0"  # every group keeps members, so each renders
@@ -676,6 +715,45 @@ class TestEvaluateStage:
         run_stage("ingest", cfg)
         with pytest.raises(StageError, match=f"wide.pbm is {w + 1}x{h}, its image {w}x{h}"):
             run_stage("evaluate", cfg)
+
+    def test_image_without_ground_truth_is_skipped(self, pipeline_run, tmp_path):
+        _, out, _, _ = pipeline_run
+        new_out = tmp_path / "out"
+        shutil.copytree(out, new_out)
+        groups = load_groups(out / "groups.jsonl")
+        items = {it.item_id: it for it in load_items(out / "items.csv")}
+        scored = list(dict.fromkeys(
+            i for g in groups for i in (g.anchor, *(m for m, _ in g.members.neighbors))
+        ))
+        records = load_manifest(out / "manifest_used.csv")
+        bare = items[groups[0].anchor].proposal.image_id
+        save_manifest([replace(r, gt_box=None) if r.item_id == bare else r for r in records],
+                      new_out / "manifest_used.csv")
+        run_stage("evaluate", merge_config({"data.out_dir": str(new_out)}))
+        report = json.loads((new_out / "report.json").read_text(encoding="utf-8"))
+
+        skipped = [i for i in scored if items[i].proposal.image_id == bare]
+        assert report["skipped"] == [{"id": i, "reason": "no ground-truth mask"} for i in skipped]
+        # the class scores average the other items, each box drawn against its image's box
+        truth = {r.item_id: r.gt_box for r in records}
+        by_class: dict[str, list[tuple[float, float]]] = {}
+        for i in scored:
+            it = items[i]
+            if i in skipped:
+                continue
+            rows, cols = np.indices((it.img_h, it.img_w))
+            seg, gt = (
+                (rows >= b.y) & (rows < b.y + b.h) & (cols >= b.x) & (cols < b.x + b.w)
+                for b in (it.proposal.box, truth[it.proposal.image_id])
+            )
+            by_class.setdefault(it.class_name, []).append((precision(seg, gt), jaccard(seg, gt)))
+        assert sorted(report["per_class"]) == sorted(by_class)
+        for cls, scores in by_class.items():
+            assert report["per_class"][cls] == {
+                "precision": pytest.approx(np.mean([p for p, _ in scores]), rel=1e-12),
+                "jaccard": pytest.approx(np.mean([j for _, j in scores]), rel=1e-12),
+                "count": len(scores),
+            }
 
 
 class TestRunStage:

@@ -62,9 +62,13 @@ class TestEmbedAll:
             assert np.allclose(out[i], forward(params, desc[i]))
 
     def test_empty_input(self):
-        params = init_params(5, (3,), seed=0)
-        out = embed_all(params, np.empty((0, 5)))
-        assert out.shape == (0, 3)
+        # forward_batch itself maps (0, d) to (0, out), float64 like any embedding
+        for layers in [(3,), (4, 2, 6)]:
+            params = init_params(5, layers, seed=0)
+            for dtype in (np.float64, np.float32):
+                out = embed_all(params, np.empty((0, 5), dtype=dtype))
+                assert out.shape == (0, layers[-1])
+                assert out.dtype == np.float64
 
     def test_single_vector_promoted(self):
         params = identity_params(3)
