@@ -54,8 +54,8 @@ save_manifest(records, root / "manifest.csv")
 save_proposals(root / "proposals.csv", proposals)
 
 # 2. One flat config drives everything. Keys mirror the CLI flags; unset keys
-#    fall back to defaults, and a COSEG_SEED environment variable would win
-#    over the seed given here.
+#    fall back to defaults. The COSEG_SEED environment variable applies to the
+#    coseg command only: merge_config and run_pipeline do not read it.
 cfg = merge_config(
     {
         "data.manifest": str(root / "manifest.csv"),

@@ -345,23 +345,16 @@ def load_items(path) -> list[ItemRecord]:
 # ingest
 
 
-@dataclass(frozen=True)
-class IngestResult:
-    """Descriptors plus per-item metadata for one or both splits."""
-
-    items: list[ItemRecord]
-    vectors: np.ndarray  # (n, descriptor dim) float32, aligned with items
-
-
 def ingest(
     manifest: list[ManifestRecord],
     proposals: list[Proposal],
-    dedup_threshold: float = 0.95,
-    nms_threshold: float = 0.7,
-    keep_top: int = 10,
-) -> IngestResult:
+    dedup_threshold: float,
+    nms_threshold: float,
+    keep_top: int,
+) -> tuple[list[ItemRecord], np.ndarray]:
     """Reduce each image's proposals (near-duplicate removal, then NMS, then
-    top-k by score) and crop a descriptor for every survivor.
+    top-k by score) and crop a descriptor for every survivor; returns the
+    items and their (n, descriptor dim) float32 descriptors, row for row.
 
     Image paths in the manifest are read as written. Proposals naming an
     image absent from the manifest are an error; images without proposals
@@ -402,7 +395,7 @@ def ingest(
     matrix = (
         np.stack(vectors) if vectors else np.empty((0, DESCRIPTOR_DIM), dtype=np.float32)
     )
-    return IngestResult(items=items, vectors=matrix)
+    return items, matrix
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +407,18 @@ def _class_labels(items: list[ItemRecord]) -> np.ndarray:
     names = sorted({it.class_name for it in items})
     index = {n: i for i, n in enumerate(names)}
     return np.array([index[it.class_name] for it in items], dtype=np.int64)
+
+
+class _ById(dict):
+    """The rows of the table at path (items.csv or manifest_used.csv) by
+    item_id; looking up an id the table lacks fails, naming id and table."""
+
+    def __init__(self, load: Callable[[Path], list], path: Path):
+        super().__init__((row.item_id, row) for row in load(path))
+        self.table = path.name
+
+    def __missing__(self, item_id: str):
+        raise ValueError(f"id {item_id!r} missing from {self.table}")
 
 
 def _resolve_paths(record: ManifestRecord, base: Path) -> ManifestRecord:
@@ -435,13 +440,13 @@ def stage_ingest(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str
         manifest = split_dataset(manifest, cfg["split.train_fraction"], cfg["seed"])
     save_manifest(manifest, outputs["manifest_used.csv"])
     proposals = load_proposals(cfg["data.proposals"])
-    result = ingest(manifest, proposals, cfg["ingest.dedup_threshold"],
-                    cfg["ingest.nms_threshold"], cfg["ingest.top_k"])
-    save_items(result.items, outputs["items.csv"])
+    items, vectors = ingest(manifest, proposals, cfg["ingest.dedup_threshold"],
+                            cfg["ingest.nms_threshold"], cfg["ingest.top_k"])
+    save_items(items, outputs["items.csv"])
     for split in SPLITS:
-        sel = [i for i, it in enumerate(result.items) if it.split == split]
-        ids = [result.items[i].item_id for i in sel]
-        save_descriptors_file(ids, result.vectors[sel], outputs[f"desc_{split}.csgd"])
+        sel = [i for i, it in enumerate(items) if it.split == split]
+        ids = [items[i].item_id for i in sel]
+        save_descriptors_file(ids, vectors[sel], outputs[f"desc_{split}.csgd"])
 
 
 def stage_train(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
@@ -458,7 +463,7 @@ def stage_train(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str,
         classical_hinge=cfg["train.classical_hinge"],
     )
     ids, vectors = load_descriptors_file(inputs["desc_train.csgd"])
-    items = {it.item_id: it for it in load_items(inputs["items.csv"])}
+    items = _ById(load_items, inputs["items.csv"])
     labels = _class_labels([items[i] for i in ids])
     result = train(LabeledDescriptors(vectors=vectors, labels=labels), tc)
     save_model_file(result.params, outputs["model.csgm"])
@@ -470,7 +475,7 @@ def stage_embed(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str,
     params = load_model_file(inputs["model.csgm"])
     ids, vectors = load_descriptors_file(inputs["desc_test.csgd"])
     embeddings = embed_all(params, vectors)
-    save_descriptors_file(ids, embeddings.astype(np.float32), outputs["emb_test.csgd"])
+    save_descriptors_file(ids, embeddings, outputs["emb_test.csgd"])
 
 
 def stage_index(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
@@ -488,32 +493,31 @@ def stage_index(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str,
 def stage_retrieve(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     index = load_index_file(inputs["index.csgi"])
     ids, embeddings = load_descriptors_file(inputs["emb_test.csgd"])
-    items = {it.item_id: it for it in load_items(inputs["items.csv"])}
-    hints = {i: items[i].class_name for i in ids if i in items}
+    items = _ById(load_items, inputs["items.csv"])
+    hints = {i: items[i].class_name for i in ids}
     groups = retrieve_similar(
         index, embeddings, k=cfg["retrieve.k"], search_k=cfg["retrieve.search_k"],
         ids=ids, class_hints=hints,
     )
     manifest = load_manifest(inputs["manifest_used.csv"])
     gt_boxes = {r.item_id: r.gt_box for r in manifest if r.gt_box is not None}
-    if gt_boxes and cfg["retrieve.iou_filter"] > 0:
-        proposals = {i: items[i].proposal for i in ids if i in items}
-        verdicts = iou_verdicts(proposals, gt_boxes, cfg["retrieve.iou_filter"])
-        groups = [filter_candidates(g, verdicts) for g in groups]
+    proposals = {i: items[i].proposal for i in ids}
+    verdicts = iou_verdicts(proposals, gt_boxes, cfg["retrieve.iou_filter"])
+    groups = [filter_candidates(g, verdicts) for g in groups]
     save_groups(groups, outputs["groups.jsonl"])
 
 
 def _ground_truth(
-    record: ManifestRecord | None, img_w: int, img_h: int
+    record: ManifestRecord, img_w: int, img_h: int
 ) -> np.ndarray | BoxTruth | None:
     """An image's ground truth: its PBM mask, else its box in the frame, else None."""
-    if record is not None and record.gt_mask_path:
+    if record.gt_mask_path:
         gt = read_pbm(record.gt_mask_path)
         if gt.shape != (img_h, img_w):
             raise ValueError(f"ground-truth mask {record.gt_mask_path} is "
                              f"{gt.shape[1]}x{gt.shape[0]}, its image {img_w}x{img_h}")
         return gt
-    if record is None or record.gt_box is None:
+    if record.gt_box is None:
         return None
     return BoxTruth(record.gt_box, img_w, img_h)
 
@@ -521,9 +525,9 @@ def _ground_truth(
 def stage_evaluate(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     groups = load_groups(inputs["groups.jsonl"])
     items = load_items(inputs["items.csv"])
-    manifest = {r.item_id: r for r in load_manifest(inputs["manifest_used.csv"])}
+    manifest = _ById(load_manifest, inputs["manifest_used.csv"])
     sizes = {it.proposal.image_id: (it.img_w, it.img_h) for it in items}
-    gt_by_image = {i: _ground_truth(manifest.get(i), w, h) for i, (w, h) in sizes.items()}
+    gt_by_image = {i: _ground_truth(manifest[i], w, h) for i, (w, h) in sizes.items()}
     report = evaluate(
         groups,
         {it.item_id: it.proposal.box for it in items},
@@ -540,8 +544,8 @@ def _safe_name(item_id: str) -> str:
 def stage_collage(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     spec = CollageSpec(background=cfg["collage.background"])
     groups = load_groups(inputs["groups.jsonl"])
-    items = {it.item_id: it for it in load_items(inputs["items.csv"])}
-    manifest = {r.item_id: r for r in load_manifest(inputs["manifest_used.csv"])}
+    items = _ById(load_items, inputs["items.csv"])
+    manifest = _ById(load_manifest, inputs["manifest_used.csv"])
     collage_dir = outputs["collages"]
     collage_dir.mkdir()
     image_cache: dict[str, np.ndarray] = {}
@@ -550,12 +554,8 @@ def stage_collage(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[st
     for group in groups[:cfg["collage.limit"]]:
         collage_items: list[CollageItem] = []
         for member_id, dist in group.members.neighbors[:len(spec.slots)]:
-            it = items.get(member_id)
-            if it is None:
-                raise ValueError(f"group member {member_id!r} missing from items table")
-            record = manifest.get(it.proposal.image_id)
-            if record is None:
-                raise ValueError(f"image {it.proposal.image_id!r} missing from manifest")
+            it = items[member_id]
+            record = manifest[it.proposal.image_id]
             if record.image_path not in image_cache:
                 image = read_image(record.image_path)
                 if image.ndim == 2:

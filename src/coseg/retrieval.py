@@ -38,16 +38,13 @@ class SimilarityGroup:
 
 def embed_all(params: EncoderParams, descriptors: np.ndarray) -> np.ndarray:
     """Embed descriptor rows in order; (n, d_in) -> (n, d_out)."""
-    descriptors = np.asarray(descriptors, dtype=np.float64)
-    if descriptors.ndim == 1:
-        descriptors = descriptors[None, :]
-    return forward_batch(params, descriptors)
+    return forward_batch(params, np.atleast_2d(descriptors))
 
 
 def retrieve_similar(
     index: AnnIndex,
     embeddings: np.ndarray,
-    k: int = 10,
+    k: int,
     search_k: int | None = None,
     ids: list[str] | None = None,
     class_hints: dict[str, str] | None = None,
@@ -59,9 +56,6 @@ def retrieve_similar(
     Each query asks for k+1 neighbors so that dropping the anchor's own entry
     still leaves k; search_k goes to query as given.
     """
-    embeddings = np.asarray(embeddings)
-    if embeddings.ndim == 1:
-        embeddings = embeddings[None, :]
     n_items = index.items.shape[0]
     if embeddings.shape[0] != n_items:
         raise ValueError(

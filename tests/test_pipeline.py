@@ -12,6 +12,7 @@ import pytest
 import synthdata
 from coseg.annindex import load_file as load_index_file
 from coseg.cli import main
+from coseg.collage import CollageSpec
 from coseg.descriptors import load_descriptors_file
 from coseg.errors import ConfigError, StageError
 from coseg.geometry import (
@@ -50,7 +51,7 @@ from coseg.pipeline import (
 )
 from coseg.metrics import jaccard, precision
 from coseg.pnm import read_image, write_pbm, write_pgm, write_ppm
-from coseg.retrieval import load_groups
+from coseg.retrieval import load_groups, save_groups
 
 FAST_OVERRIDES = {
     "seed": "7",
@@ -357,35 +358,35 @@ def dataset(tmp_path_factory):
 class TestIngest:
     def test_survivor_chain_matches_composition(self, dataset):
         root, manifest, proposals = dataset
-        result = ingest(manifest, proposals, 0.95, 0.7, 10)
+        items, vectors = ingest(manifest, proposals, 0.95, 0.7, 10)
         by_image = {}
         for p in proposals:
             by_image.setdefault(p.image_id, []).append(p)
         for record in manifest:
             want = top_k(nms(dedup_near(by_image[record.item_id], 0.95), 0.7), 10)
-            got = [it.proposal for it in result.items if it.proposal.image_id == record.item_id]
+            got = [it.proposal for it in items if it.proposal.image_id == record.item_id]
             assert got == want
 
     def test_item_ids_number_survivors(self, dataset):
         root, manifest, proposals = dataset
-        result = ingest(manifest, proposals, 0.95, 0.7, 10)
+        items, vectors = ingest(manifest, proposals, 0.95, 0.7, 10)
         per_image: dict[str, list[str]] = {}
-        for it in result.items:
+        for it in items:
             per_image.setdefault(it.proposal.image_id, []).append(it.item_id)
         for image_id, ids in per_image.items():
             assert ids == [f"{image_id}#{j}" for j in range(len(ids))]
 
     def test_descriptor_matrix_aligned(self, dataset):
         root, manifest, proposals = dataset
-        result = ingest(manifest, proposals, 0.95, 0.7, 10)
-        assert result.vectors.shape == (len(result.items), 1024)
-        assert result.vectors.dtype == np.float32
+        items, vectors = ingest(manifest, proposals, 0.95, 0.7, 10)
+        assert vectors.shape == (len(items), 1024)
+        assert vectors.dtype == np.float32
 
     def test_top_k_caps_survivors(self, dataset):
         root, manifest, proposals = dataset
-        result = ingest(manifest, proposals, 0.95, 0.7, 2)
+        items, vectors = ingest(manifest, proposals, 0.95, 0.7, 2)
         per_image: dict[str, int] = {}
-        for it in result.items:
+        for it in items:
             per_image[it.proposal.image_id] = per_image.get(it.proposal.image_id, 0) + 1
         assert all(n <= 2 for n in per_image.values())
 
@@ -405,9 +406,9 @@ class TestIngest:
     def test_empty_proposals_warn_and_empty_result(self, dataset, caplog):
         root, manifest, _ = dataset
         with caplog.at_level("WARNING"):
-            result = ingest(manifest, [], 0.95, 0.7, 10)
-        assert result.items == []
-        assert result.vectors.shape == (0, 1024)
+            items, vectors = ingest(manifest, [], 0.95, 0.7, 10)
+        assert items == []
+        assert vectors.shape == (0, 1024)
         assert "no proposals" in caplog.text
 
 
@@ -557,7 +558,7 @@ def test_resplit_random_mining_cosine_walking_run(tmp_path, monkeypatch, classic
 
 
 class TestRetrieveStage:
-    @pytest.mark.parametrize("iou_filter", ["0.3", "0.5", "0.8"])
+    @pytest.mark.parametrize("iou_filter", ["0", "0.3", "0.5", "0.8"])
     def test_ground_truth_iou_once_per_test_item(self, pipeline_run, tmp_path, monkeypatch, iou_filter):
         # a member's verdict is decided once per item, not once per group it is in
         _, cfg = fresh_copy(pipeline_run, tmp_path)
@@ -586,7 +587,8 @@ class TestRetrieveStage:
             for g in unfiltered
         ]
         assert [list(g.members.neighbors) for g in load_groups(out / "groups.jsonl")] == want
-        assert sum(map(len, want)) < sum(len(g.members) for g in unfiltered)
+        if float(iou_filter) > 0:  # at 0 every member passes
+            assert sum(map(len, want)) < sum(len(g.members) for g in unfiltered)
         if iou_filter == pipeline_run[2]["retrieve.iou_filter"]:
             assert (out / "groups.jsonl").read_bytes() == (pipeline_run[1] / "groups.jsonl").read_bytes()
 
@@ -692,6 +694,42 @@ class TestCollageStage:
             canvases.append({p.name: p.read_bytes() for p in (run_out / "collages").glob("*.ppm")})
         assert canvases[0] and canvases[0] == canvases[1]
 
+    def test_member_outside_its_frame_is_left_out(self, pipeline_run, tmp_path):
+        # a frame cut down to its left edge after retrieve: a member whose box
+        # misses the smaller frame is left out, as if it were not in its group
+        _, out, cfg, _ = pipeline_run
+        items = {it.item_id: it.proposal for it in load_items(out / "items.csv")}
+        groups = load_groups(out / "groups.jsonl")
+        slots = len(CollageSpec.slots)
+        cut = next(items[m] for g in groups[:int(cfg["collage.limit"])]
+                   for m, _ in g.members.neighbors[:slots] if items[m].box.x > 0)
+        records = load_manifest(out / "manifest_used.csv")
+        path = next(r.image_path for r in records if r.item_id == cut.image_id)
+        frame = read_image(path)[:, :cut.box.x]
+        write_ppm(tmp_path / "edge.ppm", frame)
+        records = [replace(r, image_path=str(tmp_path / "edge.ppm")) if r.item_id == cut.image_id else r
+                   for r in records]
+
+        def inside(member):
+            prop = items[member]
+            return prop.image_id != cut.image_id or prop.box.clip(frame.shape[1], frame.shape[0]) is not None
+
+        canvases = []
+        for run, keep in (("all", lambda m: True), ("inside", inside)):
+            run_out = tmp_path / run
+            shutil.copytree(out, run_out)
+            save_manifest(records, run_out / "manifest_used.csv")
+            save_groups([
+                replace(g, members=replace(g.members, neighbors=tuple(
+                    (m, d) for m, d in g.members.neighbors[:slots] if keep(m))))
+                for g in groups
+            ], run_out / "groups.jsonl")
+            run_stage("collage", merge_config({
+                "data.out_dir": str(run_out), "collage.limit": cfg["collage.limit"],
+            }))
+            canvases.append({p.name: p.read_bytes() for p in (run_out / "collages").glob("*.ppm")})
+        assert canvases[0] and canvases[0] == canvases[1]
+
     def test_rerun_with_lower_limit_leaves_only_current_canvases(self, pipeline_run, tmp_path):
         _, cfg = fresh_copy(pipeline_run, tmp_path)
         cfg["retrieve.iou_filter"] = "0"  # every group keeps members, so each renders
@@ -701,6 +739,61 @@ class TestCollageStage:
         assert len(list(collages.glob("*.ppm"))) == 6
         run_stage("collage", {**cfg, "collage.limit": "2"})
         assert len(list(collages.glob("*.ppm"))) == 2
+
+
+class TestTablesDisagree:
+    """A stage whose input tables disagree on an id fails, naming the id and
+    the table that lacks it, and leaves its previous output as it was."""
+
+    def drop_row(self, pipeline_run, tmp_path, table, item_id):
+        """A copy of the run whose table lacks item_id's row; returns its config."""
+        _, out, cfg, _ = pipeline_run
+        new_out = tmp_path / "out"
+        shutil.copytree(out, new_out)
+        if table == "items.csv":
+            save_items([it for it in load_items(out / table) if it.item_id != item_id], new_out / table)
+        else:
+            save_manifest([r for r in load_manifest(out / table) if r.item_id != item_id], new_out / table)
+        return {**cfg, "data.out_dir": str(new_out)}
+
+    def assert_fails(self, stage, cfg, table, item_id):
+        out = Path(cfg["data.out_dir"])
+        before = tree_bytes(out)
+        with pytest.raises(StageError, match=re.escape(f"id {item_id!r} missing from {table}")) as exc_info:
+            run_stage(stage, cfg)
+        assert exc_info.value.stage == stage
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize("iou_filter", ["0", "0.5"])
+    def test_retrieve_test_item_missing_from_items(self, pipeline_run, tmp_path, iou_filter):
+        # at IoU 0 retrieve used to write the group anyway, with a null class
+        # hint and the unknown id among other groups' members
+        anchor = load_groups(pipeline_run[1] / "groups.jsonl")[0].anchor
+        cfg = self.drop_row(pipeline_run, tmp_path, "items.csv", anchor)
+        self.assert_fails("retrieve", {**cfg, "retrieve.iou_filter": iou_filter}, "items.csv", anchor)
+
+    def test_train_item_missing_from_items(self, pipeline_run, tmp_path):
+        ids, _ = load_descriptors_file(pipeline_run[1] / "desc_train.csgd")
+        cfg = self.drop_row(pipeline_run, tmp_path, "items.csv", ids[-1])
+        self.assert_fails("train", cfg, "items.csv", ids[-1])
+
+    def test_evaluate_image_missing_from_manifest(self, pipeline_run, tmp_path):
+        # evaluate used to write report.json, skipping the image's items as
+        # having no ground-truth mask
+        out = pipeline_run[1]
+        items = {it.item_id: it for it in load_items(out / "items.csv")}
+        image = items[load_groups(out / "groups.jsonl")[0].anchor].proposal.image_id
+        cfg = self.drop_row(pipeline_run, tmp_path, "manifest_used.csv", image)
+        self.assert_fails("evaluate", cfg, "manifest_used.csv", image)
+
+    @pytest.mark.parametrize("table", ["items.csv", "manifest_used.csv"])
+    def test_collage_member_missing(self, pipeline_run, tmp_path, table):
+        _, out, cfg, _ = pipeline_run
+        items = {it.item_id: it for it in load_items(out / "items.csv")}
+        groups = load_groups(out / "groups.jsonl")[:int(cfg["collage.limit"])]
+        member = next(g for g in groups if g.members).members.neighbors[0][0]
+        missing = member if table == "items.csv" else items[member].proposal.image_id
+        self.assert_fails("collage", self.drop_row(pipeline_run, tmp_path, table, missing), table, missing)
 
 
 class TestEvaluateStage:

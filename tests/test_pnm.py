@@ -107,6 +107,17 @@ class TestPgmPpm:
         with pytest.raises(DecodeError):
             read_image(path)
 
+    @pytest.mark.parametrize("header, read", [
+        (b"P4\n0 3\n", read_pbm),
+        (b"P5\n3 0\n255\n", read_image),
+        (b"P6\n0 0\n255\n", read_image),
+    ])
+    def test_zero_width_or_height_rejected(self, tmp_path, header, read):
+        path = tmp_path / "z.img"
+        path.write_bytes(header + b"\x00" * 9)
+        with pytest.raises(DecodeError, match="bad image dimensions"):
+            read(path)
+
     def test_write_shape_validation(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "g.pgm", np.zeros((2, 2, 3), dtype=np.uint8))
