@@ -47,16 +47,17 @@ pred[4:14, 6:16] = True
 print(f"\nshifted square: precision {precision(pred, gt):.2f}, jaccard {jaccard(pred, gt):.2f}")
 
 # 4. The report machinery scores every item a group references, averages per
-#    class, then averages the classes with equal weight. An item's
-#    segmentation is its proposal box: the shifted square above as a box
-#    scores exactly as the drawn mask does, without drawing it. Items missing
-#    a box, a ground-truth mask or a class label are skipped and listed, not
-#    silently dropped.
-boxes = {i: BoundingBox(x=6, y=4, w=10, h=10) for i in ids}
-gt_masks = {i: gt for i in ids}
-class_map = {i: f"class{label}" for i, label in zip(ids, labels)}
-del boxes[ids[0]]  # provoke one skip
-report = evaluate(groups, boxes, gt_masks, class_map)
+#    class, then averages the classes with equal weight. It takes one table,
+#    item id -> (box, ground truth, class), that must hold every such item:
+#    an id it lacks raises. An item's segmentation is its proposal box: the
+#    shifted square above as a box scores exactly as the drawn mask does,
+#    without drawing it. An item whose ground truth is None, an image with
+#    none, is skipped and listed, not silently dropped.
+box = BoundingBox(x=6, y=4, w=10, h=10)
+classes = {i: f"class{label}" for i, label in zip(ids, labels)}
+items = {i: (box, gt, classes[i]) for i in ids}
+items[ids[0]] = (box, None, classes[ids[0]])  # provoke one skip
+report = evaluate(groups, items)
 print(f"per-class jaccard: {{ {', '.join(f'{c}: {m.jaccard:.2f}' for c, m in sorted(report.per_class.items()))} }}")
 print(f"averages: precision {report.avg_precision:.2f}, jaccard {report.avg_jaccard:.2f}")
 print(f"skipped: {report.skipped}")
@@ -64,6 +65,7 @@ print(f"skipped: {report.skipped}")
 # 5. Ground truth given as a box needs no mask: a BoxTruth, the box and its
 #    frame size, is scored by clipped-box areas, the counts the drawn mask
 #    gives, so the report is the same to the byte.
-box_truth = {i: BoxTruth(BoundingBox(x=4, y=4, w=10, h=10), width=32, height=32) for i in ids}
-same = evaluate(groups, boxes, box_truth, class_map).to_json() == report.to_json()
+truth = BoxTruth(BoundingBox(x=4, y=4, w=10, h=10), width=32, height=32)
+box_truth = {i: (b, None if g is None else truth, c) for i, (b, g, c) in items.items()}
+same = evaluate(groups, box_truth).to_json() == report.to_json()
 print(f"the square as a ground-truth box gives the same report: {same}")

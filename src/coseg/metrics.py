@@ -1,8 +1,9 @@
 """Pixel-level segmentation scoring: precision and Jaccard similarity against
 ground truth, averaged per class and then across classes.
 
-Masks are 2-d arrays where nonzero means foreground; evaluate() scores boxes
-against masks, or against ground-truth boxes by their areas.
+Masks are 2-d arrays where nonzero means foreground. evaluate() scores the
+boxes of one item table against masks, or against ground-truth boxes by their
+areas; None means no ground truth, and an id the table lacks raises.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class ClassMetrics:
 class MetricsReport:
     """Per-class scores plus unweighted cross-class averages.
 
-    skipped lists (item_id, reason) for items that could not be scored;
+    skipped lists (item_id, reason) for items with no ground truth;
     empty_segmentations lists scored items whose segmentation had no
     foreground pixels (their precision is 0 by convention).
     """
@@ -119,16 +120,12 @@ def _group_item_ids(groups) -> list[str]:
 
 
 def evaluate(
-    groups,
-    boxes: dict[str, BoundingBox],
-    ground_truth: dict[str, np.ndarray | BoxTruth],
-    class_map: dict[str, str],
+    groups, items: dict[str, tuple[BoundingBox, np.ndarray | BoxTruth | None, str]]
 ) -> MetricsReport:
-    """Score every item referenced by the groups: its box, clipped to its
+    """Score every item the groups reference, looked up in items as (box,
+    ground truth, class), so an id items lacks raises: the box, clipped to its
     image, gets the precision() and jaccard() of that box drawn against its
-    ground truth, a mask or a BoxTruth.
-
-    Items missing a box, ground truth (None counts as missing) or a class are
+    ground truth, a mask or a BoxTruth. An item whose ground truth is None is
     excluded and recorded in the report. Scores average per class over items;
     the report averages are unweighted means over the classes.
     """
@@ -136,17 +133,9 @@ def evaluate(
     skipped: list[tuple[str, str]] = []
     empty_seg: list[str] = []
     for item_id in _group_item_ids(groups):
-        box = boxes.get(item_id)
-        gt = ground_truth.get(item_id)
-        cls = class_map.get(item_id)
-        if box is None:
-            skipped.append((item_id, "no segmentation mask"))
-            continue
+        box, gt, cls = items[item_id]
         if gt is None:
             skipped.append((item_id, "no ground-truth mask"))
-            continue
-        if cls is None:
-            skipped.append((item_id, "no class label"))
             continue
         if isinstance(gt, BoxTruth):
             cut = box.clip(gt.width, gt.height)

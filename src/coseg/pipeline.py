@@ -168,9 +168,12 @@ def merge_config(*layers: dict[str, str]) -> dict[str, str]:
     return cfg
 
 
-def parse_config(cfg: dict[str, str]) -> dict[str, Any]:
-    """Each value typed by its KEYS row; ConfigError names the first value
-    that does not parse or breaks its key's rule."""
+def parse_config(cfg: dict[str, str], required=()) -> dict[str, Any]:
+    """Each value typed by its KEYS row; ConfigError names the keys of required
+    that cfg lacks, else the first value that does not parse or breaks its rule."""
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise ConfigError(f"missing config keys: {', '.join(missing)}")
     typed: dict[str, Any] = {}
     for key, raw in cfg.items():
         if key not in KEYS:
@@ -410,15 +413,20 @@ def _class_labels(items: list[ItemRecord]) -> np.ndarray:
 
 
 class _ById(dict):
-    """The rows of the table at path (items.csv or manifest_used.csv) by
-    item_id; looking up an id the table lacks fails, naming id and table."""
+    """A table's rows by id, from (id, row) pairs and the table's name; looking
+    up an id the table lacks fails, naming id and table. read() builds one
+    from items.csv or manifest_used.csv, keyed by item_id."""
 
-    def __init__(self, load: Callable[[Path], list], path: Path):
-        super().__init__((row.item_id, row) for row in load(path))
-        self.table = path.name
+    def __init__(self, pairs, table: str):
+        super().__init__(pairs)
+        self.table = table
 
     def __missing__(self, item_id: str):
         raise ValueError(f"id {item_id!r} missing from {self.table}")
+
+    @classmethod
+    def read(cls, load: Callable[[Path], list], path: Path) -> _ById:
+        return cls(((row.item_id, row) for row in load(path)), path.name)
 
 
 def _resolve_paths(record: ManifestRecord, base: Path) -> ManifestRecord:
@@ -463,7 +471,7 @@ def stage_train(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str,
         classical_hinge=cfg["train.classical_hinge"],
     )
     ids, vectors = load_descriptors_file(inputs["desc_train.csgd"])
-    items = _ById(load_items, inputs["items.csv"])
+    items = _ById.read(load_items, inputs["items.csv"])
     labels = _class_labels([items[i] for i in ids])
     result = train(LabeledDescriptors(vectors=vectors, labels=labels), tc)
     save_model_file(result.params, outputs["model.csgm"])
@@ -493,14 +501,14 @@ def stage_index(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str,
 def stage_retrieve(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     index = load_index_file(inputs["index.csgi"])
     ids, embeddings = load_descriptors_file(inputs["emb_test.csgd"])
-    items = _ById(load_items, inputs["items.csv"])
+    items = _ById.read(load_items, inputs["items.csv"])
     hints = {i: items[i].class_name for i in ids}
     groups = retrieve_similar(
         index, embeddings, k=cfg["retrieve.k"], search_k=cfg["retrieve.search_k"],
         ids=ids, class_hints=hints,
     )
     manifest = load_manifest(inputs["manifest_used.csv"])
-    gt_boxes = {r.item_id: r.gt_box for r in manifest if r.gt_box is not None}
+    gt_boxes = _ById(((r.item_id, r.gt_box) for r in manifest), "manifest_used.csv")
     proposals = {i: items[i].proposal for i in ids}
     verdicts = iou_verdicts(proposals, gt_boxes, cfg["retrieve.iou_filter"])
     groups = [filter_candidates(g, verdicts) for g in groups]
@@ -525,16 +533,12 @@ def _ground_truth(
 def stage_evaluate(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     groups = load_groups(inputs["groups.jsonl"])
     items = load_items(inputs["items.csv"])
-    manifest = _ById(load_manifest, inputs["manifest_used.csv"])
+    manifest = _ById.read(load_manifest, inputs["manifest_used.csv"])
     sizes = {it.proposal.image_id: (it.img_w, it.img_h) for it in items}
     gt_by_image = {i: _ground_truth(manifest[i], w, h) for i, (w, h) in sizes.items()}
-    report = evaluate(
-        groups,
-        {it.item_id: it.proposal.box for it in items},
-        {it.item_id: gt_by_image[it.proposal.image_id] for it in items},
-        {it.item_id: it.class_name for it in items},
-    )
-    save_report_file(report, outputs["report.json"])
+    table = _ById(((it.item_id, (it.proposal.box, gt_by_image[it.proposal.image_id], it.class_name))
+                   for it in items), "items.csv")
+    save_report_file(evaluate(groups, table), outputs["report.json"])
 
 
 def _safe_name(item_id: str) -> str:
@@ -544,8 +548,8 @@ def _safe_name(item_id: str) -> str:
 def stage_collage(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     spec = CollageSpec(background=cfg["collage.background"])
     groups = load_groups(inputs["groups.jsonl"])
-    items = _ById(load_items, inputs["items.csv"])
-    manifest = _ById(load_manifest, inputs["manifest_used.csv"])
+    items = _ById.read(load_items, inputs["items.csv"])
+    manifest = _ById.read(load_manifest, inputs["manifest_used.csv"])
     collage_dir = outputs["collages"]
     collage_dir.mkdir()
     image_cache: dict[str, np.ndarray] = {}
@@ -614,8 +618,8 @@ def run_stage(name: str, cfg: dict[str, str]) -> float:
     """Run one stage and commit its outputs; returns its wall time.
 
     The only code that knows data.out_dir. The stage gets the config keys
-    its STAGES row grants, typed and checked by parse_config before anything
-    is read or written, its inputs as paths under data.out_dir and its
+    its STAGES row grants, each required, typed and checked by parse_config
+    before anything is read or written, its inputs as paths under data.out_dir and its
     outputs as paths in a staging directory there, so an undeclared key or
     artifact, or an undeclared file left in staging, fails it. Each output
     then replaces its predecessor by os.replace; an old directory is moved
@@ -630,10 +634,12 @@ def run_stage(name: str, cfg: dict[str, str]) -> float:
     if stage is None:
         raise ConfigError(f"unknown stage {name!r} (expected one of {STAGE_NAMES})")
     start = time.perf_counter()
-    out = parse_config({"data.out_dir": cfg["data.out_dir"]})["data.out_dir"]
+    scope = {"data.out_dir", name, *stage.shared}
+    # every known key in scope, then any unknown one cfg holds there, for parse_config to reject
+    granted = [k for k in dict.fromkeys([*KEYS, *cfg]) if k in scope or k.partition(".")[0] in scope]
+    view = parse_config({k: cfg[k] for k in granted if k in cfg}, required=granted)
+    out = view.pop("data.out_dir")
     staging = out / ".staging"  # inside data.out_dir, so os.replace never crosses file systems
-    scope = {name, *stage.shared}
-    view = parse_config({k: v for k, v in cfg.items() if k in scope or k.partition(".")[0] in scope})
     try:
         shutil.rmtree(staging, ignore_errors=True)
         staging.mkdir(parents=True)
@@ -655,11 +661,11 @@ def run_stage(name: str, cfg: dict[str, str]) -> float:
 def run_pipeline(cfg: dict[str, str]) -> dict[str, float]:
     """Run every stage in order; returns stage -> wall time in seconds.
 
-    The whole config is checked first, so a bad value stops the run before
-    any stage reads or writes. A failing stage aborts the run; artifacts
-    written by earlier stages stay on disk.
+    The whole config, which must hold every KEYS key, is checked first, so a
+    missing key or bad value stops the run before any stage reads or writes.
+    A failing stage aborts the run; earlier stages' artifacts stay on disk.
     """
-    parse_config(cfg)
+    parse_config(cfg, required=KEYS)
     timings: dict[str, float] = {}
     for name in STAGE_NAMES:
         timings[name] = run_stage(name, cfg)

@@ -1,6 +1,7 @@
 """Similarity retrieval: embed descriptors, query the index for each item's
 nearest neighbors, and filter candidate groups by box overlap with ground
-truth. Groups serialize to JSON Lines for downstream stages.
+truth. Groups serialize to JSON Lines for downstream stages. An anchor or an
+image that a given table lacks raises; only a None box means no ground truth.
 """
 
 from __future__ import annotations
@@ -47,14 +48,15 @@ def retrieve_similar(
     k: int,
     search_k: int | None = None,
     ids: list[str] | None = None,
-    class_hints: dict[str, str] | None = None,
+    class_hints: dict[str, str | None] | None = None,
 ) -> list[SimilarityGroup]:
     """One SimilarityGroup per indexed item, the item itself excluded.
 
     The queries must be the indexed embeddings in index order; ids gives the
     item name for each index position (defaults to the position as a string).
-    Each query asks for k+1 neighbors so that dropping the anchor's own entry
-    still leaves k; search_k goes to query as given.
+    class_hints, when given, must hold every anchor; without it every hint is
+    None. Each query asks for k+1 neighbors so that dropping the anchor's own
+    entry still leaves k; search_k goes to query as given.
     """
     n_items = index.items.shape[0]
     if embeddings.shape[0] != n_items:
@@ -72,7 +74,7 @@ def retrieve_similar(
         res = query(index, vec, k=k + 1, search_k=search_k)
         kept = [(ids[i], d) for i, d in res.neighbors if i != pos][:k]
         anchor = ids[pos]
-        hint = class_hints.get(anchor) if class_hints else None
+        hint = None if class_hints is None else class_hints[anchor]
         groups.append(
             SimilarityGroup(anchor=anchor, members=RetrievalResult(neighbors=tuple(kept)), class_hint=hint)
         )
@@ -81,14 +83,15 @@ def retrieve_similar(
 
 def iou_verdicts(
     proposals: dict[str, Proposal],
-    gt_boxes: dict[str, BoundingBox],
+    gt_boxes: dict[str, BoundingBox | None],
     threshold: float = 0.5,
 ) -> dict[str, bool]:
     """Whether each proposal's box overlaps its image's ground-truth box with
-    IoU >= threshold; a proposal whose image has no ground truth passes."""
+    IoU >= threshold. gt_boxes must hold every proposal's image; a None box
+    (no ground truth) passes its proposals."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    gt = {i: gt_boxes.get(p.image_id) for i, p in proposals.items()}
+    gt = {i: gt_boxes[p.image_id] for i, p in proposals.items()}
     return {i: gt[i] is None or iou(p.box, gt[i]) >= threshold for i, p in proposals.items()}
 
 

@@ -24,6 +24,11 @@ def group(anchor, member_ids):
     return SimilarityGroup(anchor=anchor, members=RetrievalResult(neighbors=members))
 
 
+def table(boxes, gt, classes):
+    """evaluate's item table from per-item boxes, ground truths and classes."""
+    return {i: (boxes[i], gt[i], classes[i]) for i in boxes}
+
+
 def mask(shape, rows=(), cols=()):
     m = np.zeros(shape, dtype=bool)
     m[np.ix_(rows, cols)] = True
@@ -126,8 +131,8 @@ class TestEvaluate:
     def test_single_class_perfect(self):
         groups = [group("a", ["b"])]
         m = mask((4, 4), rows=(0, 1), cols=(0, 1))
-        boxes = {"a": BoundingBox(0, 0, 2, 2), "b": BoundingBox(0, 0, 2, 2)}
-        report = evaluate(groups, boxes, {"a": m, "b": m}, {"a": "mug", "b": "mug"})
+        box = BoundingBox(0, 0, 2, 2)
+        report = evaluate(groups, {"a": (box, m, "mug"), "b": (box, m, "mug")})
         assert report.per_class["mug"] == ClassMetrics(precision=1.0, jaccard=1.0, count=2)
         assert report.avg_precision == 1.0
         assert report.avg_jaccard == 1.0
@@ -136,10 +141,13 @@ class TestEvaluate:
     def test_cross_class_average_is_unweighted(self):
         groups = [group("a", ["b", "c"])]
         full = np.ones((2, 2), dtype=bool)
-        boxes = {"a": BoundingBox(0, 0, 2, 2), "b": BoundingBox(0, 0, 2, 2), "c": BoundingBox(0, 0, 2, 1)}
-        gt = {"a": full, "b": full, "c": full}
+        items = {
+            "a": (BoundingBox(0, 0, 2, 2), full, "x"),
+            "b": (BoundingBox(0, 0, 2, 2), full, "x"),
+            "c": (BoundingBox(0, 0, 2, 1), full, "y"),
+        }
         # class "x": items a,b perfect. class "y": item c (top row) has p=1, j=0.5
-        report = evaluate(groups, boxes, gt, {"a": "x", "b": "x", "c": "y"})
+        report = evaluate(groups, items)
         assert report.per_class["x"].count == 2
         assert report.per_class["y"].jaccard == 0.5
         assert report.avg_jaccard == pytest.approx(0.75)  # (1.0 + 0.5) / 2
@@ -147,43 +155,52 @@ class TestEvaluate:
     def test_items_counted_once_across_groups(self):
         groups = [group("a", ["b"]), group("b", ["a"])]
         m = np.ones((2, 2), dtype=bool)
-        boxes = {"a": BoundingBox(0, 0, 2, 2), "b": BoundingBox(0, 0, 2, 2)}
-        report = evaluate(groups, boxes, {"a": m, "b": m}, {"a": "c", "b": "c"})
+        box = BoundingBox(0, 0, 2, 2)
+        report = evaluate(groups, {"a": (box, m, "c"), "b": (box, m, "c")})
         assert report.per_class["c"].count == 2
 
     def test_missing_inputs_skip_with_reason(self):
-        groups = [group("a", ["b", "c", "d", "e"])]
         m = np.ones((2, 2), dtype=bool)
         b = BoundingBox(0, 0, 2, 2)
-        boxes = {"a": b, "c": b, "d": b, "e": b}
-        gt = {"a": m, "b": m, "d": m, "e": None}
-        classes = {"a": "k", "b": "k", "c": "k", "e": "k"}
-        report = evaluate(groups, boxes, gt, classes)
-        assert ("b", "no segmentation mask") in report.skipped
-        assert ("c", "no ground-truth mask") in report.skipped
-        assert ("d", "no class label") in report.skipped
-        assert ("e", "no ground-truth mask") in report.skipped
-        assert report.per_class["k"].count == 1  # only "a" scored
+        items = {"a": (b, m, "k"), "c": (b, None, "k"), "e": (b, None, "j")}
+        report = evaluate([group("a", ["c", "e"])], items)
+        assert report.skipped == (("c", "no ground-truth mask"), ("e", "no ground-truth mask"))
+        assert report.per_class == {"k": ClassMetrics(precision=1.0, jaccard=1.0, count=1)}
+        # an item without a row (no box, no class) is no longer a skip: the table must hold it
+        for absent in ("b", "d"):
+            with pytest.raises(KeyError, match=absent):
+                evaluate([group("a", ["c", absent, "e"])], items)
+
+    def test_id_the_table_lacks_raises(self):
+        class Strict(dict):
+            def __missing__(self, key):
+                raise ValueError(f"id {key!r} missing from items.csv")
+
+        items = Strict(a=(BoundingBox(0, 0, 2, 2), np.ones((2, 2), dtype=bool), "k"))
+        assert evaluate([group("a", [])], items).per_class["k"].count == 1
+        for groups in ([group("a", ["b"])], [group("b", ["a"])]):
+            with pytest.raises(ValueError, match="id 'b' missing from items.csv"):
+                evaluate(groups, items)
 
     def test_empty_segmentations_flagged_and_scored(self):
         groups = [group("a", ["b"])]
         gt = {"a": np.ones((2, 2), dtype=bool), "b": np.ones((2, 2), dtype=bool)}
         # "a" lies wholly outside its 2x2 image, "b" only partly
         boxes = {"a": BoundingBox(2, 0, 3, 2), "b": BoundingBox(-1, -1, 2, 2)}
-        report = evaluate(groups, boxes, gt, {"a": "k", "b": "j"})
+        report = evaluate(groups, table(boxes, gt, {"a": "k", "b": "j"}))
         assert report.empty_segmentations == ("a",)
         assert report.per_class["k"].precision == 0.0
         assert report.per_class["j"] == ClassMetrics(precision=1.0, jaccard=0.25, count=1)
 
     def test_no_groups_gives_zero_averages(self):
-        report = evaluate([], {}, {}, {})
+        report = evaluate([], {})
         assert report.per_class == {}
         assert report.avg_precision == 0.0
         assert report.avg_jaccard == 0.0
 
     def test_gt_must_be_2d(self):
         with pytest.raises(ValueError):
-            evaluate([group("a", [])], {"a": BoundingBox(0, 0, 1, 1)}, {"a": np.ones(4)}, {"a": "k"})
+            evaluate([group("a", [])], {"a": (BoundingBox(0, 0, 1, 1), np.ones(4), "k")})
 
     def test_box_scores_equal_drawn_mask_oracle(self):
         """Boxes inside, across and wholly outside random images, against random
@@ -203,7 +220,7 @@ class TestEvaluate:
             want[item] = (precision(seg, gt[item]), jaccard(seg, gt[item]))
             if not seg.any():
                 want_empty.append(item)
-        report = evaluate([group("i0", list(boxes)[1:])], boxes, gt, classes)
+        report = evaluate([group("i0", list(boxes)[1:])], table(boxes, gt, classes))
         got = {c: (m.precision, m.jaccard) for c, m in report.per_class.items()}
         assert got == want
         assert list(report.empty_segmentations) == want_empty
@@ -231,7 +248,7 @@ class TestEvaluate:
             inter, seg_px, gt_px = int((seg & mask_).sum()), int(seg.sum()), int(mask_.sum())
             union = seg_px + gt_px - inter
             per_item[item] = (inter / seg_px if seg_px else 0.0, inter / union if union else 1.0, seg_px == 0)
-        report = evaluate([group("i0", list(boxes)[1:])], boxes, gt, classes)
+        report = evaluate([group("i0", list(boxes)[1:])], table(boxes, gt, classes))
         per_class = {
             c: ClassMetrics(
                 precision=float(np.mean([per_item[i][0] for i in per_item if classes[i] == c])),
@@ -290,9 +307,9 @@ class TestBoxTruth:
         frames, boxes, on, classes = case
         truths = [None if t is None else BoxTruth(t, w, h) for w, h, t in frames]
         masks = [None if t is None else drawn((t.height, t.width), t.box) for t in truths]
-        groups = [group("i0", list(boxes)[1:] + ["unknown"])]
-        got = evaluate(groups, boxes, {i: truths[on[i]] for i in boxes}, classes)
-        want = evaluate(groups, boxes, {i: masks[on[i]] for i in boxes}, classes)
+        groups = [group("i0", list(boxes)[1:])]
+        got = evaluate(groups, table(boxes, {i: truths[on[i]] for i in boxes}, classes))
+        want = evaluate(groups, table(boxes, {i: masks[on[i]] for i in boxes}, classes))
         assert got.to_json() == want.to_json()
 
     @pytest.mark.parametrize("truth, item, scores", [
@@ -309,23 +326,22 @@ class TestBoxTruth:
     ])
     def test_cases_by_hand(self, truth, item, scores):
         frame = BoxTruth(truth, 5, 4)
-        report = evaluate([group("a", [])], {"a": item}, {"a": frame}, {"a": "k"})
+        report = evaluate([group("a", [])], {"a": (item, frame, "k")})
         assert (report.avg_precision, report.avg_jaccard) == scores
-        want = evaluate([group("a", [])], {"a": item}, {"a": drawn((4, 5), truth)}, {"a": "k"})
+        want = evaluate([group("a", [])], {"a": (item, drawn((4, 5), truth), "k")})
         assert report.to_json() == want.to_json()
 
 
 class TestReportSerialization:
     def make_report(self):
         groups = [group("a", ["b"])]
-        m = np.ones((2, 2), dtype=bool)
-        gt = {"a": m, "b": m}
-        return evaluate(groups, {"a": BoundingBox(0, 0, 2, 2)}, gt, {"a": "mug", "b": "mug"})
+        box, m = BoundingBox(0, 0, 2, 2), np.ones((2, 2), dtype=bool)
+        return evaluate(groups, {"a": (box, m, "mug"), "b": (box, None, "mug")})
 
     def test_to_dict_structure(self):
         d = self.make_report().to_dict()
         assert d["per_class"] == {"mug": {"precision": 1.0, "jaccard": 1.0, "count": 1}}
-        assert d["skipped"] == [{"id": "b", "reason": "no segmentation mask"}]
+        assert d["skipped"] == [{"id": "b", "reason": "no ground-truth mask"}]
         assert d["empty_segmentations"] == []
 
     def test_json_round_trips(self):

@@ -772,6 +772,16 @@ class TestTablesDisagree:
         cfg = self.drop_row(pipeline_run, tmp_path, "items.csv", anchor)
         self.assert_fails("retrieve", {**cfg, "retrieve.iou_filter": iou_filter}, "items.csv", anchor)
 
+    @pytest.mark.parametrize("iou_filter", ["0", "0.5"])
+    def test_retrieve_test_image_missing_from_manifest(self, pipeline_run, tmp_path, iou_filter):
+        # retrieve used to pass the image's items as having no ground truth,
+        # keeping members the IoU filter would drop
+        out = pipeline_run[1]
+        items = {it.item_id: it for it in load_items(out / "items.csv")}
+        image = items[load_groups(out / "groups.jsonl")[0].anchor].proposal.image_id
+        cfg = self.drop_row(pipeline_run, tmp_path, "manifest_used.csv", image)
+        self.assert_fails("retrieve", {**cfg, "retrieve.iou_filter": iou_filter}, "manifest_used.csv", image)
+
     def test_train_item_missing_from_items(self, pipeline_run, tmp_path):
         ids, _ = load_descriptors_file(pipeline_run[1] / "desc_train.csgd")
         cfg = self.drop_row(pipeline_run, tmp_path, "items.csv", ids[-1])
@@ -785,6 +795,14 @@ class TestTablesDisagree:
         image = items[load_groups(out / "groups.jsonl")[0].anchor].proposal.image_id
         cfg = self.drop_row(pipeline_run, tmp_path, "manifest_used.csv", image)
         self.assert_fails("evaluate", cfg, "manifest_used.csv", image)
+
+    def test_evaluate_member_missing_from_items(self, pipeline_run, tmp_path):
+        # evaluate used to write report.json, skipping the member as having
+        # no segmentation mask
+        groups = load_groups(pipeline_run[1] / "groups.jsonl")
+        member = next(g for g in groups if g.members).members.neighbors[0][0]
+        cfg = self.drop_row(pipeline_run, tmp_path, "items.csv", member)
+        self.assert_fails("evaluate", cfg, "items.csv", member)
 
     @pytest.mark.parametrize("table", ["items.csv", "manifest_used.csv"])
     def test_collage_member_missing(self, pipeline_run, tmp_path, table):
@@ -872,6 +890,25 @@ class TestRunStage:
         with pytest.raises(ConfigError):
             run_stage("ingest", cfg)
 
+    def test_missing_key_is_config_error_before_any_write(self, tmp_path):
+        # a stage needs data.out_dir and every key its STAGES row grants
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="missing config keys: seed, data.out_dir, train.lr, "):
+            run_stage("train", {})
+        cfg = {key: value for key, value in merge_config({"data.out_dir": str(out)}).items()
+               if key not in ("seed", "train.mining")}
+        with pytest.raises(ConfigError, match=r"missing config keys: seed, train\.mining$"):
+            run_stage("train", cfg)
+        assert not out.exists()
+
+    def test_pipeline_missing_key_is_config_error_before_any_write(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = {"data.manifest": "m", "data.proposals": "p", "data.out_dir": str(out)}
+        with pytest.raises(ConfigError, match="missing config keys: seed, split.resplit, "):
+            run_pipeline(cfg)
+        with pytest.raises(ConfigError, match=r"missing config keys: collage\.limit$"):
+            run_pipeline({key: value for key, value in merge_config(cfg).items() if key != "collage.limit"})
+        assert not out.exists()
 
     def test_failed_save_leaves_previous_artifact(self, pipeline_run, tmp_path, monkeypatch):
         _, cfg = fresh_copy(pipeline_run, tmp_path)

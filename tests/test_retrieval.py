@@ -121,11 +121,16 @@ class TestRetrieveSimilar:
 
     def test_class_hints_attached(self):
         emb = np.array([[0.0], [1.0]])
-        groups = retrieve_similar(
-            self.make_index(emb), emb, k=1, ids=["a", "b"], class_hints={"a": "mug"}
-        )
+        index = self.make_index(emb)
+        groups = retrieve_similar(index, emb, k=1, ids=["a", "b"], class_hints={"a": "mug", "b": None})
         assert groups[0].class_hint == "mug"
         assert groups[1].class_hint is None
+        assert [g.class_hint for g in retrieve_similar(index, emb, k=1, ids=["a", "b"])] == [None, None]
+
+    def test_anchor_missing_from_class_hints_raises(self):
+        emb = np.array([[0.0], [1.0]])
+        with pytest.raises(KeyError, match="b"):
+            retrieve_similar(self.make_index(emb), emb, k=1, ids=["a", "b"], class_hints={"a": "mug"})
 
     def test_query_count_must_match_index(self):
         emb = np.array([[0.0], [1.0]])
@@ -162,7 +167,7 @@ class TestFilterCandidates:
             "a#1": Proposal("imgA", BoundingBox(40, 40, 10, 10), 0.8),
             "b#0": Proposal("imgB", BoundingBox(5, 5, 10, 10), 0.7),
         }
-        self.gt = {"imgA": BoundingBox(0, 0, 10, 10)}
+        self.gt = {"imgA": BoundingBox(0, 0, 10, 10), "imgB": None}
 
     def test_keeps_overlapping_drops_rest(self):
         g = group("q", [("a#0", 0.1), ("a#1", 0.2)])
@@ -195,6 +200,13 @@ class TestFilterCandidates:
         assert out.anchor == "q"
         assert out.class_hint == "mug"
         assert out.members.neighbors == (("a#0", 0.1), ("b#0", 0.2))
+
+    def test_image_missing_from_ground_truth_raises(self):
+        gt = {"imgA": BoundingBox(0, 0, 10, 10)}
+        with pytest.raises(KeyError, match="imgB"):
+            iou_verdicts(self.props, gt)
+        # a None box says the image has no ground truth: its proposals pass
+        assert iou_verdicts(self.props, {**gt, "imgB": None}) == {"a#0": True, "a#1": False, "b#0": True}
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
