@@ -4,8 +4,9 @@ From embeddings to groups to a quality report
 
 Retrieval turns an index over item embeddings into one similarity group per
 item; the metrics stage scores each item's proposal box against its
-ground truth, a mask or a box, and averages per class. This walk runs both
-on small synthetic data.
+ground truth, a mask or a box, and averages per class. The retrieve stage's
+IoU filter keeps members by that same score. This walk runs all three on
+small synthetic data.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from coseg.annindex import IndexConfig, build
 from coseg.embedder import LabeledDescriptors, TrainConfig, train
 from coseg.geometry import BoundingBox
-from coseg.metrics import BoxTruth, evaluate, jaccard, precision
+from coseg.metrics import BoxTruth, evaluate, iou_verdicts, jaccard, precision
 from coseg.retrieval import embed_all, retrieve_similar
 
 # 1. Three descriptor classes, a quick encoder, and embeddings for all items.
@@ -69,3 +70,11 @@ truth = BoxTruth(BoundingBox(x=4, y=4, w=10, h=10), width=32, height=32)
 box_truth = {i: (b, None if g is None else truth, c) for i, (b, g, c) in items.items()}
 same = evaluate(groups, box_truth).to_json() == report.to_json()
 print(f"the square as a ground-truth box gives the same report: {same}")
+
+# 6. The retrieve stage's IoU filter reads the same table: a member is kept
+#    when its Jaccard, as evaluate scores it, reaches the threshold, and an
+#    item with no ground truth passes. At 0.7 the shifted square (0.67) is
+#    dropped, so only the skipped item is kept; mask and box agree.
+by_mask, by_box = iou_verdicts(items, 0.7), iou_verdicts(box_truth, 0.7)
+print(f"verdicts at IoU 0.7 agree for the mask and the box: {by_mask == by_box} "
+      f"(kept: {[i for i, keep in by_mask.items() if keep]})")

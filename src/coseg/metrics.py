@@ -1,9 +1,10 @@
 """Pixel-level segmentation scoring: precision and Jaccard similarity against
 ground truth, averaged per class and then across classes.
 
-Masks are 2-d arrays where nonzero means foreground. evaluate() scores the
-boxes of one item table against masks, or against ground-truth boxes by their
-areas; None means no ground truth, and an id the table lacks raises.
+Masks are 2-d arrays where nonzero means foreground. One item table, item id
+-> (box, ground truth, class), feeds both evaluate() and iou_verdicts(), and
+both score a box one way: cut to its frame, against a mask by pixel count or a
+BoxTruth by area. None means no ground truth; an id the table lacks raises.
 """
 
 from __future__ import annotations
@@ -70,6 +71,18 @@ def _overlap(a, b) -> int:
     return max(rows, 0) * max(cols, 0)
 
 
+def _counts(box: BoundingBox, gt: np.ndarray | BoxTruth) -> tuple[int, int, int]:
+    """(segmented, ground-truth, shared) pixel counts of box, cut to its
+    frame, against gt: a BoxTruth by area, a mask by pixel count."""
+    if isinstance(gt, BoxTruth):
+        cut, truth = box.clip(gt.width, gt.height), gt.box.clip(gt.width, gt.height)
+        return _pixels(cut), _pixels(truth), _overlap(cut, truth)
+    height, width = np.shape(gt)  # ValueError unless gt is 2-d
+    cut = box.clip(width, height)
+    inside = gt[cut] if cut else gt[:0]
+    return inside.size, int(np.count_nonzero(gt)), int(np.count_nonzero(inside))
+
+
 @dataclass(frozen=True)
 class ClassMetrics:
     precision: float
@@ -108,7 +121,7 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
-def _group_item_ids(groups) -> list[str]:
+def group_item_ids(groups) -> list[str]:
     """Distinct item ids referenced by the groups (anchors and members),
     first-appearance order."""
     seen: dict[str, None] = {}
@@ -119,9 +132,18 @@ def _group_item_ids(groups) -> list[str]:
     return list(seen)
 
 
-def evaluate(
-    groups, items: dict[str, tuple[BoundingBox, np.ndarray | BoxTruth | None, str]]
-) -> MetricsReport:
+ItemTable = dict[str, tuple[BoundingBox, np.ndarray | BoxTruth | None, str]]
+
+
+def iou_verdicts(items: ItemTable, threshold: float) -> dict[str, bool]:
+    """Whether each item's box reaches Jaccard >= threshold against its ground
+    truth, as evaluate() scores it; a None ground truth passes."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    return {i: gt is None or _scores(*_counts(box, gt))[1] >= threshold for i, (box, gt, _) in items.items()}
+
+
+def evaluate(groups, items: ItemTable) -> MetricsReport:
     """Score every item the groups reference, looked up in items as (box,
     ground truth, class), so an id items lacks raises: the box, clipped to its
     image, gets the precision() and jaccard() of that box drawn against its
@@ -132,21 +154,12 @@ def evaluate(
     by_class: dict[str, list[tuple[float, float]]] = {}
     skipped: list[tuple[str, str]] = []
     empty_seg: list[str] = []
-    for item_id in _group_item_ids(groups):
+    for item_id in group_item_ids(groups):
         box, gt, cls = items[item_id]
         if gt is None:
             skipped.append((item_id, "no ground-truth mask"))
             continue
-        if isinstance(gt, BoxTruth):
-            cut = box.clip(gt.width, gt.height)
-            truth = gt.box.clip(gt.width, gt.height)
-            seg_px, gt_px, inter = _pixels(cut), _pixels(truth), _overlap(cut, truth)
-        else:
-            height, width = np.shape(gt)  # ValueError unless gt is 2-d
-            cut = box.clip(width, height)
-            inside = gt[cut] if cut else gt[:0]
-            seg_px, inter = inside.size, int(np.count_nonzero(inside))
-            gt_px = int(np.count_nonzero(gt))
+        seg_px, gt_px, inter = _counts(box, gt)
         if seg_px == 0:
             empty_seg.append(item_id)
         by_class.setdefault(cls, []).append(_scores(seg_px, gt_px, inter))

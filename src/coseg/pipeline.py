@@ -40,16 +40,9 @@ from .embedder import (
 )
 from .errors import ConfigError, StageError
 from .geometry import BoundingBox, Proposal, dedup_near, load_proposals, nms, top_k
-from .metrics import BoxTruth, evaluate, save_report_file
+from .metrics import BoxTruth, ItemTable, evaluate, group_item_ids, iou_verdicts, save_report_file
 from .pnm import read_image, read_pbm, write_ppm
-from .retrieval import (
-    embed_all,
-    filter_candidates,
-    iou_verdicts,
-    load_groups,
-    retrieve_similar,
-    save_groups,
-)
+from .retrieval import embed_all, filter_candidates, load_groups, retrieve_similar, save_groups
 
 logger = logging.getLogger("coseg.pipeline")
 
@@ -498,23 +491,6 @@ def stage_index(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str,
     save_index_file(build(embeddings, ic), outputs["index.csgi"])
 
 
-def stage_retrieve(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
-    index = load_index_file(inputs["index.csgi"])
-    ids, embeddings = load_descriptors_file(inputs["emb_test.csgd"])
-    items = _ById.read(load_items, inputs["items.csv"])
-    hints = {i: items[i].class_name for i in ids}
-    groups = retrieve_similar(
-        index, embeddings, k=cfg["retrieve.k"], search_k=cfg["retrieve.search_k"],
-        ids=ids, class_hints=hints,
-    )
-    manifest = load_manifest(inputs["manifest_used.csv"])
-    gt_boxes = _ById(((r.item_id, r.gt_box) for r in manifest), "manifest_used.csv")
-    proposals = {i: items[i].proposal for i in ids}
-    verdicts = iou_verdicts(proposals, gt_boxes, cfg["retrieve.iou_filter"])
-    groups = [filter_candidates(g, verdicts) for g in groups]
-    save_groups(groups, outputs["groups.jsonl"])
-
-
 def _ground_truth(
     record: ManifestRecord, img_w: int, img_h: int
 ) -> np.ndarray | BoxTruth | None:
@@ -530,14 +506,38 @@ def _ground_truth(
     return BoxTruth(record.gt_box, img_w, img_h)
 
 
+def _scoring_table(ids, inputs: dict[str, Path]) -> ItemTable:
+    """ids -> (proposal box, its image's _ground_truth, class), each id
+    looked up in items.csv and its image in manifest_used.csv; each image's
+    ground truth is built once."""
+    items = _ById.read(load_items, inputs["items.csv"])
+    manifest = _ById.read(load_manifest, inputs["manifest_used.csv"])
+    truths: dict[str, np.ndarray | BoxTruth | None] = {}
+    table: ItemTable = {}
+    for item_id in ids:
+        it = items[item_id]
+        image = it.proposal.image_id
+        if image not in truths:
+            truths[image] = _ground_truth(manifest[image], it.img_w, it.img_h)
+        table[item_id] = (it.proposal.box, truths[image], it.class_name)
+    return table
+
+
+def stage_retrieve(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
+    index = load_index_file(inputs["index.csgi"])
+    ids, embeddings = load_descriptors_file(inputs["emb_test.csgd"])
+    table = _scoring_table(ids, inputs)
+    groups = retrieve_similar(
+        index, embeddings, k=cfg["retrieve.k"], search_k=cfg["retrieve.search_k"],
+        ids=ids, class_hints={i: cls for i, (_, _, cls) in table.items()},
+    )
+    verdicts = iou_verdicts(table, cfg["retrieve.iou_filter"])
+    save_groups([filter_candidates(g, verdicts) for g in groups], outputs["groups.jsonl"])
+
+
 def stage_evaluate(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     groups = load_groups(inputs["groups.jsonl"])
-    items = load_items(inputs["items.csv"])
-    manifest = _ById.read(load_manifest, inputs["manifest_used.csv"])
-    sizes = {it.proposal.image_id: (it.img_w, it.img_h) for it in items}
-    gt_by_image = {i: _ground_truth(manifest[i], w, h) for i, (w, h) in sizes.items()}
-    table = _ById(((it.item_id, (it.proposal.box, gt_by_image[it.proposal.image_id], it.class_name))
-                   for it in items), "items.csv")
+    table = _scoring_table(group_item_ids(groups), inputs)
     save_report_file(evaluate(groups, table), outputs["report.json"])
 
 

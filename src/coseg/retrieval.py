@@ -1,7 +1,7 @@
 """Similarity retrieval: embed descriptors, query the index for each item's
-nearest neighbors, and filter candidate groups by box overlap with ground
-truth. Groups serialize to JSON Lines for downstream stages. An anchor or an
-image that a given table lacks raises; only a None box means no ground truth.
+nearest neighbors, and filter candidate groups by per-member verdicts, which
+metrics.iou_verdicts gives from evaluate's Jaccard. Groups serialize to JSON
+Lines for downstream stages. An anchor that given class hints lack raises.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 
 from .annindex import AnnIndex, RetrievalResult, query
 from .embedder import EncoderParams, forward_batch
-from .geometry import BoundingBox, Proposal, iou
 
 
 @dataclass(frozen=True)
@@ -81,23 +80,9 @@ def retrieve_similar(
     return groups
 
 
-def iou_verdicts(
-    proposals: dict[str, Proposal],
-    gt_boxes: dict[str, BoundingBox | None],
-    threshold: float = 0.5,
-) -> dict[str, bool]:
-    """Whether each proposal's box overlaps its image's ground-truth box with
-    IoU >= threshold. gt_boxes must hold every proposal's image; a None box
-    (no ground truth) passes its proposals."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    gt = {i: gt_boxes[p.image_id] for i, p in proposals.items()}
-    return {i: gt[i] is None or iou(p.box, gt[i]) >= threshold for i, p in proposals.items()}
-
-
 def filter_candidates(group: SimilarityGroup, verdicts: dict[str, bool]) -> SimilarityGroup:
-    """Keep the members whose iou_verdicts verdict holds, in order, with their
-    distances and the group's class hint."""
+    """Keep the members whose verdict (metrics.iou_verdicts) holds, in order,
+    with their distances and the group's class hint."""
     for member_id, _ in group.members.neighbors:
         if member_id not in verdicts:
             raise ValueError(f"member {member_id!r} has no proposal record")

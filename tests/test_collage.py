@@ -13,8 +13,8 @@ from coseg.collage import (
     layout,
     make_collage,
 )
-from coseg.descriptors import resize_nearest
 from coseg.geometry import BoundingBox
+from oracles import reference_compose
 
 
 def solid_item(color, distance, size=(20, 20)):
@@ -22,19 +22,6 @@ def solid_item(color, distance, size=(20, 20)):
     region[:, :] = color
     mask = np.ones(size, dtype=bool)
     return CollageItem(region=region, mask=mask, distance=distance)
-
-
-def reference_compose(assignment, spec):
-    """The masked composer as first written: broadcast the background over the
-    canvas, then copy each scaled region through its scaled mask."""
-    canvas = np.empty((CANVAS_SIDE, CANVAS_SIDE, 3), dtype=np.uint8)
-    canvas[:, :] = spec.background
-    for slot_idx, item in assignment:
-        s = spec.slots[slot_idx]
-        region = resize_nearest(item.region, s.h, s.w)
-        where = resize_nearest(item.mask, s.h, s.w)
-        np.copyto(canvas[s.y : s.y + s.h, s.x : s.x + s.w], region, where=where[:, :, None])
-    return canvas
 
 
 @st.composite

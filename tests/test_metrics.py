@@ -6,17 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coseg.annindex import RetrievalResult
-from coseg.geometry import BoundingBox
+from coseg.geometry import BoundingBox, iou
 from coseg.metrics import (
     BoxTruth,
     ClassMetrics,
     MetricsReport,
     evaluate,
+    iou_verdicts,
     jaccard,
     precision,
     save_report_file,
 )
 from coseg.retrieval import SimilarityGroup
+from oracles import drawn
 
 
 def group(anchor, member_ids):
@@ -119,12 +121,6 @@ class TestJaccard:
             # jaccard never exceeds precision's numerator share
             if np.sum(a) > 0:
                 assert jaccard(a, b) <= inter / np.sum(a) + 1e-12
-
-
-def drawn(shape, box):
-    """The box drawn as a full-image mask, cut to the image by comparison."""
-    rows, cols = np.indices(shape)
-    return (rows >= box.y) & (rows < box.y + box.h) & (cols >= box.x) & (cols < box.x + box.w)
 
 
 class TestEvaluate:
@@ -330,6 +326,39 @@ class TestBoxTruth:
         assert (report.avg_precision, report.avg_jaccard) == scores
         want = evaluate([group("a", [])], {"a": (item, drawn((4, 5), truth), "k")})
         assert report.to_json() == want.to_json()
+
+
+class TestIouVerdicts:
+    """retrieve's filter keeps an item whose Jaccard, as evaluate scores it,
+    reaches the threshold."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=box_truth_cases(), threshold=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_verdict_is_evaluate_jaccard(self, case, threshold):
+        frames, boxes, on, _ = case
+        truths = [None if t is None else BoxTruth(t, w, h) for w, h, t in frames]
+        masks = [None if t is None else drawn((t.height, t.width), t.box) for t in truths]
+        classes = {i: i for i in boxes}  # one item per class: per-class scores are the item's
+        items = table(boxes, {i: truths[on[i]] for i in boxes}, classes)
+        per_item = evaluate([group("i0", list(boxes)[1:])], items).per_class
+        want = {i: truths[on[i]] is None or per_item[i].jaccard >= threshold for i in boxes}
+        assert iou_verdicts(items, threshold) == want
+        # a mask drawing the box gives the same verdicts
+        assert iou_verdicts(table(boxes, {i: masks[on[i]] for i in boxes}, classes), threshold) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_boxes_inside_the_frame_score_geometry_iou(self, data):
+        # the same ints in the same expression: the bits of geometry.iou
+        width, height = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24))
+
+        def inside():
+            x, y = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
+            return BoundingBox(x, y, data.draw(st.integers(1, width - x)), data.draw(st.integers(1, height - y)))
+
+        box, truth = inside(), inside()
+        report = evaluate([group("a", [])], {"a": (box, BoxTruth(truth, width, height), "k")})
+        assert report.avg_jaccard == iou(box, truth)
 
 
 class TestReportSerialization:

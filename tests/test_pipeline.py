@@ -26,8 +26,8 @@ from coseg.geometry import (
     top_k,
 )
 import coseg.annindex
+import coseg.metrics
 import coseg.pipeline
-import coseg.retrieval
 from coseg.pipeline import (
     DEFAULTS,
     KEYS,
@@ -52,6 +52,7 @@ from coseg.pipeline import (
 from coseg.metrics import jaccard, precision
 from coseg.pnm import read_image, write_pbm, write_pgm, write_ppm
 from coseg.retrieval import load_groups, save_groups
+from oracles import drawn
 
 FAST_OVERRIDES = {
     "seed": "7",
@@ -567,12 +568,13 @@ class TestRetrieveStage:
         run_stage("retrieve", {**cfg, "retrieve.iou_filter": "0"})
         unfiltered = load_groups(out / "groups.jsonl")
         calls = []
+        counts = coseg.metrics._counts
 
-        def counting(a, b):
-            calls.append(a)
-            return iou(a, b)
+        def counting(box, gt):
+            calls.append(box)
+            return counts(box, gt)
 
-        monkeypatch.setattr(coseg.retrieval, "iou", counting)
+        monkeypatch.setattr(coseg.metrics, "_counts", counting)
         run_stage("retrieve", cfg)
         ids, _ = load_descriptors_file(out / "emb_test.csgd")
         assert len(calls) == len(ids)
@@ -865,6 +867,86 @@ class TestEvaluateStage:
                 "jaccard": pytest.approx(np.mean([j for _, j in scores]), rel=1e-12),
                 "count": len(scores),
             }
+
+
+class TestOneGroundTruth:
+    """retrieve's IoU filter and evaluate read one ground truth per image, its
+    mask, else its box in the frame, and score a box against it one way."""
+
+    def redraw(self, pipeline_run, tmp_path, gt_box):
+        """A fresh copy whose manifest gives each image its box drawn as a PBM
+        mask and gt_box(record) as its box, ingested; returns its config."""
+        new_root, cfg = fresh_copy(pipeline_run, tmp_path)
+        records = []
+        for r in load_manifest(new_root / "manifest.csv"):
+            shape = read_image(new_root / r.image_path).shape[:2]
+            write_pbm(new_root / f"{r.item_id}.pbm", drawn(shape, r.gt_box))
+            records.append(replace(r, gt_box=gt_box(r), gt_mask_path=f"{r.item_id}.pbm"))
+        save_manifest(records, new_root / "manifest.csv")
+        run_stage("ingest", cfg)
+        return cfg
+
+    @pytest.mark.parametrize("gt_box", [lambda r: None, lambda r: BoundingBox(63, 63, 1, 1)],
+                             ids=["mask-only", "mask-over-other-box"])
+    def test_filter_follows_the_mask(self, pipeline_run, tmp_path, gt_box):
+        # each mask draws the box the original run filtered by, so its groups
+        # and report are the oracle; retrieve used to read only the box, so it
+        # kept every member of a mask-only image and filtered a row holding
+        # both by its box
+        out = pipeline_run[1]
+        cfg = self.redraw(pipeline_run, tmp_path, gt_box)
+        new_out = Path(cfg["data.out_dir"])
+        for stage in ("retrieve", "evaluate"):
+            run_stage(stage, cfg)
+        for name in ("groups.jsonl", "report.json"):
+            assert (new_out / name).read_bytes() == (out / name).read_bytes()
+
+    def test_overhanging_proposal_filtered_on_its_in_frame_part(self, pipeline_run, tmp_path):
+        # in a 64x64 frame, (40,40,48,48) against a ground-truth box (40,40,24,24)
+        # has IoU 0.25, and Jaccard 1.0 on the part evaluate scores
+        _, cfg = fresh_copy(pipeline_run, tmp_path)
+        out = Path(cfg["data.out_dir"])
+        run_stage("retrieve", {**cfg, "retrieve.iou_filter": "0"})
+        unfiltered = load_groups(out / "groups.jsonl")
+        member = next(g for g in unfiltered if g.members).members.neighbors[0][0]
+        items = load_items(out / "items.csv")
+        moved = next(it for it in items if it.item_id == member)
+        assert (moved.img_w, moved.img_h) == (64, 64)
+        box, truth = BoundingBox(40, 40, 48, 48), BoundingBox(40, 40, 24, 24)
+        assert iou(box, truth) == 0.25
+        items = [replace(it, proposal=replace(it.proposal, box=box)) if it is moved else it for it in items]
+        save_items(items, out / "items.csv")
+        image = moved.proposal.image_id
+        save_manifest([replace(r, gt_box=truth) if r.item_id == image else r
+                       for r in load_manifest(out / "manifest_used.csv")], out / "manifest_used.csv")
+        run_stage("retrieve", {**cfg, "retrieve.iou_filter": "0.5"})
+        holding = [g.anchor for g in unfiltered if member in dict(g.members.neighbors)]
+        kept = [g.anchor for g in load_groups(out / "groups.jsonl") if member in dict(g.members.neighbors)]
+        assert holding and kept == holding
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_wrong_size_mask_fails_only_where_scored(self, pipeline_run, tmp_path, split):
+        # evaluate used to build every image's ground truth, so a train image's
+        # bad mask failed it though no train item is scored; retrieve never read masks
+        _, out, _, _ = pipeline_run
+        new_root, cfg = fresh_copy(pipeline_run, tmp_path)
+        records = load_manifest(new_root / "manifest.csv")
+        target = next(r for r in records if r.split == split)
+        write_pbm(new_root / "bad.pbm", np.ones((3, 3), dtype=bool))
+        save_manifest([replace(r, gt_mask_path="bad.pbm") if r is target else r for r in records],
+                      new_root / "manifest.csv")
+        run_stage("ingest", cfg)
+        new_out = Path(cfg["data.out_dir"])
+        if split == "test":
+            message = r"ground-truth mask \S*bad\.pbm is 3x3, its image 64x64"
+            with pytest.raises(StageError, match=message) as exc:
+                run_stage("retrieve", cfg)
+            assert exc.value.stage == "retrieve"
+            return
+        for stage in ("retrieve", "evaluate"):
+            run_stage(stage, cfg)
+        for name in ("groups.jsonl", "report.json"):
+            assert (new_out / name).read_bytes() == (out / name).read_bytes()
 
 
 class TestRunStage:

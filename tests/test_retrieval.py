@@ -4,12 +4,12 @@ import pytest
 from coseg import annindex
 from coseg.annindex import IndexConfig, RetrievalResult, build
 from coseg.embedder import EncoderParams, forward, init_params
-from coseg.geometry import BoundingBox, Proposal
+from coseg.geometry import BoundingBox
+from coseg.metrics import BoxTruth, iou_verdicts
 from coseg.retrieval import (
     SimilarityGroup,
     embed_all,
     filter_candidates,
-    iou_verdicts,
     load_groups,
     retrieve_similar,
     save_groups,
@@ -162,55 +162,53 @@ class TestRetrieveSimilar:
 
 class TestFilterCandidates:
     def setup_method(self):
-        self.props = {
-            "a#0": Proposal("imgA", BoundingBox(0, 0, 10, 10), 0.9),
-            "a#1": Proposal("imgA", BoundingBox(40, 40, 10, 10), 0.8),
-            "b#0": Proposal("imgB", BoundingBox(5, 5, 10, 10), 0.7),
+        # the scoring table: item -> (box, ground truth, class); imgB has none
+        truth = BoxTruth(BoundingBox(0, 0, 10, 10), 64, 64)
+        self.items = {
+            "a#0": (BoundingBox(0, 0, 10, 10), truth, "mug"),
+            "a#1": (BoundingBox(40, 40, 10, 10), truth, "mug"),
+            "b#0": (BoundingBox(5, 5, 10, 10), None, "cup"),
         }
-        self.gt = {"imgA": BoundingBox(0, 0, 10, 10), "imgB": None}
 
     def test_keeps_overlapping_drops_rest(self):
         g = group("q", [("a#0", 0.1), ("a#1", 0.2)])
-        out = filter_candidates(g, iou_verdicts(self.props, self.gt, threshold=0.5))
+        out = filter_candidates(g, iou_verdicts(self.items, threshold=0.5))
         assert out.members.neighbors == (("a#0", 0.1),)
 
     def test_member_without_gt_passes(self):
         g = group("q", [("b#0", 0.3)])
-        out = filter_candidates(g, iou_verdicts(self.props, self.gt, threshold=0.5))
+        out = filter_candidates(g, iou_verdicts(self.items, threshold=0.5))
         assert out.members.neighbors == (("b#0", 0.3),)
 
     def test_threshold_is_inclusive(self):
         # overlap exactly 1/3: 10x10 boxes offset by 5 columns
-        props = {"p": Proposal("img", BoundingBox(5, 0, 10, 10), 0.5)}
-        gt = {"img": BoundingBox(0, 0, 10, 10)}
+        items = {"p": (BoundingBox(5, 0, 10, 10), BoxTruth(BoundingBox(0, 0, 10, 10), 64, 64), "k")}
         g = group("q", [("p", 0.0)])
-        kept = filter_candidates(g, iou_verdicts(props, gt, threshold=1 / 3))
+        kept = filter_candidates(g, iou_verdicts(items, threshold=1 / 3))
         assert len(kept.members) == 1
-        dropped = filter_candidates(g, iou_verdicts(props, gt, threshold=0.34))
+        dropped = filter_candidates(g, iou_verdicts(items, threshold=0.34))
         assert len(dropped.members) == 0
 
     def test_unknown_member_rejected(self):
         g = group("q", [("missing", 0.1)])
         with pytest.raises(ValueError, match="missing"):
-            filter_candidates(g, iou_verdicts(self.props, self.gt))
+            filter_candidates(g, iou_verdicts(self.items, threshold=0.5))
 
     def test_order_and_metadata_preserved(self):
         g = group("q", [("a#0", 0.1), ("b#0", 0.2), ("a#1", 0.3)], hint="mug")
-        out = filter_candidates(g, iou_verdicts(self.props, self.gt, threshold=0.5))
+        out = filter_candidates(g, iou_verdicts(self.items, threshold=0.5))
         assert out.anchor == "q"
         assert out.class_hint == "mug"
         assert out.members.neighbors == (("a#0", 0.1), ("b#0", 0.2))
 
-    def test_image_missing_from_ground_truth_raises(self):
-        gt = {"imgA": BoundingBox(0, 0, 10, 10)}
-        with pytest.raises(KeyError, match="imgB"):
-            iou_verdicts(self.props, gt)
-        # a None box says the image has no ground truth: its proposals pass
-        assert iou_verdicts(self.props, {**gt, "imgB": None}) == {"a#0": True, "a#1": False, "b#0": True}
+    def test_none_ground_truth_passes_its_items(self):
+        # a None truth says the image has no ground truth: its items pass
+        assert iou_verdicts(self.items, threshold=0.5) == {"a#0": True, "a#1": False, "b#0": True}
+        assert iou_verdicts(self.items, threshold=1.0) == {"a#0": True, "a#1": False, "b#0": True}
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            iou_verdicts({}, {}, threshold=1.5)
+            iou_verdicts({}, threshold=1.5)
 
 
 class TestGroupFiles:
