@@ -53,22 +53,24 @@ print(f"\nshifted square: precision {precision(pred, gt):.2f}, jaccard {jaccard(
 #    an id it lacks raises. An item's segmentation is its proposal box: the
 #    shifted square above as a box scores exactly as the drawn mask does,
 #    without drawing it. An item whose ground truth is None, an image with
-#    none, is skipped and listed, not silently dropped.
+#    none, is skipped and listed, not silently dropped. The report is the
+#    plain dict that the evaluate stage writes as report.json.
 box = BoundingBox(x=6, y=4, w=10, h=10)
 classes = {i: f"class{label}" for i, label in zip(ids, labels)}
 items = {i: (box, gt, classes[i]) for i in ids}
 items[ids[0]] = (box, None, classes[ids[0]])  # provoke one skip
 report = evaluate(groups, items)
-print(f"per-class jaccard: {{ {', '.join(f'{c}: {m.jaccard:.2f}' for c, m in sorted(report.per_class.items()))} }}")
-print(f"averages: precision {report.avg_precision:.2f}, jaccard {report.avg_jaccard:.2f}")
-print(f"skipped: {report.skipped}")
+per_class = ", ".join(f"{c}: {m['jaccard']:.2f}" for c, m in report["per_class"].items())
+print(f"per-class jaccard: {{ {per_class} }}")
+print(f"averages: precision {report['avg_precision']:.2f}, jaccard {report['avg_jaccard']:.2f}")
+print(f"skipped: {report['skipped']}")
 
 # 5. Ground truth given as a box needs no mask: a BoxTruth, the box and its
 #    frame size, is scored by clipped-box areas, the counts the drawn mask
-#    gives, so the report is the same to the byte.
+#    gives, so the report is the same, score for score.
 truth = BoxTruth(BoundingBox(x=4, y=4, w=10, h=10), width=32, height=32)
 box_truth = {i: (b, None if g is None else truth, c) for i, (b, g, c) in items.items()}
-same = evaluate(groups, box_truth).to_json() == report.to_json()
+same = evaluate(groups, box_truth) == report
 print(f"the square as a ground-truth box gives the same report: {same}")
 
 # 6. The retrieve stage's IoU filter reads the same table: a member is kept

@@ -108,10 +108,13 @@ def top_k(props: list[Proposal], k: int) -> list[Proposal]:
 
 def load_proposals(path) -> list[Proposal]:
     """Read proposals from `image_id,x,y,w,h,score,source` lines (UTF-8, a leading
-    byte-order mark skipped). A line ends at LF, one CR before it dropped; nothing is stripped."""
+    byte-order mark skipped). A line ends at LF, one CR before it dropped; nothing is stripped,
+    and any other CR raises ValueError naming path:line."""
     out = []
     for lineno, line in enumerate(Path(path).read_bytes().decode("utf-8-sig").split("\n"), start=1):
         line = line.removesuffix("\r")
+        if "\r" in line:
+            raise ValueError(f"{path}:{lineno}: CR outside a CRLF line end")
         if not line:
             continue
         parts = line.split(",")
@@ -133,4 +136,7 @@ def save_proposals(path, props) -> None:
         if any(c in p.image_id or c in p.source for c in ",\r\n"):
             raise ValueError(f"image_id/source may not hold a comma, CR or LF: {p.image_id!r}, {p.source!r}")
         lines.append(f"{p.image_id},{p.box.x},{p.box.y},{p.box.w},{p.box.h},{p.score!r},{p.source}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8", newline="\n")
+    text = "".join(line + "\n" for line in lines)
+    if text.startswith("\ufeff"):  # load_proposals would skip it as a byte-order mark
+        raise ValueError(f"the first image_id may not start with U+FEFF: {lines[0]!r}")
+    Path(path).write_text(text, encoding="utf-8", newline="\n")

@@ -5,12 +5,13 @@ Masks are 2-d arrays where nonzero means foreground. One item table, item id
 -> (box, ground truth, class), feeds both evaluate() and iou_verdicts(), and
 both score a box one way: cut to its frame, against a mask by pixel count or a
 BoxTruth by area. None means no ground truth; an id the table lacks raises.
+evaluate() returns the report.json record itself, a plain dict.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,44 +84,6 @@ def _counts(box: BoundingBox, gt: np.ndarray | BoxTruth) -> tuple[int, int, int]
     return inside.size, int(np.count_nonzero(gt)), int(np.count_nonzero(inside))
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    jaccard: float
-    count: int
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Per-class scores plus unweighted cross-class averages.
-
-    skipped lists (item_id, reason) for items with no ground truth;
-    empty_segmentations lists scored items whose segmentation had no
-    foreground pixels (their precision is 0 by convention).
-    """
-
-    per_class: dict[str, ClassMetrics] = field(default_factory=dict)
-    avg_precision: float = 0.0
-    avg_jaccard: float = 0.0
-    skipped: tuple[tuple[str, str], ...] = ()
-    empty_segmentations: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "per_class": {
-                cls: {"precision": m.precision, "jaccard": m.jaccard, "count": m.count}
-                for cls, m in sorted(self.per_class.items())
-            },
-            "avg_precision": self.avg_precision,
-            "avg_jaccard": self.avg_jaccard,
-            "skipped": [{"id": i, "reason": r} for i, r in self.skipped],
-            "empty_segmentations": list(self.empty_segmentations),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
-
-
 def group_item_ids(groups) -> list[str]:
     """Distinct item ids referenced by the groups (anchors and members),
     first-appearance order."""
@@ -143,50 +106,47 @@ def iou_verdicts(items: ItemTable, threshold: float) -> dict[str, bool]:
     return {i: gt is None or _scores(*_counts(box, gt))[1] >= threshold for i, (box, gt, _) in items.items()}
 
 
-def evaluate(groups, items: ItemTable) -> MetricsReport:
-    """Score every item the groups reference, looked up in items as (box,
-    ground truth, class), so an id items lacks raises: the box, clipped to its
-    image, gets the precision() and jaccard() of that box drawn against its
-    ground truth, a mask or a BoxTruth. An item whose ground truth is None is
-    excluded and recorded in the report. Scores average per class over items;
-    the report averages are unweighted means over the classes.
-    """
+def evaluate(groups, items: ItemTable) -> dict:
+    """The report.json record of every item the groups reference, looked up in
+    items as (box, ground truth, class), so an id items lacks raises. The box,
+    clipped to its image, gets the precision() and jaccard() of that box drawn
+    against its ground truth, a mask or a BoxTruth. "skipped" lists the items
+    whose ground truth is None, "empty_segmentations" those whose box has no
+    pixel in its frame. "per_class", sorted by class, holds mean scores and
+    counts; the averages are unweighted means over the classes, taken in
+    first-appearance order (0.0 with no class)."""
     by_class: dict[str, list[tuple[float, float]]] = {}
-    skipped: list[tuple[str, str]] = []
+    skipped: list[dict[str, str]] = []
     empty_seg: list[str] = []
     for item_id in group_item_ids(groups):
         box, gt, cls = items[item_id]
         if gt is None:
-            skipped.append((item_id, "no ground-truth mask"))
+            skipped.append({"id": item_id, "reason": "no ground-truth mask"})
             continue
         seg_px, gt_px, inter = _counts(box, gt)
         if seg_px == 0:
             empty_seg.append(item_id)
         by_class.setdefault(cls, []).append(_scores(seg_px, gt_px, inter))
-
     per_class = {
-        cls: ClassMetrics(
-            precision=float(np.mean([p for p, _ in scores])),
-            jaccard=float(np.mean([j for _, j in scores])),
-            count=len(scores),
-        )
+        cls: {
+            "precision": float(np.mean([p for p, _ in scores])),
+            "jaccard": float(np.mean([j for _, j in scores])),
+            "count": len(scores),
+        }
         for cls, scores in by_class.items()
     }
-    if per_class:
-        avg_p = float(np.mean([m.precision for m in per_class.values()]))
-        avg_j = float(np.mean([m.jaccard for m in per_class.values()]))
-    else:
-        avg_p = avg_j = 0.0
-    return MetricsReport(
-        per_class=per_class,
-        avg_precision=avg_p,
-        avg_jaccard=avg_j,
-        skipped=tuple(skipped),
-        empty_segmentations=tuple(empty_seg),
-    )
+    avg_p, avg_j = (float(np.mean([m[key] for m in per_class.values()])) if per_class else 0.0
+                    for key in ("precision", "jaccard"))
+    return {
+        "per_class": dict(sorted(per_class.items())),
+        "avg_precision": avg_p,
+        "avg_jaccard": avg_j,
+        "skipped": skipped,
+        "empty_segmentations": empty_seg,
+    }
 
 
-def save_report_file(report: MetricsReport, path) -> None:
+def save_report_file(report: dict, path) -> None:
+    """Write evaluate()'s record as indented JSON and a final LF."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2) + "\n")

@@ -205,31 +205,42 @@ class ManifestRecord:
 
 
 def _read_table(path, fields: list[str], parse_row: Callable[[dict[str, str]], Any]) -> list:
-    """Parse each row of a CSV table whose header is exactly fields.
+    """Parse each row of a CSV table whose header is exactly fields (UTF-8, a
+    byte-order mark allowed at the start). A CR outside a CRLF line end, quoted
+    or not, an oversized field, a field beyond the header or a row parse_row
+    rejects raises ValueError naming path:line."""
+    rows, line = [], 1
 
-    UTF-8, with a byte-order mark allowed at the start. A row with fields
-    beyond the header, or one parse_row rejects, fails with path:line."""
-    rows = []
+    def lines(fh):
+        nonlocal line
+        for line, text in enumerate(fh, start=1):  # newline="" ends a line at a lone CR too
+            if text.endswith("\r"):
+                raise ValueError("CR outside a CRLF line end")
+            yield text
+
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != fields:
-            raise ValueError(f"{path}: header must be {','.join(fields)}, got {reader.fieldnames}")
-        for row in reader:
-            try:
+        reader = csv.DictReader(lines(fh))
+        try:
+            if reader.fieldnames != fields:
+                raise ValueError(f"header must be {','.join(fields)}, got {reader.fieldnames}")
+            for row in reader:
                 if None in row:  # DictReader files a long row's extra fields under None
                     raise ValueError(f"{len(row[None])} field(s) beyond the header")
                 rows.append(parse_row(row))
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except (ValueError, TypeError, KeyError, csv.Error) as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
     return rows
 
 
 def _write_table(path, fields: list[str], rows) -> None:
-    """Write the header, then one line per row (UTF-8, LF)."""
+    """Write the header, then one line per row (UTF-8, LF); a field holding a CR raises ValueError."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
-        writer.writerows(rows)
+        for row in rows:
+            if any("\r" in str(f) for f in row):
+                raise ValueError(f"{path}: a field may not hold a CR: {row}")
+            writer.writerow(row)
 
 
 def load_manifest(path) -> list[ManifestRecord]:

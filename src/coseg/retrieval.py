@@ -150,6 +150,6 @@ def load_groups(path) -> list[SimilarityGroup]:
                         class_hint=hint,
                     )
                 )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{path}: line {line_no}: malformed group record ({exc})") from exc
     return groups

@@ -262,6 +262,25 @@ class TestProposalFiles:
             prop(1, 1, 2, 2, 0.25, image_id="imgB", source=""),
         ]
 
+    @pytest.mark.parametrize("line", [
+        b"img,1,2,3,4,0.5,a\rb\n", b"img,1,2,3,4,0.5,ab\r\r\n", b"a\rimg,1,2,3,4,0.5,b",
+    ])
+    def test_cr_outside_crlf_names_line(self, tmp_path, line):
+        # such a CR used to stay in the record, and a source 'a\rb' reached items.csv
+        path = tmp_path / "p.csv"
+        path.write_bytes(line)
+        with pytest.raises(ValueError, match="p.csv:1: CR outside a CRLF line end"):
+            load_proposals(path)
+
+    def test_leading_byte_order_mark_rejected_on_save(self, tmp_path):
+        # load_proposals skips a leading U+FEFF, so the first image_id used to lose it
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="U\\+FEFF"):
+            save_proposals(path, [prop(0, 0, 1, 1, 0.5, image_id="\ufeffa")])
+        later = [prop(0, 0, 1, 1, 0.5, image_id="a"), prop(0, 0, 1, 1, 0.5, image_id="\ufeffb")]
+        save_proposals(path, later)
+        assert load_proposals(path) == later
+
     @pytest.mark.parametrize("bad", ["a\nb", "a\rb"])
     def test_line_break_in_id_or_source_rejected_on_save(self, tmp_path, bad):
         for p in (prop(0, 0, 1, 1, 0.5, image_id=bad), prop(0, 0, 1, 1, 0.5, source=bad)):

@@ -9,8 +9,6 @@ from coseg.annindex import RetrievalResult
 from coseg.geometry import BoundingBox, iou
 from coseg.metrics import (
     BoxTruth,
-    ClassMetrics,
-    MetricsReport,
     evaluate,
     iou_verdicts,
     jaccard,
@@ -129,10 +127,10 @@ class TestEvaluate:
         m = mask((4, 4), rows=(0, 1), cols=(0, 1))
         box = BoundingBox(0, 0, 2, 2)
         report = evaluate(groups, {"a": (box, m, "mug"), "b": (box, m, "mug")})
-        assert report.per_class["mug"] == ClassMetrics(precision=1.0, jaccard=1.0, count=2)
-        assert report.avg_precision == 1.0
-        assert report.avg_jaccard == 1.0
-        assert report.skipped == ()
+        assert report["per_class"]["mug"] == {"precision": 1.0, "jaccard": 1.0, "count": 2}
+        assert report["avg_precision"] == 1.0
+        assert report["avg_jaccard"] == 1.0
+        assert report["skipped"] == []
 
     def test_cross_class_average_is_unweighted(self):
         groups = [group("a", ["b", "c"])]
@@ -144,24 +142,26 @@ class TestEvaluate:
         }
         # class "x": items a,b perfect. class "y": item c (top row) has p=1, j=0.5
         report = evaluate(groups, items)
-        assert report.per_class["x"].count == 2
-        assert report.per_class["y"].jaccard == 0.5
-        assert report.avg_jaccard == pytest.approx(0.75)  # (1.0 + 0.5) / 2
+        assert report["per_class"]["x"]["count"] == 2
+        assert report["per_class"]["y"]["jaccard"] == 0.5
+        assert report["avg_jaccard"] == pytest.approx(0.75)  # (1.0 + 0.5) / 2
 
     def test_items_counted_once_across_groups(self):
         groups = [group("a", ["b"]), group("b", ["a"])]
         m = np.ones((2, 2), dtype=bool)
         box = BoundingBox(0, 0, 2, 2)
         report = evaluate(groups, {"a": (box, m, "c"), "b": (box, m, "c")})
-        assert report.per_class["c"].count == 2
+        assert report["per_class"]["c"]["count"] == 2
 
     def test_missing_inputs_skip_with_reason(self):
         m = np.ones((2, 2), dtype=bool)
         b = BoundingBox(0, 0, 2, 2)
         items = {"a": (b, m, "k"), "c": (b, None, "k"), "e": (b, None, "j")}
         report = evaluate([group("a", ["c", "e"])], items)
-        assert report.skipped == (("c", "no ground-truth mask"), ("e", "no ground-truth mask"))
-        assert report.per_class == {"k": ClassMetrics(precision=1.0, jaccard=1.0, count=1)}
+        assert report["skipped"] == [
+            {"id": "c", "reason": "no ground-truth mask"}, {"id": "e", "reason": "no ground-truth mask"},
+        ]
+        assert report["per_class"] == {"k": {"precision": 1.0, "jaccard": 1.0, "count": 1}}
         # an item without a row (no box, no class) is no longer a skip: the table must hold it
         for absent in ("b", "d"):
             with pytest.raises(KeyError, match=absent):
@@ -173,7 +173,7 @@ class TestEvaluate:
                 raise ValueError(f"id {key!r} missing from items.csv")
 
         items = Strict(a=(BoundingBox(0, 0, 2, 2), np.ones((2, 2), dtype=bool), "k"))
-        assert evaluate([group("a", [])], items).per_class["k"].count == 1
+        assert evaluate([group("a", [])], items)["per_class"]["k"]["count"] == 1
         for groups in ([group("a", ["b"])], [group("b", ["a"])]):
             with pytest.raises(ValueError, match="id 'b' missing from items.csv"):
                 evaluate(groups, items)
@@ -184,15 +184,15 @@ class TestEvaluate:
         # "a" lies wholly outside its 2x2 image, "b" only partly
         boxes = {"a": BoundingBox(2, 0, 3, 2), "b": BoundingBox(-1, -1, 2, 2)}
         report = evaluate(groups, table(boxes, gt, {"a": "k", "b": "j"}))
-        assert report.empty_segmentations == ("a",)
-        assert report.per_class["k"].precision == 0.0
-        assert report.per_class["j"] == ClassMetrics(precision=1.0, jaccard=0.25, count=1)
+        assert report["empty_segmentations"] == ["a"]
+        assert report["per_class"]["k"]["precision"] == 0.0
+        assert report["per_class"]["j"] == {"precision": 1.0, "jaccard": 0.25, "count": 1}
 
     def test_no_groups_gives_zero_averages(self):
-        report = evaluate([], {})
-        assert report.per_class == {}
-        assert report.avg_precision == 0.0
-        assert report.avg_jaccard == 0.0
+        assert evaluate([], {}) == {
+            "per_class": {}, "avg_precision": 0.0, "avg_jaccard": 0.0,
+            "skipped": [], "empty_segmentations": [],
+        }
 
     def test_gt_must_be_2d(self):
         with pytest.raises(ValueError):
@@ -217,9 +217,9 @@ class TestEvaluate:
             if not seg.any():
                 want_empty.append(item)
         report = evaluate([group("i0", list(boxes)[1:])], table(boxes, gt, classes))
-        got = {c: (m.precision, m.jaccard) for c, m in report.per_class.items()}
+        got = {c: (m["precision"], m["jaccard"]) for c, m in report["per_class"].items()}
         assert got == want
-        assert list(report.empty_segmentations) == want_empty
+        assert report["empty_segmentations"] == want_empty
         # the draw covered each kind of case
         assert 20 < len(want_empty) < 280
         assert sum(not g.any() for g in gt.values()) > 20
@@ -246,21 +246,32 @@ class TestEvaluate:
             per_item[item] = (inter / seg_px if seg_px else 0.0, inter / union if union else 1.0, seg_px == 0)
         report = evaluate([group("i0", list(boxes)[1:])], table(boxes, gt, classes))
         per_class = {
-            c: ClassMetrics(
-                precision=float(np.mean([per_item[i][0] for i in per_item if classes[i] == c])),
-                jaccard=float(np.mean([per_item[i][1] for i in per_item if classes[i] == c])),
-                count=20,
-            )
+            c: {
+                "precision": float(np.mean([per_item[i][0] for i in per_item if classes[i] == c])),
+                "jaccard": float(np.mean([per_item[i][1] for i in per_item if classes[i] == c])),
+                "count": 20,
+            }
             for c in ("c0", "c1", "c2")
         }
-        want = MetricsReport(
-            per_class=per_class,
-            avg_precision=float(np.mean([m.precision for m in per_class.values()])),
-            avg_jaccard=float(np.mean([m.jaccard for m in per_class.values()])),
-            empty_segmentations=tuple(i for i in per_item if per_item[i][2]),
-        )
-        assert report.to_json() == want.to_json()
-        assert 0 < len(want.empty_segmentations) < 30
+        want = {
+            "per_class": per_class,
+            "avg_precision": float(np.mean([m["precision"] for m in per_class.values()])),
+            "avg_jaccard": float(np.mean([m["jaccard"] for m in per_class.values()])),
+            "skipped": [],
+            "empty_segmentations": [i for i in per_item if per_item[i][2]],
+        }
+        assert report == want
+        assert 0 < len(want["empty_segmentations"]) < 30
+
+    def test_classes_average_in_first_appearance_order(self):
+        # np.mean's sum depends on order: classes first seen as c, a, b with
+        # Jaccards 9/10, 1/5 and 3/10 average to a float that sorted order misses
+        truth = BoxTruth(BoundingBox(0, 0, 10, 1), 10, 10)
+        items = {f"i{n}": (BoundingBox(0, 0, n, 1), truth, cls) for n, cls in ((9, "c"), (2, "a"), (3, "b"))}
+        report = evaluate([group("i9", ["i2", "i3"])], items)
+        assert [report["per_class"][c]["jaccard"] for c in "cab"] == [9 / 10, 1 / 5, 3 / 10]
+        assert report["avg_jaccard"] == 0.46666666666666673
+        assert float(np.mean([1 / 5, 3 / 10, 9 / 10])) != 0.46666666666666673
 
 
 @st.composite
@@ -306,7 +317,7 @@ class TestBoxTruth:
         groups = [group("i0", list(boxes)[1:])]
         got = evaluate(groups, table(boxes, {i: truths[on[i]] for i in boxes}, classes))
         want = evaluate(groups, table(boxes, {i: masks[on[i]] for i in boxes}, classes))
-        assert got.to_json() == want.to_json()
+        assert got == want
 
     @pytest.mark.parametrize("truth, item, scores", [
         # ground truth clipped to nothing: every pixel of the box is a miss
@@ -323,9 +334,8 @@ class TestBoxTruth:
     def test_cases_by_hand(self, truth, item, scores):
         frame = BoxTruth(truth, 5, 4)
         report = evaluate([group("a", [])], {"a": (item, frame, "k")})
-        assert (report.avg_precision, report.avg_jaccard) == scores
-        want = evaluate([group("a", [])], {"a": (item, drawn((4, 5), truth), "k")})
-        assert report.to_json() == want.to_json()
+        assert (report["avg_precision"], report["avg_jaccard"]) == scores
+        assert report == evaluate([group("a", [])], {"a": (item, drawn((4, 5), truth), "k")})
 
 
 class TestIouVerdicts:
@@ -340,8 +350,8 @@ class TestIouVerdicts:
         masks = [None if t is None else drawn((t.height, t.width), t.box) for t in truths]
         classes = {i: i for i in boxes}  # one item per class: per-class scores are the item's
         items = table(boxes, {i: truths[on[i]] for i in boxes}, classes)
-        per_item = evaluate([group("i0", list(boxes)[1:])], items).per_class
-        want = {i: truths[on[i]] is None or per_item[i].jaccard >= threshold for i in boxes}
+        per_item = evaluate([group("i0", list(boxes)[1:])], items)["per_class"]
+        want = {i: truths[on[i]] is None or per_item[i]["jaccard"] >= threshold for i in boxes}
         assert iou_verdicts(items, threshold) == want
         # a mask drawing the box gives the same verdicts
         assert iou_verdicts(table(boxes, {i: masks[on[i]] for i in boxes}, classes), threshold) == want
@@ -358,7 +368,7 @@ class TestIouVerdicts:
 
         box, truth = inside(), inside()
         report = evaluate([group("a", [])], {"a": (box, BoxTruth(truth, width, height), "k")})
-        assert report.avg_jaccard == iou(box, truth)
+        assert report["avg_jaccard"] == iou(box, truth)
 
 
 class TestReportSerialization:
@@ -367,32 +377,23 @@ class TestReportSerialization:
         box, m = BoundingBox(0, 0, 2, 2), np.ones((2, 2), dtype=bool)
         return evaluate(groups, {"a": (box, m, "mug"), "b": (box, None, "mug")})
 
-    def test_to_dict_structure(self):
-        d = self.make_report().to_dict()
+    def test_record_structure(self):
+        d = self.make_report()
+        assert list(d) == ["per_class", "avg_precision", "avg_jaccard", "skipped", "empty_segmentations"]
         assert d["per_class"] == {"mug": {"precision": 1.0, "jaccard": 1.0, "count": 1}}
+        assert list(d["per_class"]["mug"]) == ["precision", "jaccard", "count"]
         assert d["skipped"] == [{"id": "b", "reason": "no ground-truth mask"}]
         assert d["empty_segmentations"] == []
 
-    def test_json_round_trips(self):
-        report = self.make_report()
-        assert json.loads(report.to_json()) == report.to_dict()
-
     def test_classes_sorted_in_output(self):
-        report = MetricsReport(
-            per_class={
-                "zebra": ClassMetrics(1.0, 1.0, 1),
-                "apple": ClassMetrics(0.5, 0.5, 2),
-            },
-            avg_precision=0.75,
-            avg_jaccard=0.75,
-        )
-        keys = list(report.to_dict()["per_class"])
-        assert keys == ["apple", "zebra"]
+        m = np.ones((2, 2), dtype=bool)
+        items = {"z": (BoundingBox(0, 0, 2, 2), m, "zebra"), "a": (BoundingBox(0, 0, 2, 1), m, "apple")}
+        report = evaluate([group("z", ["a"])], items)
+        assert list(report["per_class"]) == ["apple", "zebra"]
 
     def test_save_report_file(self, tmp_path):
         report = self.make_report()
         path = tmp_path / "report.json"
         save_report_file(report, path)
-        text = path.read_text(encoding="utf-8")
-        assert text.endswith("\n")
-        assert json.loads(text) == report.to_dict()
+        assert path.read_bytes() == (json.dumps(report, indent=2) + "\n").encode()
+        assert json.loads(path.read_text(encoding="utf-8")) == report

@@ -30,6 +30,7 @@ import coseg.metrics
 import coseg.pipeline
 from coseg.pipeline import (
     DEFAULTS,
+    ITEMS_FIELDS,
     KEYS,
     MANIFEST_FIELDS,
     ItemRecord,
@@ -215,6 +216,56 @@ class TestManifest:
             ManifestRecord("x", "a.ppm", "mug", "validation")
         with pytest.raises(ValueError):
             ManifestRecord("", "a.ppm", "mug", "train")
+
+    def test_cr_in_a_field_rejected_on_save(self, tmp_path):
+        # the file used to be written, and load_manifest then failed on a split of None
+        with pytest.raises(ValueError, match="manifest.csv: a field may not hold a CR"):
+            save_manifest([ManifestRecord("img0", "/x/a.ppm", "cat\rdog", "train")],
+                          tmp_path / "manifest.csv")
+
+    def test_oversized_field_names_line(self, tmp_path):
+        # the csv module's own error used to escape, naming no path
+        path = tmp_path / "manifest.csv"
+        row = f"imgA,a.ppm,{'m' * 200_000},train,,,,,"
+        path.write_text(",".join(MANIFEST_FIELDS) + "\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="manifest.csv:2: field larger than field limit"):
+            load_manifest(path)
+
+
+TABLE_ROWS = {  # name -> (reader, header, a valid row with the class third)
+    "manifest.csv": (load_manifest, MANIFEST_FIELDS, "imgA,a.ppm,mug,train,1,2,3,4,".split(",")),
+    "items.csv": (load_items, ITEMS_FIELDS, "i0,imgA,mug,test,0,0,2,2,0.5,gen,4,4".split(",")),
+}
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+@pytest.mark.parametrize("name", list(TABLE_ROWS))
+def test_table_cr_outside_crlf_names_line(tmp_path, name, quote):
+    reader, fields, row = TABLE_ROWS[name]
+    path = tmp_path / name
+    lines = [",".join(fields), ",".join(f"{quote}{f}{quote}" for f in row)]
+    path.write_text("".join(line + "\r\n" for line in lines), encoding="utf-8", newline="")
+    (record,) = reader(path)  # CRLF line ends are fine
+    cr_row = ",".join(f"{quote}{f}{quote}" for f in row[:2] + [row[2] + "\rx"] + row[3:])
+    path.write_text("".join(line + "\r\n" for line in lines + [cr_row]), encoding="utf-8", newline="")
+    with pytest.raises(ValueError, match=f"{name}:3: CR outside a CRLF line end"):
+        reader(path)
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+def test_ingest_rejects_cr_in_a_manifest_class(tmp_path, quote):
+    # quoted, the class used to pass ingest into items.csv, which train then
+    # could not read; unquoted, ingest failed on a split of None
+    manifest, proposals = synthdata.make_image_dataset(tmp_path, seed=0)
+    header, *rows = manifest.read_text(encoding="utf-8").splitlines()
+    rows = [row.split(",") for row in rows]
+    manifest.write_text(header + "\n" + "".join(
+        ",".join(f"{quote}{f}{quote}" for f in row[:2] + [row[2] + "\rx"] + row[3:]) + "\n" for row in rows
+    ), encoding="utf-8", newline="")
+    cfg = merge_config({"data.manifest": str(manifest), "data.proposals": str(proposals),
+                        "data.out_dir": str(tmp_path / "out"), **FAST_OVERRIDES})
+    with pytest.raises(StageError, match=r"manifest\.csv:2: CR outside a CRLF line end"):
+        run_stage("ingest", cfg)
 
 
 @pytest.mark.parametrize("reader, text, want", [

@@ -281,6 +281,13 @@ class TestGroupFiles:
         with pytest.raises(ValueError, match="bad.jsonl: line 2"):
             load_groups(path)
 
+    def test_deep_nesting_names_path_and_line(self, tmp_path):
+        # json.loads used to let its RecursionError escape
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="deep.jsonl: line 1"):
+            load_groups(path)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "g.jsonl"
         path.write_text('\n{"anchor": "a", "members": [], "class_hint": null}\n\n', encoding="utf-8")
