@@ -1,8 +1,10 @@
-"""Bounds-checked cursor over the little-endian binary formats' bytes."""
+"""The bottom I/O layer: a bounds-checked cursor over the little-endian binary
+formats' bytes, and the one framing every text file is read with."""
 
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -47,3 +49,20 @@ class Reader:
     def expect_eof(self) -> None:
         if self.pos != len(self.data):
             raise TruncatedError(f"{len(self.data) - self.pos} trailing bytes after content")
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, a byte-order mark at the start skipped.
+    A line ends at LF, one CR before the LF dropped; the empty rest after the
+    last LF is no line. Bytes that are not UTF-8, or any other CR, raise
+    ValueError naming path:line."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as e:  # e.object is the input after any byte-order mark
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise ValueError(f"{path}:{line}: bytes not UTF-8 ({e.reason})") from None
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        line = text.count("\n", 0, text.index("\r")) + 1
+        raise ValueError(f"{path}:{line}: CR outside a CRLF line end")
+    return text.removesuffix("\n").split("\n") if text else []

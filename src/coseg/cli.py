@@ -53,7 +53,9 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
     if args.config:
         try:
             file_layer = load_config(args.config)
-        except (OSError, UnicodeDecodeError) as e:
+        except ConfigError:  # a bad line, which names path:line itself
+            raise
+        except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read config file {args.config}: {e}") from None
     else:
         file_layer = {}
@@ -62,14 +64,7 @@ def resolve_config(args: argparse.Namespace) -> dict[str, str]:
         for key, value in vars(args).items()
         if key in KEYS and value is not None
     }
-    env_layer: dict[str, str] = {}
-    env_seed = os.environ.get("COSEG_SEED")
-    if env_seed is not None:
-        try:
-            int(env_seed)
-        except ValueError:
-            raise ConfigError(f"COSEG_SEED must be an integer, got {env_seed!r}") from None
-        env_layer["seed"] = env_seed
+    env_layer = {"seed": os.environ["COSEG_SEED"]} if "COSEG_SEED" in os.environ else {}
     return merge_config(file_layer, cli_layer, env_layer)
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._binio import read_lines
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -107,14 +109,10 @@ def top_k(props: list[Proposal], k: int) -> list[Proposal]:
 
 
 def load_proposals(path) -> list[Proposal]:
-    """Read proposals from `image_id,x,y,w,h,score,source` lines (UTF-8, a leading
-    byte-order mark skipped). A line ends at LF, one CR before it dropped; nothing is stripped,
-    and any other CR raises ValueError naming path:line."""
+    """Read proposals from read_lines' `image_id,x,y,w,h,score,source` lines;
+    blank lines are skipped and nothing is stripped."""
     out = []
-    for lineno, line in enumerate(Path(path).read_bytes().decode("utf-8-sig").split("\n"), start=1):
-        line = line.removesuffix("\r")
-        if "\r" in line:
-            raise ValueError(f"{path}:{lineno}: CR outside a CRLF line end")
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
         parts = line.split(",")

@@ -20,6 +20,7 @@ from typing import Any
 
 import numpy as np
 
+from ._binio import read_lines
 from .annindex import FIELD_BOUNDS, METRICS, IndexConfig, build
 from .annindex import load_file as load_index_file
 from .annindex import save_file as save_index_file
@@ -131,12 +132,10 @@ DEFAULTS = {key: spec.default for key, spec in KEYS.items()}
 
 
 def load_config(path) -> dict[str, str]:
-    """Parse a flat key=value config file (UTF-8, a byte-order mark at the
-    start skipped); # starts a comment line. A line ends at LF only, so any
-    other line-breaking character inside a value stays in it; whitespace, a CR
-    before the LF included, is stripped from each line and around key and value."""
+    """Parse a flat key=value config file of read_lines' lines; # starts a
+    comment line. Whitespace is stripped from each line and around key and value."""
     cfg: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_bytes().decode("utf-8-sig").split("\n"), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -205,30 +204,21 @@ class ManifestRecord:
 
 
 def _read_table(path, fields: list[str], parse_row: Callable[[dict[str, str]], Any]) -> list:
-    """Parse each row of a CSV table whose header is exactly fields (UTF-8, a
-    byte-order mark allowed at the start). A CR outside a CRLF line end, quoted
-    or not, an oversized field, a field beyond the header or a row parse_row
-    rejects raises ValueError naming path:line."""
-    rows, line = [], 1
-
-    def lines(fh):
-        nonlocal line
-        for line, text in enumerate(fh, start=1):  # newline="" ends a line at a lone CR too
-            if text.endswith("\r"):
-                raise ValueError("CR outside a CRLF line end")
-            yield text
-
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(lines(fh))
-        try:
-            if reader.fieldnames != fields:
-                raise ValueError(f"header must be {','.join(fields)}, got {reader.fieldnames}")
-            for row in reader:
-                if None in row:  # DictReader files a long row's extra fields under None
-                    raise ValueError(f"{len(row[None])} field(s) beyond the header")
-                rows.append(parse_row(row))
-        except (ValueError, TypeError, KeyError, csv.Error) as exc:
-            raise ValueError(f"{path}:{line}: {exc}") from None
+    """Parse each row of a CSV table of read_lines' lines whose header is exactly
+    fields; blank lines are skipped. An oversized field, a row whose field count
+    is not the header's or a row parse_row rejects raises ValueError naming path:line."""
+    rows = []
+    reader = csv.reader(line + "\n" for line in read_lines(path))  # a quoted field keeps its LFs
+    try:
+        header = next(reader, None)
+        if header != fields:
+            raise ValueError(f"header must be {','.join(fields)}, got {header}")
+        for row in filter(None, reader):  # a blank line reads as []
+            if extra := len(row) - len(fields):
+                raise ValueError(f"{abs(extra)} field(s) {'beyond' if extra > 0 else 'short of'} the header")
+            rows.append(parse_row(dict(zip(fields, row))))
+    except (ValueError, TypeError, KeyError, csv.Error) as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
 
 
@@ -248,7 +238,7 @@ def load_manifest(path) -> list[ManifestRecord]:
 
     def parse_row(row: dict[str, str]) -> ManifestRecord:
         box_fields = [row["gt_x"], row["gt_y"], row["gt_w"], row["gt_h"]]
-        filled = [f for f in box_fields if f not in ("", None)]
+        filled = [f for f in box_fields if f]
         if len(filled) not in (0, 4):
             raise ValueError("gt box needs all of gt_x,gt_y,gt_w,gt_h or none")
         record = ManifestRecord(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._binio import read_lines
 from .annindex import AnnIndex, RetrievalResult, query
 from .embedder import EncoderParams, forward_batch
 
@@ -125,31 +126,31 @@ def _member(record) -> tuple[str, float]:
 
 
 def load_groups(path) -> list[SimilarityGroup]:
-    """Read save_groups' format back. A line that is not JSON, lacks a key,
-    holds a value of the wrong JSON type (a non-string anchor or member id, a
-    distance that is not a number, a class_hint neither string nor null) or
-    breaks a SimilarityGroup rule raises ValueError naming path and line."""
+    """Read save_groups' format back from read_lines' lines; blank lines are
+    skipped. A line that is not JSON, lacks a key, holds a value of the wrong
+    JSON type (a non-string anchor or member id, a distance that is not a
+    number, a class_hint neither string nor null) or breaks a SimilarityGroup
+    rule raises ValueError naming path:line."""
     groups: list[SimilarityGroup] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                anchor, hint = obj["anchor"], obj.get("class_hint")
-                if not isinstance(anchor, str):
-                    raise TypeError(f"anchor must be a string, got {anchor!r}")
-                if hint is not None and not isinstance(hint, str):
-                    raise TypeError(f"class_hint must be a string or null, got {hint!r}")
-                members = tuple(_member(m) for m in obj["members"])
-                groups.append(
-                    SimilarityGroup(
-                        anchor=anchor,
-                        members=RetrievalResult(neighbors=members),
-                        class_hint=hint,
-                    )
+    for line_no, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            anchor, hint = obj["anchor"], obj.get("class_hint")
+            if not isinstance(anchor, str):
+                raise TypeError(f"anchor must be a string, got {anchor!r}")
+            if hint is not None and not isinstance(hint, str):
+                raise TypeError(f"class_hint must be a string or null, got {hint!r}")
+            members = tuple(_member(m) for m in obj["members"])
+            groups.append(
+                SimilarityGroup(
+                    anchor=anchor,
+                    members=RetrievalResult(neighbors=members),
+                    class_hint=hint,
                 )
-            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-                raise ValueError(f"{path}: line {line_no}: malformed group record ({exc})") from exc
+            )
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"{path}:{line_no}: malformed group record ({exc})") from exc
     return groups

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import synthdata
+from coseg.annindex import RetrievalResult
 from coseg.annindex import load_file as load_index_file
 from coseg.cli import main
 from coseg.collage import CollageSpec
@@ -52,7 +53,7 @@ from coseg.pipeline import (
 )
 from coseg.metrics import jaccard, precision
 from coseg.pnm import read_image, write_pbm, write_pgm, write_ppm
-from coseg.retrieval import load_groups, save_groups
+from coseg.retrieval import SimilarityGroup, load_groups, save_groups
 from oracles import drawn
 
 FAST_OVERRIDES = {
@@ -143,6 +144,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"c\.cfg:2: expected key=value, got 'bogus'"):
             load_config(path)
 
+    def test_lone_cr_in_a_value_rejected(self, tmp_path):
+        # it used to stay in the value
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"seed=3\r\ndata.out_dir=/tmp/a\rb\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:2: CR outside a CRLF line end"):
+            load_config(path)
+
 
 class TestMergeConfig:
     def test_later_layers_win(self):
@@ -193,6 +201,17 @@ class TestManifest:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("imgC,images/c.ppm,mug,test,,,,,,EXTRA\n")
         with pytest.raises(ValueError, match="manifest.csv:4: 1 field"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("row, short", [("imgC,c.ppm,mug,test", 5), ("imgC,c.ppm,mug,test,1,2,3,4", 1)],
+                             ids=["4_of_9", "8_of_9"])
+    def test_short_row_names_line(self, tmp_path, row, short):
+        # such a row used to load with its missing fields empty, so with no ground truth
+        path = tmp_path / "manifest.csv"
+        save_manifest(self.records(), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ValueError, match=rf"manifest\.csv:4: {short} field\(s\) short of the header"):
             load_manifest(path)
 
     def test_partial_gt_box_rejected(self, tmp_path):
@@ -273,11 +292,29 @@ def test_ingest_rejects_cr_in_a_manifest_class(tmp_path, quote):
      [ManifestRecord("imgA", "a.ppm", "mug", "train", gt_box=BoundingBox(1, 2, 3, 4))]),
     (load_config, "seed=3\n", {"seed": "3"}),
     (load_proposals, "imgA,1,2,3,4,0.5,gen\n", [Proposal("imgA", BoundingBox(1, 2, 3, 4), 0.5, "gen")]),
-], ids=["manifest", "config", "proposals"])
+    (load_groups, '{"anchor": "a", "members": [{"id": "b", "distance": 1.0}]}\n',
+     [SimilarityGroup("a", RetrievalResult(neighbors=(("b", 1.0),)))]),
+], ids=["manifest", "config", "proposals", "groups"])
 def test_input_byte_order_mark_skipped(tmp_path, reader, text, want):
     path = tmp_path / "input"
     path.write_text("\ufeff" + text, encoding="utf-8")
     assert reader(path) == want
+
+
+@pytest.mark.parametrize("reader, first_lines", [
+    (load_manifest, [",".join(MANIFEST_FIELDS), "imgA,a.ppm,mug,train,1,2,3,4,"]),
+    (load_items, [",".join(ITEMS_FIELDS), "i0,imgA,mug,test,0,0,2,2,0.5,gen,4,4"]),
+    (load_proposals, ["imgA,1,2,3,4,0.5,gen"] * 2),
+    (load_config, ["# settings", "seed=3"]),
+    (load_groups, ['{"anchor": "a", "members": []}'] * 2),
+], ids=["manifest", "items", "proposals", "config", "groups"])
+def test_bytes_not_utf8_name_their_line(tmp_path, reader, first_lines):
+    # they used to escape as a UnicodeDecodeError naming no path, or name an earlier CSV line
+    path = tmp_path / "input"
+    path.write_bytes("".join(line + "\n" for line in first_lines).encode() + b"ab\xffc\n")
+    with pytest.raises(ValueError, match=r"input:3: bytes not UTF-8") as info:
+        reader(path)
+    assert not isinstance(info.value, UnicodeDecodeError)
 
 
 def split_dataset(records, train_fraction, seed):
@@ -1323,6 +1360,15 @@ class TestCli:
     def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("COSEG_SEED", "elephant")
         assert main(["train"]) == 2
+
+    def test_negative_env_seed_exits_2(self, tmp_path, capsys, monkeypatch):
+        # COSEG_SEED is checked by the seed key's own rule
+        monkeypatch.setenv("COSEG_SEED", "-1")
+        out = tmp_path / "out"
+        cfg = {"data.out_dir": str(out), "data.manifest": "m", "data.proposals": "p"}
+        assert main(["train", *flags(cfg)]) == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pipeline_prints_each_stage_time_once(self, tmp_path, capsys, caplog):
         # the timings go to stdout once; the pipeline logger does not repeat them

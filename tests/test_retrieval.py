@@ -241,13 +241,13 @@ class TestGroupFiles:
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"anchor": "a", "members": []}\nnot json\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match="bad.jsonl:2: "):
             load_groups(path)
 
     def test_missing_key_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"anchor": "a"}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(ValueError, match="bad.jsonl:1: "):
             load_groups(path)
 
     @pytest.mark.parametrize(
@@ -278,14 +278,14 @@ class TestGroupFiles:
     def test_rejected_record_names_path_and_line(self, tmp_path, record):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"anchor": "a", "members": []}\n' + record + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="bad.jsonl: line 2"):
+        with pytest.raises(ValueError, match="bad.jsonl:2: "):
             load_groups(path)
 
     def test_deep_nesting_names_path_and_line(self, tmp_path):
         # json.loads used to let its RecursionError escape
         path = tmp_path / "deep.jsonl"
         path.write_text("[" * 100_000 + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="deep.jsonl: line 1"):
+        with pytest.raises(ValueError, match="deep.jsonl:1: "):
             load_groups(path)
 
     def test_blank_lines_skipped(self, tmp_path):
