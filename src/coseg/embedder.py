@@ -187,30 +187,25 @@ def init_params(input_dim: int, layer_sizes: Sequence[int], seed: int) -> Encode
     return EncoderParams(weights=tuple(weights), biases=tuple(biases))
 
 
-def _forward_activations(params: EncoderParams, batch: np.ndarray) -> list[np.ndarray]:
-    """All layer outputs for a (n, input_dim) batch, input included."""
-    acts = [batch]
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(z if i == last else np.maximum(z, 0.0))
-    return acts
-
-
 def forward_batch(
     params: EncoderParams, batch: np.ndarray, *, all_layers: bool = False
 ) -> np.ndarray | list[np.ndarray]:
     """Embed every row of a (n, input_dim) array; returns (n, output_dim).
 
-    With all_layers, returns every layer's output instead, input first and
-    embedding last, as training's backward pass needs them.
+    The encoder's one forward pass. With all_layers, returns every layer's
+    output instead, input first and embedding last, as training's backward
+    pass needs them. A row's outputs depend on that row alone.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.input_dim:
         raise ValueError(
             f"batch shape {batch.shape} does not match input dimension {params.input_dim}"
         )
-    acts = _forward_activations(params, batch)
+    acts = [batch]
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = acts[-1] @ w.T + b
+        acts.append(z if i == last else np.maximum(z, 0.0))
     return acts if all_layers else acts[-1]
 
 
@@ -268,20 +263,17 @@ def _batch_gradient(
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean loss and mean-loss gradients over the pairs (rows ia, rows ib).
 
-    acts holds every layer's output, input first, for a set of rows that ia
-    and ib index; the rows no pair touches are ignored, and no forward pass
+    acts holds every layer's output, input first, for exactly the rows the
+    pairs touch, each once; ia and ib index those rows, and no forward pass
     runs here. Each pair's gradient is c * (fa - fb) with respect to fa and
     the negation with respect to fb. The hinge kink and the zero-distance
     point of the classical variant use subgradient 0. Both branches share the
-    weights and a row's rectifier gates depend on that row alone, so the
-    unique rows the pairs touch are gathered once, each sums its pair
-    gradients, and runs backward once. One bincount over flat (row, column)
-    indices does the summing: each entry starts at +0.0 and adds the a-side
-    gradients in pair order, then the negated b-side ones.
+    weights and a row's rectifier gates depend on that row alone, so each
+    row sums its pair gradients and runs backward once. One bincount over
+    flat (row, column) indices does the summing: each entry starts at +0.0
+    and adds the a-side gradients in pair order, then the negated b-side ones.
     """
-    rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
     n = len(ia)
-    ra, rb = inv[:n], inv[n:]
     diff = acts[-1][ia] - acts[-1][ib]
     d2 = np.sum(diff * diff, axis=1)
     pos = np.asarray(labels) == 1
@@ -298,19 +290,17 @@ def _batch_gradient(
     pair_delta = coeff[:, None] * diff
     # d(loss)/d(fb) = -d(loss)/d(fa); a row in several pairs sums them all
     dim = diff.shape[1]
-    flat = (np.concatenate([ra, rb])[:, None] * dim + np.arange(dim)).ravel()
+    flat = (np.concatenate([ia, ib])[:, None] * dim + np.arange(dim)).ravel()
     signed = np.concatenate([pair_delta, -pair_delta]).ravel()
-    delta = np.bincount(flat, signed, minlength=len(rows) * dim).reshape(len(rows), dim)
+    delta = np.bincount(flat, signed, minlength=acts[-1].size).reshape(acts[-1].shape)
     n_layers = len(params.weights)
     grad_w = [None] * n_layers
     grad_b = [None] * n_layers
     for layer in range(n_layers - 1, -1, -1):
-        # the input to this layer, one row per touched row
-        inputs = acts[layer][rows]
-        grad_w[layer] = delta.T @ inputs
+        grad_w[layer] = delta.T @ acts[layer]
         grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ params.weights[layer]) * (inputs > 0)
+            delta = (delta @ params.weights[layer]) * (acts[layer] > 0)
     return loss, grad_w, grad_b
 
 
@@ -417,12 +407,13 @@ def _mine_hard_indices(
 def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     """Run cfg.iterations mini-batch updates and return params plus loss trace.
 
-    Batch gradients average the per-pair losses. Each step runs the encoder
-    forward once: an aggressive step over every training row with
-    forward_batch, whose activations feed both the mining and the gradient;
-    a random step over the unique rows its pairs touch. Every touched row
-    then runs backward once. The pair stream draws from a generator seeded
-    with cfg.seed + 1 so it is independent of the cfg.seed weight init.
+    Batch gradients average the per-pair losses. Each step finds the rows its
+    pairs touch once, and runs forward_batch once: an aggressive step over
+    every training row, whose embeddings feed the mining and whose layers,
+    gathered at the touched rows, feed the gradient; a random step over the
+    touched rows alone. Every touched row then runs backward once. The pair
+    stream draws from a generator seeded with cfg.seed + 1 so it is
+    independent of the cfg.seed weight init.
     Aborts with TrainingDiverged if a batch loss goes non-finite.
 
     Each step is one momentum update, applied in place to the initial params:
@@ -436,15 +427,17 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     trace: list[float] = []
     for it in range(cfg.iterations):
         if cfg.mining == "aggressive":
-            acts = forward_batch(params, dataset.vectors, all_layers=True)
-            ia, ib, y = _mine_hard_indices(acts[-1], members, cfg.batch_size, rng, cfg.pool_factor)
+            every = forward_batch(params, dataset.vectors, all_layers=True)
+            ia, ib, y = _mine_hard_indices(every[-1], members, cfg.batch_size, rng, cfg.pool_factor)
         else:
             ia, ib, y = _sample_pair_indices(members, cfg.batch_size, rng)
-            rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
-            acts = _forward_activations(params, dataset.vectors[rows])
-            ia, ib = inv[: len(ia)], inv[len(ia) :]
+        rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
+        if cfg.mining == "aggressive":
+            acts = [layer[rows] for layer in every]
+        else:
+            acts = forward_batch(params, dataset.vectors[rows], all_layers=True)
         loss, grad_w, grad_b = _batch_gradient(
-            params, acts, ia, ib, y, cfg.margin, cfg.classical_hinge
+            params, acts, inv[: len(ia)], inv[len(ia) :], y, cfg.margin, cfg.classical_hinge
         )
         if not math.isfinite(loss):
             raise TrainingDiverged(iteration=it, value=loss)

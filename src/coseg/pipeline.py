@@ -128,7 +128,7 @@ KEYS: dict[str, Key] = {
     "collage.limit": _int("8", 0),
 }
 
-DEFAULTS = {key: spec.default for key, spec in KEYS.items()}
+DEFAULTS = {key: spec.default for key, spec in KEYS.items() if spec.default}
 
 
 def load_config(path) -> dict[str, str]:
@@ -618,17 +618,18 @@ STAGE_NAMES = tuple(STAGES)
 def run_stage(name: str, cfg: dict[str, str]) -> float:
     """Run one stage and commit its outputs; returns its wall time.
 
-    The only code that knows data.out_dir. The stage gets the config keys
-    its STAGES row grants, each required, typed and checked by parse_config
-    before anything is read or written, its inputs as paths under data.out_dir and its
-    outputs as paths in a staging directory there, so an undeclared key or
-    artifact, or an undeclared file left in staging, fails it. Each output
-    then replaces its predecessor by os.replace; an old directory is moved
-    aside and deleted. A failed stage leaves every previous artifact as it
-    was; a killed run's staging directory is cleared by the next call.
-    Each replacement is atomic against a process crash, not power loss (no
-    fsync): a crash mid-commit can leave some outputs new and a directory
-    missing, never a half-written file or a mixed directory.
+    The only code that knows data.out_dir. parse_config types and checks the
+    whole config, and requires the keys the stage's STAGES row grants, before
+    anything is read or written. The stage gets only those keys, its inputs
+    as paths under data.out_dir and its outputs as paths in a staging
+    directory there, so an undeclared key or artifact, or an undeclared file
+    left in staging, fails it. Each output then replaces its predecessor by
+    os.replace; an old directory is moved aside and deleted. A failed stage
+    leaves every previous artifact as it was; a killed run's staging
+    directory is cleared by the next call. Each replacement is atomic
+    against a process crash, not power loss (no fsync): a crash mid-commit
+    can leave some outputs new and a directory missing, never a half-written
+    file or a mixed directory.
     Failures raise StageError; ConfigError passes through.
     """
     stage = STAGES.get(name)
@@ -636,9 +637,8 @@ def run_stage(name: str, cfg: dict[str, str]) -> float:
         raise ConfigError(f"unknown stage {name!r} (expected one of {STAGE_NAMES})")
     start = time.perf_counter()
     scope = {"data.out_dir", name, *stage.shared}
-    # every known key in scope, then any unknown one cfg holds there, for parse_config to reject
-    granted = [k for k in dict.fromkeys([*KEYS, *cfg]) if k in scope or k.partition(".")[0] in scope]
-    view = parse_config({k: cfg[k] for k in granted if k in cfg}, required=granted)
+    granted = [k for k in KEYS if k in scope or k.partition(".")[0] in scope]
+    view = {k: v for k, v in parse_config(cfg, required=granted).items() if k in granted}
     out = view.pop("data.out_dir")
     staging = out / ".staging"  # inside data.out_dir, so os.replace never crosses file systems
     try:

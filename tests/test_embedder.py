@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coseg.embedder import (
+    MINING_MODES,
     EncoderParams,
     LabeledDescriptors,
     PairSample,
     TrainConfig,
     _batch_gradient,
     _class_members,
-    _forward_activations,
     _mine_hard_indices,
     _sample_pair_indices,
     contrastive_loss,
@@ -290,7 +290,7 @@ def add_at_gradient(params, vectors, ia, ib, labels, margin, classical_hinge):
     """Reference: unique rows forward once, the pair gradients scattered onto
     a zero-filled delta by np.add.at, a side first, then backward once."""
     rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
-    acts = _forward_activations(params, vectors[rows])
+    acts = forward_batch(params, vectors[rows], all_layers=True)
     ra, rb = inv[: len(ia)], inv[len(ia) :]
     diff = acts[-1][ra] - acts[-1][rb]
     loss, coeff = reference_loss_and_coeff(diff, labels, margin, classical_hinge)
@@ -309,9 +309,11 @@ def add_at_gradient(params, vectors, ia, ib, labels, margin, classical_hinge):
 
 
 def batch_gradient(params, vectors, ia, ib, labels, margin, classical_hinge):
-    """_batch_gradient on the activations of every row of vectors."""
-    acts = _forward_activations(params, vectors)
-    return _batch_gradient(params, acts, ia, ib, labels, margin, classical_hinge)
+    """_batch_gradient on the activations of the rows of vectors the pairs
+    touch, each once, with ia and ib mapped onto them."""
+    rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
+    acts = forward_batch(params, vectors[rows], all_layers=True)
+    return _batch_gradient(params, acts, inv[: len(ia)], inv[len(ia) :], labels, margin, classical_hinge)
 
 
 def same_bits(got, want):
@@ -322,8 +324,8 @@ def same_bits(got, want):
 def two_branch_gradient(params, xa, xb, labels, margin, classical_hinge):
     """Reference: each pair's two branches forward and backward over their own
     row copies, the branch gradients summed into zero-filled lists."""
-    acts_a = _forward_activations(params, xa)
-    acts_b = _forward_activations(params, xb)
+    acts_a = forward_batch(params, xa, all_layers=True)
+    acts_b = forward_batch(params, xb, all_layers=True)
     diff = acts_a[-1] - acts_b[-1]
     loss, coeff = reference_loss_and_coeff(diff, labels, margin, classical_hinge)
     grad_w = [np.zeros_like(w) for w in params.weights]
@@ -419,18 +421,30 @@ class TestBatchGradient:
         assert np.any((d2 > 0.0) & (d2 < 4.0) & (y == 0))
 
     @pytest.mark.parametrize("classical", [False, True])
-    def test_untouched_rows_are_ignored(self, classical):
-        # the batch's rows scattered among rows no pair touches: the gradient
-        # gathers exactly the touched rows, bit for bit as over the batch alone
-        params = init_params(5, (6, 4, 3), seed=8)
+    def test_untouched_rows_are_ignored(self, monkeypatch, classical):
+        # the batch's rows scattered among rows no pair touches: an aggressive
+        # training step forwards every row and gathers each layer at the
+        # touched rows, and its gradient is bit for bit the batch's alone
+        import coseg.embedder as embedder
+
         vectors, ia, ib, y = shared_row_batch()
         rng = np.random.default_rng(24)
         where = np.sort(rng.choice(20, size=len(vectors), replace=False))
         padded = rng.normal(size=(20, 5))
         padded[where] = vectors
-        got_loss, got_w, got_b = batch_gradient(
-            params, padded, where[ia], where[ib], y, 4.0, classical
-        )
+        seen, real = [], embedder._batch_gradient
+
+        def recording(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(embedder, "_mine_hard_indices", lambda *args: (where[ia], where[ib], y))
+        monkeypatch.setattr(embedder, "_batch_gradient", recording)
+        cfg = TrainConfig(iterations=1, layer_sizes=(6, 4, 3), seed=8, mining="aggressive",
+                          margin=4.0, classical_hinge=classical)
+        train(LabeledDescriptors(vectors=padded, labels=np.arange(20) % 2), cfg)
+        params = init_params(5, (6, 4, 3), seed=8)
+        got_loss, got_w, got_b = seen[0]
         want_loss, want_w, want_b = add_at_gradient(params, vectors, ia, ib, y, 4.0, classical)
         assert same_bits(got_loss, want_loss)
         for got, want in zip((*got_w, *got_b), (*want_w, *want_b)):
@@ -438,34 +452,27 @@ class TestBatchGradient:
 
     @staticmethod
     def forward_calls(monkeypatch, ds, cfg):
-        """The batches train() hands _forward_activations, and the row
-        count of each forward_batch call."""
+        """The batches train() hands forward_batch."""
         import coseg.embedder as embedder
 
-        seen, via_forward_batch = [], []
-        real_acts, real_batch = embedder._forward_activations, embedder.forward_batch
+        seen, real = [], embedder.forward_batch
 
-        def counting(params, batch):
+        def counting(params, batch, **kwargs):
             seen.append(batch.copy())
-            return real_acts(params, batch)
+            return real(params, batch, **kwargs)
 
-        def counting_batch(params, batch, **kwargs):
-            via_forward_batch.append(len(batch))
-            return real_batch(params, batch, **kwargs)
-
-        monkeypatch.setattr(embedder, "_forward_activations", counting)
-        monkeypatch.setattr(embedder, "forward_batch", counting_batch)
+        monkeypatch.setattr(embedder, "forward_batch", counting)
         train(ds, cfg)
-        return seen, via_forward_batch
+        return seen
 
     def test_forward_runs_once_on_unique_rows(self, monkeypatch):
-        # random mining: one forward per step, on that step's unique rows only
+        # random mining: one forward_batch per step, on that step's unique rows only
         ds = small_dataset(seed=5, n_classes=4, per_class=8)
         cfg = TrainConfig(iterations=3, batch_size=6, layer_sizes=(6, 3), seed=1)
-        seen, via_forward_batch = self.forward_calls(monkeypatch, ds, cfg)
+        seen = self.forward_calls(monkeypatch, ds, cfg)
         rng = np.random.default_rng(cfg.seed + 1)
         steps = [_sample_pair_indices(_class_members(ds.labels), cfg.batch_size, rng) for _ in range(3)]
-        assert len(seen) == 3 and via_forward_batch == []
+        assert len(seen) == 3
         for batch, (ia, ib, _) in zip(seen, steps):
             rows = np.unique(np.concatenate([ia, ib]))
             assert len(rows) < len(ds)
@@ -478,8 +485,8 @@ class TestBatchGradient:
         cfg = TrainConfig(
             iterations=3, batch_size=6, layer_sizes=(6, 3), seed=1, mining="aggressive"
         )
-        seen, via_forward_batch = self.forward_calls(monkeypatch, ds, cfg)
-        assert len(seen) == 3 and via_forward_batch == [len(ds)] * 3
+        seen = self.forward_calls(monkeypatch, ds, cfg)
+        assert len(seen) == 3
         assert all(np.array_equal(batch, ds.vectors) for batch in seen)
 
 
@@ -490,7 +497,8 @@ class TestTrainUpdate:
     which runs its own forward pass on the batch's unique rows."""
 
     @staticmethod
-    def check_hand_update(ds, cfg):
+    def hand_update(ds, cfg):
+        """The hand loop's final weights and biases."""
         init = init_params(ds.dim, cfg.layer_sizes, cfg.seed)
         weights, biases = list(init.weights), list(init.biases)
         vel_w = [np.zeros_like(w) for w in weights]
@@ -510,11 +518,15 @@ class TestTrainUpdate:
                 vel_b[l] = cfg.momentum * vel_b[l] - cfg.learning_rate * grad_b[l]
                 weights[l] = weights[l] + vel_w[l]
                 biases[l] = biases[l] + vel_b[l]
+        return weights, biases
 
+    @classmethod
+    def check_hand_update(cls, ds, cfg):
+        weights, biases = cls.hand_update(ds, cfg)
         got = train(ds, cfg).params
         assert all(same_bits(a, b) for a, b in zip(got.weights, weights))
         assert all(same_bits(a, b) for a, b in zip(got.biases, biases))
-        assert not np.array_equal(got.weights[0], init.weights[0])
+        assert not np.array_equal(got.weights[0], init_params(ds.dim, cfg.layer_sizes, cfg.seed).weights[0])
 
     @staticmethod
     def small_config(momentum, iterations, mining):
@@ -551,6 +563,38 @@ class TestTrainUpdate:
         cfg = TrainConfig(batch_size=128, iterations=3, seed=6, mining="aggressive")
         assert cfg.layer_sizes == (128, 256)
         self.check_hand_update(ds, cfg)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layers=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        batch_size=st.integers(1, 8),
+        pool_factor=st.integers(1, 3),
+        momentum=st.sampled_from([0.0, 0.9]),
+        classical=st.booleans(),
+        mining=st.sampled_from(MINING_MODES),
+        extra_labels=st.lists(st.integers(0, 3), max_size=9),
+        dim=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        iterations=st.integers(1, 3),
+    )
+    def test_train_equals_hand_loop(
+        self, layers, batch_size, pool_factor, momentum, classical, mining, extra_labels, dim, seed,
+        iterations,
+    ):
+        # small nets, batches and pools, both hinges and both mining modes:
+        # train's weights and biases carry the hand loop's bits
+        labels = np.array([0, 0, 1, *extra_labels])
+        vectors = np.random.default_rng(seed).normal(size=(len(labels), dim))
+        ds = LabeledDescriptors(vectors=vectors, labels=labels)
+        cfg = TrainConfig(
+            learning_rate=0.05, momentum=momentum, batch_size=batch_size, iterations=iterations,
+            seed=seed, mining=mining, layer_sizes=tuple(layers), pool_factor=pool_factor,
+            classical_hinge=classical,
+        )
+        weights, biases = self.hand_update(ds, cfg)
+        got = train(ds, cfg).params
+        assert all(same_bits(a, b) for a, b in zip(got.weights, weights))
+        assert all(same_bits(a, b) for a, b in zip(got.biases, biases))
 
     def test_zero_gradient_leaves_weights_fixed(self):
         # every descriptor identical: all pair differences vanish, so every

@@ -1060,6 +1060,13 @@ class TestRunStage:
         with pytest.raises(ConfigError):
             run_stage("ingest", cfg)
 
+    def test_unknown_key_outside_scope_is_config_error(self, tmp_path):
+        # a stage checks its whole config, not only the keys it is granted
+        cfg = {**merge_config({"data.out_dir": str(tmp_path / "out")}), "train.optimizer": "adam"}
+        with pytest.raises(ConfigError, match="unknown config key 'train.optimizer'"):
+            run_stage("index", cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_missing_key_is_config_error_before_any_write(self, tmp_path):
         # a stage needs data.out_dir and every key its STAGES row grants
         out = tmp_path / "out"
@@ -1127,7 +1134,7 @@ class TestStageTable:
         for name, stage in STAGES.items():
             monkeypatch.setitem(STAGES, name, replace(stage, run=record, reads=()))
             run_stage(name, cfg)
-        assert seen == set(DEFAULTS) - {"data.out_dir"}
+        assert seen == set(KEYS) - {"data.out_dir"}
 
     def test_out_dir_holds_exactly_the_declared_outputs(self, pipeline_run):
         _, out, _, _ = pipeline_run
@@ -1249,6 +1256,21 @@ class TestCli:
         code = main(["train", "--config", str(path)])
         assert code == 2
         assert f"config error: cannot read config file {path}" in capsys.readouterr().err
+
+    def test_bad_value_outside_stage_scope_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        cfg = {"data.manifest": "m", "data.proposals": "p", "data.out_dir": str(out), "train.lr": "banana"}
+        assert main(["ingest", *flags(cfg)]) == 2
+        assert "config error: train.lr must be finite and > 0, got 'banana'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_line_without_equals_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed 3\n", encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}:1: expected key=value" in err
+        assert "cannot read config file" not in err
 
     def test_stage_failure_exits_1(self, capsys, tmp_path):
         missing = tmp_path / "nope.csv"

@@ -6,6 +6,7 @@ present and called, and every stage leaves a span."""
 import importlib.util
 from pathlib import Path
 
+import pytest
 import synthdata
 from coseg.pipeline import STAGE_NAMES, merge_config, run_pipeline
 
@@ -19,7 +20,8 @@ def load_tracing():
     return module
 
 
-def test_traced_pipeline_run_has_no_gaps(tmp_path):
+@pytest.mark.parametrize("mining", ["aggressive", "random"])
+def test_traced_pipeline_run_has_no_gaps(tmp_path, mining):
     manifest, proposals = synthdata.make_image_dataset(tmp_path, seed=0)
     cfg = merge_config({
         "data.manifest": str(manifest),
@@ -29,7 +31,7 @@ def test_traced_pipeline_run_has_no_gaps(tmp_path):
         "train.iterations": "30",
         "train.batch_size": "16",
         "train.layers": "32,16",
-        "train.mining": "aggressive",
+        "train.mining": mining,
         "index.n_trees": "4",
         "retrieve.k": "3",
         "collage.limit": "2",
