@@ -553,24 +553,29 @@ def stage_collage(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[st
     manifest = _ById.read(load_manifest, inputs["manifest_used.csv"])
     collage_dir = outputs["collages"]
     collage_dir.mkdir()
-    image_cache: dict[str, np.ndarray] = {}
     rendered: dict[str, str] = {}  # collage file name -> its group's anchor
 
     for group in groups[:cfg["collage.limit"]]:
+        members = [(items[m].proposal.box, manifest[items[m].proposal.image_id].image_path, dist)
+                   for m, dist in group.members.neighbors[:len(spec.slots)]]
+        # one band of rows per frame, from its members' highest box top to their lowest box bottom
+        spans: dict[str, tuple[int, int]] = {}
+        for box, path, _ in members:
+            lo, hi = spans.get(path, (max(box.y, 0), 0))
+            spans[path] = min(lo, max(box.y, 0)), max(hi, box.y + box.h)
+        bands = {path: (lo, read_image(path, slice(lo, hi))) for path, (lo, hi) in spans.items()}
         collage_items: list[CollageItem] = []
-        for member_id, dist in group.members.neighbors[:len(spec.slots)]:
-            it = items[member_id]
-            record = manifest[it.proposal.image_id]
-            if record.image_path not in image_cache:
-                image = read_image(record.image_path)
-                if image.ndim == 2:
-                    image = np.stack([image] * 3, axis=2)
-                image_cache[record.image_path] = image
-            image = image_cache[record.image_path]
-            cut = it.proposal.box.clip(image.shape[1], image.shape[0])
+        for box, path, dist in members:
+            lo, band = bands[path]
+            # the same cut as against the whole frame, as no member box reaches past the band
+            cut = box.clip(band.shape[1], lo + band.shape[0])
             if cut is None:
                 continue
-            collage_items.append(CollageItem(region=image[cut], distance=dist))
+            rows, cols = cut
+            region = band[rows.start - lo : rows.stop - lo, cols]
+            if region.ndim == 2:
+                region = np.stack([region] * 3, axis=2)
+            collage_items.append(CollageItem(region=region, distance=dist))
         if not collage_items:
             continue
         name = f"{_safe_name(group.anchor)}.ppm"

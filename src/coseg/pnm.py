@@ -54,16 +54,17 @@ def write_pbm(path, mask) -> None:
     Path(path).write_bytes(f"P4\n{w} {h}\n".encode("ascii") + packed.tobytes())
 
 
-def _read_raster(path, magics: tuple[bytes, ...]) -> np.ndarray:
+def _read_raster(path, magics: tuple[bytes, ...], rows: slice = slice(None)) -> np.ndarray:
     """Read a binary PBM (P4), PGM (P5) or PPM (P6) file into a bool array of
     shape (height, width), or a uint8 array of shape (height, width) or
-    (height, width, 3).
+    (height, width, 3); only the rows in `rows`, a step-1 slice, are read.
 
     The header is parsed from the file's first block, read on while a long
-    header needs more, and the raster is read from its offset straight into a
-    fresh array that owns its memory (a bitmap's packed rows are then
-    unpacked). The samples are returned as stored, so any maxval but
-    255 is rejected. Bytes after the raster are ignored.
+    header needs more, and the file is checked to hold the whole raster. The
+    rows are then read from their offset straight into a fresh array that
+    owns its memory (a bitmap's packed rows are then unpacked). The samples
+    are returned as stored, so any maxval but 255 is rejected. Bytes after
+    the raster are ignored.
     """
     with open(path, "rb", buffering=0) as fh:
         head = fh.read(_HEAD_BLOCK)
@@ -90,7 +91,10 @@ def _read_raster(path, magics: tuple[bytes, ...]) -> np.ndarray:
         avail = os.fstat(fh.fileno()).st_size - off  # checked before allocating
         if avail < need:
             raise TruncatedError(f"raster holds {avail} bytes, needs {need}")
-        fh.seek(off)
+        start, stop, _ = rows.indices(h)
+        shape = (max(stop - start, 0), *shape[1:])
+        fh.seek(off + start * (need // h))
+        need = math.prod(shape)
         image = np.fromfile(fh, np.uint8, count=need)
     if image.size < need:
         raise TruncatedError(f"{path} shrank while it was read")
@@ -100,9 +104,16 @@ def _read_raster(path, magics: tuple[bytes, ...]) -> np.ndarray:
     return image
 
 
-def read_image(path) -> np.ndarray:
-    """Read a PGM (P5) as uint8 (height, width) or a PPM (P6) as (height, width, 3)."""
-    return _read_raster(path, (b"P5", b"P6"))
+def read_image(path, rows: slice = slice(None)) -> np.ndarray:
+    """Read a PGM (P5) as uint8 (height, width) or a PPM (P6) as (height, width, 3).
+
+    With `rows`, a slice whose step is 1, only those rows are read from the
+    file: the result equals read_image(path)[rows]. A file too short for its
+    whole raster is a TruncatedError whichever rows are asked for.
+    """
+    if rows.step not in (None, 1):
+        raise ValueError(f"rows must be a slice with step 1, got {rows}")
+    return _read_raster(path, (b"P5", b"P6"), rows)
 
 
 def _write_raster(path, magic: str, arr: np.ndarray) -> None:

@@ -6,8 +6,9 @@ import numpy as np
 
 from coseg import annindex
 from coseg.annindex import Forest, split_plane
-from coseg.collage import CANVAS_SIDE
+from coseg.collage import CANVAS_SIDE, CollageItem
 from coseg.descriptors import resize_nearest
+from coseg.pnm import read_image
 
 
 def exact_scan(items, q, k):
@@ -135,3 +136,23 @@ def reference_compose(assignment, spec):
         where = resize_nearest(item.mask, s.h, s.w)
         np.copyto(canvas[s.y : s.y + s.h, s.x : s.x + s.w], region, where=where[:, :, None])
     return canvas
+
+
+def whole_frame_collage(members, spec):
+    """A collage canvas drawn from whole frames: each member's box cut from
+    its whole frame by box.clip (a P5 frame stacked to three channels), a box
+    that misses its frame left out, and the cuts placed by ascending
+    distance, ties in member order, through reference_compose. members holds
+    (frame path, box, distance) in the group's order."""
+    cuts = []
+    for path, box, dist in members:
+        frame = read_image(path)
+        if frame.ndim == 2:
+            frame = np.stack([frame] * 3, axis=2)
+        cut = box.clip(frame.shape[1], frame.shape[0])
+        if cut is not None:
+            cuts.append((dist, frame[cut]))
+    cuts.sort(key=lambda c: c[0])  # stable: equal distances keep member order
+    assignment = [(slot, CollageItem(region, dist, mask=np.ones(region.shape[:2], dtype=bool)))
+                  for slot, (dist, region) in enumerate(cuts)]
+    return reference_compose(assignment, spec)

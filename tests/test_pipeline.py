@@ -54,7 +54,7 @@ from coseg.pipeline import (
 from coseg.metrics import jaccard, precision
 from coseg.pnm import read_image, write_pbm, write_pgm, write_ppm
 from coseg.retrieval import SimilarityGroup, load_groups, save_groups
-from oracles import drawn
+from oracles import drawn, whole_frame_collage
 
 FAST_OVERRIDES = {
     "seed": "7",
@@ -829,6 +829,76 @@ class TestCollageStage:
         assert len(list(collages.glob("*.ppm"))) == 6
         run_stage("collage", {**cfg, "collage.limit": "2"})
         assert len(list(collages.glob("*.ppm"))) == 2
+
+
+class TestCollageBands:
+    """The collage stage reads each frame once per canvas, as one band of
+    rows spanning that canvas's member boxes in it, and draws the canvases
+    that cutting whole frames draws (oracles.whole_frame_collage)."""
+
+    FRAMES = {"colour": (30, 40, 3), "gray": (24, 32), "small": (16, 20, 3)}  # name -> frame shape
+    GROUPS = {
+        "first": [
+            ("colour", BoundingBox(5, -6, 10, 12), 0.2),  # overhangs the top edge
+            ("gray", BoundingBox(3, 18, 8, 10), 0.5),  # overhangs the bottom edge
+            ("colour", BoundingBox(20, 9, 12, 7), 0.5),  # ties the gray member, which comes first
+            ("small", BoundingBox(2, 17, 6, 4), 0.7),  # wholly below its frame: left out
+            ("gray", BoundingBox(-4, 4, 9, 6), 0.9),
+        ],
+        "second": [
+            ("colour", BoundingBox(1, 12, 6, 5), 0.1),
+            ("small", BoundingBox(12, 3, 20, 20), 0.3),  # overhangs the right and bottom edges
+            ("colour", BoundingBox(45, 20, 4, 4), 0.4),  # right of its frame: left out, rows still in the band
+        ],
+    }
+
+    def test_canvases_match_whole_frame_oracle(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = {}
+        for name, shape in self.FRAMES.items():
+            paths[name] = str(tmp_path / f"{name}.pnm")
+            (write_ppm if len(shape) == 3 else write_pgm)(paths[name], rng.integers(0, 256, shape, dtype=np.uint8))
+        save_manifest([ManifestRecord(name, path, "c", "test") for name, path in paths.items()],
+                      out / "manifest_used.csv")
+        # img_w and img_h disagree with every frame: the cut must use the frame's own size
+        save_items([ItemRecord(f"{anchor}#{n}", Proposal(name, box, 0.5), "c", "test", 1, 1)
+                    for anchor, members in self.GROUPS.items() for n, (name, box, _) in enumerate(members)],
+                   out / "items.csv")
+        save_groups([SimilarityGroup(anchor, RetrievalResult([(f"{anchor}#{n}", d) for n, (_, _, d) in
+                                                              enumerate(members)]))
+                     for anchor, members in self.GROUPS.items()], out / "groups.jsonl")
+
+        reads = [[]]  # per canvas: (frame path, rows) of each read_image call
+        original_read, original_make = coseg.pipeline.read_image, coseg.pipeline.make_collage
+
+        def read(path, *rows):
+            reads[-1].append((path, *rows))
+            return original_read(path, *rows)
+
+        def make(*args):
+            reads.append([])
+            return original_make(*args)
+
+        monkeypatch.setattr(coseg.pipeline, "read_image", read)
+        monkeypatch.setattr(coseg.pipeline, "make_collage", make)
+        run_stage("collage", merge_config({"data.out_dir": str(out), "collage.limit": "10"}))
+
+        assert sorted(p.name for p in (out / "collages").iterdir()) == ["first.ppm", "second.ppm"]
+        for (anchor, members), canvas_reads in zip(self.GROUPS.items(), reads):
+            oracle = whole_frame_collage([(paths[name], box, d) for name, box, d in members], CollageSpec())
+            canvas = read_image(out / "collages" / f"{anchor}.ppm")
+            assert np.array_equal(canvas, oracle), anchor
+            assert all(len(call) == 2 and isinstance(call[1], slice) for call in canvas_reads)
+            read_paths = [call[0] for call in canvas_reads]
+            assert sorted(read_paths) == sorted({paths[name] for name, _, _ in members})
+            for path, rows in canvas_reads:
+                name = next(n for n in paths if paths[n] == path)
+                boxes = [box for n, box, _ in members if n == name]
+                span = range(min(max(b.y, 0) for b in boxes), max(b.y + b.h for b in boxes))
+                assert set(range(*rows.indices(self.FRAMES[name][0]))) <= set(span)
+        assert reads[-1] == []  # no read after the last canvas
 
 
 class TestTablesDisagree:

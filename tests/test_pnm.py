@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coseg import pnm
@@ -168,8 +168,11 @@ class TestOneCopyRead:
         path = tmp_path / "i.pnm"
         (write_ppm if len(shape) == 3 else write_pgm)(path, img)
         path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(TruncatedError):
-            read_image(path)
+        # the first row lies wholly inside the bytes present, yet the file is
+        # short of its whole raster
+        for rows in (slice(None), slice(0, 1), slice(-1, None), slice(0, 0)):
+            with pytest.raises(TruncatedError):
+                read_image(path, rows)
         write_pbm(path, np.ones(shape[:2], dtype=bool))
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(TruncatedError):
@@ -189,17 +192,19 @@ class TestOneCopyRead:
     def test_result_owns_writable_memory(self, tmp_path, shape):
         path = tmp_path / "i.pnm"
         (write_ppm if len(shape) == 3 else write_pgm)(path, np.full(shape, 7, dtype=np.uint8))
-        img = read_image(path)
-        assert img.flags.owndata and img.flags.writeable and img.flags.c_contiguous
-        assert img.base is None
-        img[...] = 9
-        assert (img == 9).all()
+        for img in (read_image(path), *(read_image(path, rows) for rows in
+                                        (slice(None), slice(1, None), slice(0, 1), slice(1, 1)))):
+            assert img.flags.owndata and img.flags.writeable and img.flags.c_contiguous
+            assert img.base is None
+            img[...] = 9
+            assert (img == 9).all()
 
     def test_huge_declared_size_is_truncated_not_allocated(self, tmp_path):
         path = tmp_path / "g.pgm"
         path.write_bytes(b"P5\n99999999999 99999999999\n255\n\x00")
-        with pytest.raises(TruncatedError):
-            read_image(path)
+        for rows in (slice(None), slice(0, 1), slice(0, 0)):
+            with pytest.raises(TruncatedError):
+                read_image(path, rows)
         path = tmp_path / "m.pbm"
         path.write_bytes(b"P4\n99999999999 99999999999\n\x00")
         with pytest.raises(TruncatedError):
@@ -213,8 +218,73 @@ class TestOneCopyRead:
         full = os.stat(path)
         path.write_bytes(path.read_bytes()[:-1])
         monkeypatch.setattr(pnm.os, "fstat", lambda fd: full)
-        with pytest.raises(TruncatedError):
-            read_image(path)
+        for rows in (slice(None), slice(-1, None)):
+            with pytest.raises(TruncatedError):
+                read_image(path, rows)
+
+
+@pytest.fixture(scope="module")
+def band_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bands")
+
+
+_ROW_BOUND = st.one_of(st.none(), st.integers(-12, 12))
+
+
+class TestBandRead:
+    """read_image(path, rows) reads only the rows a step-1 slice names and
+    returns exactly read_image(path)[rows]."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        magic=st.sampled_from([b"P5", b"P6"]),
+        h=st.integers(1, 9),
+        w=st.integers(1, 6),
+        comment=st.binary(max_size=8).map(lambda b: b"#" + b.replace(b"\r", b"").replace(b"\n", b"") + b"\n"),
+        start=_ROW_BOUND,
+        stop=_ROW_BOUND,
+        step=st.sampled_from([None, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(magic=b"P5", h=5, w=3, comment=b"# gray\n", start=2, stop=2, step=None, seed=0)  # empty
+    @example(magic=b"P6", h=5, w=3, comment=b"#\n", start=4, stop=1, step=1, seed=0)  # empty, reversed
+    @example(magic=b"P5", h=5, w=3, comment=b"#\n", start=-3, stop=-1, step=None, seed=0)  # negative
+    @example(magic=b"P6", h=5, w=3, comment=b"#\n", start=3, stop=12, step=None, seed=0)  # past the end
+    @example(magic=b"P5", h=5, w=3, comment=b"#\n", start=7, stop=9, step=None, seed=0)  # wholly past it
+    @example(magic=b"P6", h=5, w=3, comment=b"#\n", start=None, stop=None, step=None, seed=0)  # whole
+    @example(magic=b"P5", h=5, w=3, comment=b"#\n", start=0, stop=5, step=1, seed=0)  # whole height
+    def test_equals_slice_of_whole_image(self, band_dir, magic, h, w, comment, start, stop, step, seed):
+        shape = (h, w) if magic == b"P5" else (h, w, 3)
+        img = np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8)
+        path = band_dir / "band.pnm"
+        path.write_bytes(magic + b" " + comment + f"{w} {h}\n".encode() + comment + b"255\n" + img.tobytes())
+        rows = slice(start, stop, step)
+        band = read_image(path, rows)
+        assert band.dtype == np.uint8 and band.shape == img[rows].shape
+        assert np.array_equal(band, read_image(path)[rows]) and np.array_equal(band, img[rows])
+
+    def test_reads_only_the_band_bytes(self, tmp_path, monkeypatch):
+        img = np.arange(6 * 4 * 3, dtype=np.uint8).reshape(6, 4, 3)
+        path = tmp_path / "c.ppm"
+        write_ppm(path, img)
+        reads = []
+        fromfile = np.fromfile
+
+        def spy(fh, dtype, count):
+            reads.append((fh.tell(), count))
+            return fromfile(fh, dtype, count=count)
+
+        monkeypatch.setattr(np, "fromfile", spy)
+        assert np.array_equal(read_image(path, slice(2, 4)), img[2:4])
+        header = len(b"P6\n4 6\n255\n")
+        assert reads == [(header + 2 * 12, 2 * 12)]
+
+    @pytest.mark.parametrize("rows", [slice(None, None, 2), slice(None, None, -1), slice(0, 3, 0)])
+    def test_step_other_than_one_rejected(self, tmp_path, rows):
+        path = tmp_path / "g.pgm"
+        write_pgm(path, np.zeros((4, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="step 1"):
+            read_image(path, rows)
 
 
 def _header_ints_oracle(data: bytes, start: int, count: int):
