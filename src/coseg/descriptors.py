@@ -4,7 +4,9 @@ binary descriptor file format used to exchange them between pipeline stages.
 
 from __future__ import annotations
 
+import itertools
 import struct
+from typing import Iterator
 
 import numpy as np
 
@@ -64,24 +66,30 @@ def patch_descriptor(image: np.ndarray, box: BoundingBox) -> np.ndarray:
     return (small.reshape(-1) / 255.0).astype(np.float32)
 
 
-def save_descriptors(ids: list[str], vectors: np.ndarray) -> bytes:
-    """Serialize id/vector records: magic, version, dim and count `<IQ`, then
-    per record a `<H` length-prefixed UTF-8 id followed by dim float32 values."""
+def _encode_descriptors(ids: list[str], vectors: np.ndarray) -> Iterator[bytes]:
+    """The id/vector records as chunks: magic, version, dim and count `<IQ`,
+    then one chunk per record, a `<H` length-prefixed UTF-8 id followed by dim
+    float32 values. Every check runs before the first chunk is made."""
     vectors = np.asarray(vectors, dtype=np.float32)
     if vectors.ndim != 2:
         raise ValueError(f"vectors must be 2-d, got shape {vectors.shape}")
     if len(ids) != vectors.shape[0]:
         raise ValueError(f"{len(ids)} ids but {vectors.shape[0]} vectors")
-    out = bytearray(DESCRIPTOR_MAGIC)
-    out += struct.pack("<IIQ", DESCRIPTOR_VERSION, vectors.shape[1], vectors.shape[0])
-    for item_id, vec in zip(ids, vectors):
-        raw = item_id.encode("utf-8")
-        if len(raw) > 0xFFFF:
+    for item_id in ids:  # encoded again per record, so no list of encoded ids is held
+        if len(item_id.encode("utf-8")) > 0xFFFF:
             raise ValueError(f"item id too long to encode: {item_id[:32]!r}...")
-        out += struct.pack("<H", len(raw))
-        out += raw
-        out += np.ascontiguousarray(vec, dtype="<f4").tobytes()
-    return bytes(out)
+    header = DESCRIPTOR_MAGIC + struct.pack("<IIQ", DESCRIPTOR_VERSION, vectors.shape[1], vectors.shape[0])
+    return itertools.chain([header], map(_encode_record, ids, vectors))
+
+
+def _encode_record(item_id: str, vec: np.ndarray) -> bytes:
+    raw = item_id.encode("utf-8")
+    return struct.pack("<H", len(raw)) + raw + np.ascontiguousarray(vec, dtype="<f4").tobytes()
+
+
+def save_descriptors(ids: list[str], vectors: np.ndarray) -> bytes:
+    """Serialize id/vector records in the `.csgd` layout of _encode_descriptors."""
+    return b"".join(_encode_descriptors(ids, vectors))
 
 
 def load_descriptors(data: bytes) -> tuple[list[str], np.ndarray]:
@@ -107,8 +115,11 @@ def load_descriptors(data: bytes) -> tuple[list[str], np.ndarray]:
 
 
 def save_descriptors_file(ids: list[str], vectors: np.ndarray, path) -> None:
+    """Write save_descriptors' bytes record by record; a bad id or shape raises
+    before the file is opened."""
+    chunks = _encode_descriptors(ids, vectors)
     with open(path, "wb") as fh:
-        fh.write(save_descriptors(ids, vectors))
+        fh.writelines(chunks)
 
 
 def load_descriptors_file(path) -> tuple[list[str], np.ndarray]:

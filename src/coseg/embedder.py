@@ -204,8 +204,11 @@ def forward_batch(
     acts = [batch]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(z if i == last else np.maximum(z, 0.0))
+        z = acts[-1] @ w.T
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
     return acts if all_layers else acts[-1]
 
 
@@ -252,6 +255,11 @@ def _pair_losses(d2, pos, margin: float, classical_hinge: bool) -> np.ndarray:
     return np.where(pos, 0.5 * d2, dissimilar)
 
 
+def _gradient_arrays(params: EncoderParams) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Uninitialised (weights, biases) arrays shaped like params."""
+    return [np.empty_like(w) for w in params.weights], [np.empty_like(b) for b in params.biases]
+
+
 def _batch_gradient(
     params: EncoderParams,
     acts: Sequence[np.ndarray],
@@ -260,6 +268,7 @@ def _batch_gradient(
     labels: np.ndarray,
     margin: float,
     classical_hinge: bool,
+    out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean loss and mean-loss gradients over the pairs (rows ia, rows ib).
 
@@ -272,6 +281,9 @@ def _batch_gradient(
     row sums its pair gradients and runs backward once. One bincount over
     flat (row, column) indices does the summing: each entry starts at +0.0
     and adds the a-side gradients in pair order, then the negated b-side ones.
+
+    out, _gradient_arrays' (weights, biases) lists, receives the gradients in
+    place and is returned; without it, new arrays are made.
     """
     n = len(ia)
     diff = acts[-1][ia] - acts[-1][ib]
@@ -294,11 +306,10 @@ def _batch_gradient(
     signed = np.concatenate([pair_delta, -pair_delta]).ravel()
     delta = np.bincount(flat, signed, minlength=acts[-1].size).reshape(acts[-1].shape)
     n_layers = len(params.weights)
-    grad_w = [None] * n_layers
-    grad_b = [None] * n_layers
+    grad_w, grad_b = _gradient_arrays(params) if out is None else out
     for layer in range(n_layers - 1, -1, -1):
-        grad_w[layer] = delta.T @ acts[layer]
-        grad_b[layer] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[layer], out=grad_w[layer])
+        np.sum(delta, axis=0, out=grad_b[layer])
         if layer > 0:
             delta = (delta @ params.weights[layer]) * (acts[layer] > 0)
     return loss, grad_w, grad_b
@@ -418,6 +429,13 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
 
     Each step is one momentum update, applied in place to the initial params:
     v <- momentum*v - lr*g; params <- params + v.
+
+    One step's arrays are alive at a time. Every step writes its gradients
+    into one set of arrays, and the loop deletes each of a step's other
+    arrays just before the next step allocates its successor. Freeing a
+    step's arrays at the end of the step, or the gradients before each
+    backward pass, lets glibc trim the heap on some runs, and the next step
+    faults its pages in again.
     """
     members = _class_members(dataset.labels)  # checks there are enough classes and items
     params = init_params(dataset.dim, cfg.layer_sizes, cfg.seed)
@@ -425,19 +443,23 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     velocity = [np.zeros_like(a) for a in arrays]
     rng = np.random.default_rng(cfg.seed + 1)
     trace: list[float] = []
+    every = acts = None
+    grads = _gradient_arrays(params)
     for it in range(cfg.iterations):
         if cfg.mining == "aggressive":
+            del every
             every = forward_batch(params, dataset.vectors, all_layers=True)
             ia, ib, y = _mine_hard_indices(every[-1], members, cfg.batch_size, rng, cfg.pool_factor)
         else:
             ia, ib, y = _sample_pair_indices(members, cfg.batch_size, rng)
         rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
+        del acts
         if cfg.mining == "aggressive":
             acts = [layer[rows] for layer in every]
         else:
             acts = forward_batch(params, dataset.vectors[rows], all_layers=True)
         loss, grad_w, grad_b = _batch_gradient(
-            params, acts, inv[: len(ia)], inv[len(ia) :], y, cfg.margin, cfg.classical_hinge
+            params, acts, inv[: len(ia)], inv[len(ia) :], y, cfg.margin, cfg.classical_hinge, grads
         )
         if not math.isfinite(loss):
             raise TrainingDiverged(iteration=it, value=loss)

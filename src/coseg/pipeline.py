@@ -466,8 +466,9 @@ def stage_train(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str,
     )
     ids, vectors = load_descriptors_file(inputs["desc_train.csgd"])
     items = _ById.read(load_items, inputs["items.csv"])
-    labels = _class_labels([items[i] for i in ids])
-    result = train(LabeledDescriptors(vectors=vectors, labels=labels), tc)
+    dataset = LabeledDescriptors(vectors=vectors, labels=_class_labels([items[i] for i in ids]))
+    del vectors  # training reads the float64 copy alone
+    result = train(dataset, tc)
     save_model_file(result.params, outputs["model.csgm"])
     _write_table(outputs["loss_trace.csv"], ["iteration", "loss"],
                  ((i, repr(loss)) for i, loss in enumerate(result.loss_trace)))

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coseg.descriptors import (
     DESCRIPTOR_DIM,
@@ -223,15 +227,66 @@ class TestDescriptorFiles:
             load_descriptors(data + b"!")
 
 
-@pytest.mark.parametrize(
+SAVE_ERRORS = pytest.mark.parametrize(
     "ids, vectors, message",
     [
         (["a"], np.zeros(3), "vectors must be 2-d"),
         # 32,768 two-byte characters: the u16 length prefix counts UTF-8 bytes
         (["\u00e9" * 32768], np.zeros((1, 2)), "item id too long"),
+        # the bad id is the last one, so a writer that checked record by
+        # record would already have written the first
+        (["a", "\u00e9" * 32768], np.zeros((2, 2)), "item id too long"),
     ],
-    ids=["vectors-1d", "id-over-65535-bytes"],
+    ids=["vectors-1d", "id-over-65535-bytes", "last-id-over-65535-bytes"],
 )
+
+
+@SAVE_ERRORS
 def test_save_descriptors_errors(ids, vectors, message):
     with pytest.raises(ValueError, match=message):
         save_descriptors(ids, vectors)
+
+
+@SAVE_ERRORS
+def test_save_descriptors_file_errors_write_nothing(tmp_path, ids, vectors, message):
+    path = tmp_path / "d.csgd"
+    with pytest.raises(ValueError, match=message):
+        save_descriptors_file(ids, vectors, path)
+    assert not path.exists()
+
+
+class TestStreamedDescriptorFile:
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("streamed")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ids=st.lists(st.text(max_size=6), max_size=8),
+        dim=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_file_bytes_equal_save_descriptors(self, out_dir, ids, dim, data):
+        values = data.draw(st.lists(st.floats(width=32), min_size=len(ids) * dim,
+                                    max_size=len(ids) * dim))
+        vectors = np.array(values, dtype=np.float32).reshape(len(ids), dim)
+        path = out_dir / "d.csgd"
+        save_descriptors_file(ids, vectors, path)
+        assert path.read_bytes() == save_descriptors(ids, vectors)
+
+    @staticmethod
+    def traced_peak(path, count):
+        ids = [f"img{i:05d}#0" for i in range(count)]
+        vectors = np.random.default_rng(count).random((count, DESCRIPTOR_DIM), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            save_descriptors_file(ids, vectors, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_record_count(self, tmp_path):
+        # records are written one at a time: no copy of the whole file is built
+        path = tmp_path / "d.csgd"
+        self.traced_peak(path, 100)  # first-call allocations
+        assert self.traced_peak(path, 2000) <= self.traced_peak(path, 100)

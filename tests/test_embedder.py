@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,61 @@ class TestForward:
             forward(p, np.zeros((1, 2)))  # the right width, but 2-d
         with pytest.raises(ValueError):
             forward_batch(p, np.zeros((3, 5)))
+
+
+def assert_forward_bits(params, x, all_layers):
+    """forward_batch equals, bit for bit, np.maximum(x @ w.T + b, 0.0) per
+    hidden layer and the identity on the last, each layer a new array."""
+    want = [x]
+    last = len(params.weights) - 1
+    with np.errstate(all="ignore"):
+        got = forward_batch(params, x, all_layers=all_layers)
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            z = want[-1] @ w.T + b
+            want.append(z if i == last else np.maximum(z, 0.0))
+    if not all_layers:
+        got, want = [got], want[-1:]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
+FINITE = st.floats(-4.0, 4.0)
+
+
+class TestForwardBatchBits:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4),
+        n=st.integers(1, 4),
+        all_layers=st.booleans(),
+        data=st.data(),
+    )
+    def test_bit_identical_to_reference(self, sizes, n, all_layers, data):
+        # inputs and biases draw -0.0, NaN and +-inf as often as finite values
+        def matrix(shape, values):
+            count = int(np.prod(shape))
+            return np.array(data.draw(st.lists(values, min_size=count, max_size=count)),
+                            dtype=np.float64).reshape(shape)
+
+        params = EncoderParams(
+            weights=tuple(matrix((o, i), FINITE) for i, o in zip(sizes[:-1], sizes[1:])),
+            biases=tuple(matrix((o,), SPECIAL | FINITE) for o in sizes[1:]),
+        )
+        assert_forward_bits(params, matrix((n, sizes[0]), SPECIAL | FINITE), all_layers)
+
+    @pytest.mark.parametrize("all_layers", [False, True])
+    def test_signed_zeros_and_specials(self, all_layers):
+        # inputs -0.0, NaN, +inf and -inf reach both hidden units' rectifier,
+        # one unit with each sign, and both layers add a -0.0 bias
+        params = EncoderParams(
+            weights=(np.array([[1.0], [-1.0]]), np.array([[1.0, 1.0]])),
+            biases=(np.array([-0.0, 0.0]), np.array([-0.0])),
+        )
+        x = np.array([[-0.0], [0.0], [np.nan], [np.inf], [-np.inf], [2.0]])
+        assert_forward_bits(params, x, all_layers)
 
 
 class TestContrastiveLoss:
@@ -830,6 +887,25 @@ class TestTrain:
         assert a.loss_trace == b.loss_trace
         assert all(np.array_equal(x, y) for x, y in zip(a.params.weights, b.params.weights))
         assert save_model(a.params) == save_model(b.params)
+
+    @pytest.mark.parametrize("mining", MINING_MODES)
+    def test_holds_one_step_at_a_time(self, mining):
+        # a second step overwrites the first step's gradients and frees each
+        # of its other arrays before allocating the successor, so it adds
+        # nothing to the traced peak; train-mined's shape: 432 rows of
+        # 1,024, layers (128, 256)
+        rng = np.random.default_rng(30)
+        ds = LabeledDescriptors(vectors=rng.random((432, 1024)), labels=np.arange(432) % 12)
+        train(ds, TrainConfig(iterations=1, mining=mining, seed=3))  # first-call allocations
+        peaks = []
+        for iterations in (1, 2):
+            tracemalloc.start()
+            try:
+                train(ds, TrainConfig(iterations=iterations, mining=mining, seed=3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 250_000, peaks
 
     def test_seed_changes_outcome(self):
         ds = small_dataset(seed=8)

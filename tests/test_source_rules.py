@@ -30,6 +30,7 @@ LAYERS = [
 # top-level names no package module uses -> who uses them instead
 OUTSIDE_USERS = {
     "__init__.__version__": "the package's public version, equal to pyproject.toml's",
+    "descriptors.save_descriptors": "the tests, which compare save_descriptors_file's bytes with it",
     "embedder.forward": "the tests and the acceptance gate",
     "embedder.contrastive_loss": "the tests and the acceptance gate",
     "embedder.loss_gradient": "the tests and the acceptance gate",
