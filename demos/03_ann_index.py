@@ -7,7 +7,8 @@ leaf of the forest by the smallest signed distance from the query to the
 planes above it, and takes leaves best first until a budget is spent; the
 budget is the larger of search_k and k * n_trees distinct candidates. This
 walk measures recall against brute force as the budget grows, then
-round-trips the index through its binary file form.
+round-trips the index through its binary file form, which loads only for the
+items it was saved with.
 """
 
 import tempfile
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from coseg.annindex import IndexConfig, build, load_file, query, save_file
+from coseg.errors import DecodeError
 
 # 1. 5000 points from a 25-component Gaussian mixture in 32 dimensions.
 #    Cluster structure is what makes "nearest" meaningful here.
@@ -56,15 +58,21 @@ for search_k in (60, 120, 250, 500, 1000, 5000):
     ms = (time.perf_counter() - t0) * 1000 / len(queries)
     print(f"{search_k:8d}   {hits / (10 * len(queries)):9.3f}   {ms:8.2f}")
 
-# 4. The on-disk form holds the config and the items only. The forest is a
-#    pure function of both, so a reloaded index grows the same forest the
-#    first time a query walks it and answers queries identically.
+# 4. The on-disk form holds the config and a sha256 of the items, not the
+#    items: loading takes the items again and rebuilds the index over them.
+#    The forest is a pure function of items and config, so the reloaded index
+#    grows the same forest the first time a query walks it and answers
+#    queries identically. Items other than the saved ones are refused.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo.csgi"
     save_file(index, path)
-    reloaded = load_file(path)
+    reloaded = load_file(path, items)
     same = all(
         query(index, q, k=10).neighbors == query(reloaded, q, k=10).neighbors
         for q in queries[:20]
     )
     print(f"\nsaved {path.stat().st_size} bytes; reloaded answers identical: {same}")
+    try:
+        load_file(path, items[1:])
+    except DecodeError as e:
+        print(f"other items refused: {e}")

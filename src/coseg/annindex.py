@@ -16,13 +16,14 @@ bound a + eps are scored exactly, so the answer is the one a full re-rank
 gives, bit for bit.
 
 The forest is a pure function of the items and the config, so it is grown
-only when a query first walks it, and the file form holds the config and the
-items alone.
+only when a query first walks it. The file form holds the config and a sha256
+of the items; loading takes the items again and refuses any others.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from . import _binio
 from .errors import ConfigError, DecodeError
 
 MAGIC = b"CSGI"
-VERSION = 2
+VERSION = 3
 METRICS = ("euclidean", "cosine")
 UNIT_ROUNDOFF = 2.0**-53
 
@@ -335,42 +336,47 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
 # IndexConfig's integer fields: (least value, bits). save() writes each as an
 # unsigned integer of that many bits, so it must also be below 2**bits.
 FIELD_BOUNDS = {"n_trees": (1, 32), "search_k": (1, 32), "leaf_capacity": (2, 32), "seed": (0, 64)}
-# The file header after magic and version: n_trees, search_k, leaf_capacity,
-# seed, metric id, dim, n.
-HEADER = "<IIIQBIQ"
+# The file header after magic and version: n_trees, search_k, leaf_capacity, seed, metric id.
+HEADER = "<IIIQB"
+
+
+def _digest(items: np.ndarray) -> bytes:
+    h = hashlib.sha256(struct.pack("<QQ", *items.shape))
+    h.update(items.astype("<f4", copy=False).tobytes())
+    return h.digest()
 
 
 def save(index: AnnIndex) -> bytes:
-    """Serialize the index: magic, version, then `HEADER` (config, dim, n)
-    and the item block. No forest: it is grown again from the items."""
+    """Serialize the index: magic, version, `HEADER` (the config), then the
+    sha256 of (n, dim) as `<QQ` and of the float32 rows build stored; no rows."""
     c = index.config
-    n, dim = index.items.shape
-    metric_id = METRICS.index(c.metric)
     return b"".join([
         MAGIC,
         struct.pack("<I", VERSION),
-        struct.pack(HEADER, c.n_trees, c.search_k, c.leaf_capacity, c.seed, metric_id, dim, n),
-        index.items.astype("<f4", copy=False).tobytes(),
+        struct.pack(HEADER, c.n_trees, c.search_k, c.leaf_capacity, c.seed, METRICS.index(c.metric)),
+        _digest(index.items),
     ])
 
 
-def load(data: bytes) -> AnnIndex:
-    """Rebuild an index from bytes produced by save(); grows no forest."""
+def load(data: bytes, items) -> AnnIndex:
+    """The index save() wrote, rebuilt by build() over items (no forest grown).
+    Other items than the saved ones raise DecodeError; load_file's names the path."""
     r = _binio.Reader(data)
     r.expect_magic(MAGIC)
     r.expect_version(VERSION)
-    n_trees, search_k, leaf_capacity, seed, metric_id, dim, n = r.unpack(HEADER)
+    n_trees, search_k, leaf_capacity, seed, metric_id = r.unpack(HEADER)
     if metric_id >= len(METRICS):
         raise DecodeError(f"unknown metric id {metric_id}")
     try:
         cfg = IndexConfig(n_trees, search_k, leaf_capacity, seed, METRICS[metric_id])
     except ValueError as e:
         raise DecodeError(f"index header: {e}") from e
-    if n == 0 or dim == 0:
-        raise DecodeError(f"index file declares {n} items of dimension {dim}")
-    items = r.array("<f4", n * dim).reshape(n, dim)
+    digest = r.take(hashlib.sha256().digest_size)
     r.expect_eof()
-    return AnnIndex(config=cfg, items=items)
+    index = build(items, cfg)
+    if _digest(index.items) != digest:
+        raise DecodeError(f"index was built for other items than these, of shape {index.items.shape}")
+    return index
 
 
 def save_file(index: AnnIndex, path) -> None:
@@ -378,6 +384,9 @@ def save_file(index: AnnIndex, path) -> None:
         fh.write(save(index))
 
 
-def load_file(path) -> AnnIndex:
-    with open(path, "rb") as fh:
-        return load(fh.read())
+def load_file(path, items) -> AnnIndex:
+    try:
+        with open(path, "rb") as fh:
+            return load(fh.read(), items)
+    except DecodeError as e:
+        raise type(e)(f"{path}: {e}") from e

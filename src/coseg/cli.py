@@ -20,7 +20,7 @@ _STAGE_HELP = {
     "ingest": "reduce proposals per image and crop patch descriptors",
     "train": "fit the twin encoder on train-split descriptors",
     "embed": "embed test-split descriptors with the trained encoder",
-    "index": "build the nearest-neighbor index over test embeddings",
+    "index": "write the nearest-neighbor index config and the digest of the test embeddings",
     "retrieve": "query the index for each item's similarity group",
     "evaluate": "score proposal boxes against ground-truth boxes or masks and write the report",
     "collage": "render summary collages for the retrieved groups",

@@ -151,8 +151,8 @@ class TrainConfig:
             raise ConfigError(f"margin must be positive, got {self.margin}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be >= 0 and < 2**64, got {self.seed}")
         if self.mining not in MINING_MODES:
             raise ConfigError(f"mining must be one of {MINING_MODES}, got {self.mining!r}")
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))

@@ -526,8 +526,8 @@ def _scoring_table(ids, inputs: dict[str, Path]) -> ItemTable:
 
 
 def stage_retrieve(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
-    index = load_index_file(inputs["index.csgi"])
     ids, embeddings = load_descriptors_file(inputs["emb_test.csgd"])
+    index = load_index_file(inputs["index.csgi"], embeddings)
     table = _scoring_table(ids, inputs)
     groups = retrieve_similar(
         index, embeddings, k=cfg["retrieve.k"], search_k=cfg["retrieve.search_k"],

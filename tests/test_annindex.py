@@ -1,3 +1,5 @@
+import hashlib
+import re
 import struct
 import warnings
 from dataclasses import replace
@@ -639,15 +641,16 @@ class TestWalk:
 
 
 class TestSerialization:
-    def build_sample(self, metric="euclidean"):
+    def sample(self, metric="euclidean"):
+        """The items and an index over them."""
         rng = np.random.default_rng(11)
         items = rng.normal(size=(80, 6)).astype(np.float32)
         cfg = IndexConfig(n_trees=3, search_k=40, leaf_capacity=6, seed=4, metric=metric)
-        return build(items, cfg)
+        return items, build(items, cfg)
 
     def test_round_trip_preserves_queries(self):
-        idx = self.build_sample()
-        again = load(save(idx))
+        items, idx = self.sample()
+        again = load(save(idx), items)
         assert again.config == idx.config
         assert np.array_equal(again.items, idx.items)
         rng = np.random.default_rng(12)
@@ -656,88 +659,148 @@ class TestSerialization:
             assert query(again, q, k=5).neighbors == query(idx, q, k=5).neighbors
 
     def test_round_trip_is_byte_identical(self):
-        idx = self.build_sample(metric="cosine")
+        items, idx = self.sample(metric="cosine")
         data = save(idx)
-        assert save(load(data)) == data
+        assert save(load(data, items)) == data
 
     def test_file_round_trip(self, tmp_path):
-        idx = self.build_sample()
+        items, idx = self.sample()
         path = tmp_path / "index.csgi"
         save_file(idx, path)
-        again = load_file(path)
+        again = load_file(path, items)
         assert save(again) == save(idx)
 
     def test_header_layout(self):
-        idx = build(np.eye(2, dtype=np.float32), IndexConfig(n_trees=1, search_k=7, leaf_capacity=3, seed=5))
-        data = save(idx)
+        items = np.eye(2, dtype=np.float32)
+        data = save(build(items, IndexConfig(n_trees=1, search_k=7, leaf_capacity=3, seed=5)))
         assert data[:4] == b"CSGI"
-        assert int.from_bytes(data[4:8], "little") == 2  # version
+        assert int.from_bytes(data[4:8], "little") == 3  # version
         assert int.from_bytes(data[8:12], "little") == 1  # n_trees
         assert int.from_bytes(data[12:16], "little") == 7  # search_k
         assert int.from_bytes(data[16:20], "little") == 3  # leaf_capacity
+        assert int.from_bytes(data[20:28], "little") == 5  # seed
+        assert data[28] == 0  # metric id: euclidean
+        assert data[29:] == hashlib.sha256(struct.pack("<QQ", 2, 2) + items.astype("<f4").tobytes()).digest()
 
     def test_largest_config_round_trips(self):
         top = IndexConfig(**{name: 2**bits - 1 for name, (_, bits) in FIELD_BOUNDS.items()})
-        idx = AnnIndex(top, np.eye(2, dtype=np.float32))
-        assert load(save(idx)).config == top
+        items = np.eye(2, dtype=np.float32)
+        assert load(save(AnnIndex(top, items)), items).config == top
 
     def test_bad_magic(self):
-        data = save(self.build_sample())
+        items, idx = self.sample()
+        data = save(idx)
         with pytest.raises(BadMagicError):
-            load(b"JUNK" + data[4:])
+            load(b"JUNK" + data[4:], items)
 
     def test_bad_version(self):
-        data = save(self.build_sample())
+        items, idx = self.sample()
+        data = save(idx)
         with pytest.raises(VersionError):
-            load(data[:4] + (9).to_bytes(4, "little") + data[8:])
+            load(data[:4] + (9).to_bytes(4, "little") + data[8:], items)
 
     def test_truncated(self):
-        data = save(self.build_sample())
+        items, idx = self.sample()
+        data = save(idx)
         with pytest.raises(TruncatedError):
-            load(data[: len(data) // 2])
+            load(data[: len(data) // 2], items)
 
     def test_unknown_metric_id(self):
-        idx = build(np.eye(2, dtype=np.float32), IndexConfig(n_trees=1))
-        data = bytearray(save(idx))
+        items = np.eye(2, dtype=np.float32)
+        data = bytearray(save(build(items, IndexConfig(n_trees=1))))
         data[28] = 7  # metric byte follows the u64 seed
         with pytest.raises(DecodeError):
-            load(bytes(data))
+            load(bytes(data), items)
 
     def test_trailing_bytes_rejected(self):
-        data = save(self.build_sample())
+        items, idx = self.sample()
         with pytest.raises(ValueError):
-            load(data + b"\x00")
+            load(save(idx) + b"\x00", items)
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_reloaded_trees_equal_built_trees(self, metric):
-        idx = self.build_sample(metric)
-        assert forest(load(save(idx))) == forest(idx)
+        items, idx = self.sample(metric)
+        assert forest(load(save(idx), items)) == forest(idx)
 
-    def test_holds_header_and_items_only(self):
-        idx = self.build_sample()
-        assert len(save(idx)) == 8 + struct.calcsize("<IIIQBIQ") + 4 * idx.items.size
+    def test_holds_header_and_digest_only(self):
+        _, idx = self.sample()
+        assert len(save(idx)) == 8 + struct.calcsize("<IIIQB") + 32 == 61
 
     def test_version_1_file_rejected(self):
-        # a version-1 file: the same header and items, then the trees; here
-        # one tree that is a single leaf holding items 0, 1 and 2
-        data = save(build(np.eye(3, dtype=np.float32), IndexConfig(n_trees=1, leaf_capacity=4)))
-        v1 = data[:4] + struct.pack("<I", 1) + data[8:] + b"\x00" + struct.pack("<4I", 3, 0, 1, 2)
+        # a version-1 file: the header, the items, then the trees; here one
+        # tree that is a single leaf holding items 0, 1 and 2
+        items = np.eye(3, dtype=np.float32)
+        header = struct.pack("<4sIIIIQBIQ", b"CSGI", 1, 1, 50, 4, 0, 0, 3, 3)
+        v1 = header + items.tobytes() + b"\x00" + struct.pack("<4I", 3, 0, 1, 2)
         with pytest.raises(VersionError):
-            load(v1)
+            load(v1, items)
+
+    def test_version_2_file_rejected(self):
+        # a version-2 file: the config, dim and n, then a copy of the items
+        items = np.eye(3, dtype=np.float32)
+        v2 = struct.pack("<4sIIIIQBIQ", b"CSGI", 2, 1, 50, 4, 0, 0, 3, 3) + items.tobytes()
+        with pytest.raises(VersionError):
+            load(v2, items)
 
     @pytest.mark.parametrize("field,value", [(0, 0), (1, 0), (2, 1), (2, 0)])
     def test_header_outside_config_range_rejected(self, field, value):
         # zero trees, zero search_k, leaf_capacity below 2: once a plain ValueError
-        data = save(self.build_sample())
+        items, idx = self.sample()
+        data = save(idx)
         at = 8 + 4 * field
         with pytest.raises(DecodeError):
-            load(data[:at] + struct.pack("<I", value) + data[at + 4 :])
+            load(data[:at] + struct.pack("<I", value) + data[at + 4 :], items)
 
     @pytest.mark.parametrize("dim,n", [(0, 3), (3, 0)])
-    def test_empty_item_block_rejected(self, dim, n):
-        header = save(build(np.eye(2, dtype=np.float32), IndexConfig(n_trees=1)))[: 8 + struct.calcsize("<IIIQB")]
-        with pytest.raises(DecodeError):
-            load(header + struct.pack("<IQ", dim, n))
+    def test_load_refuses_empty_items(self, dim, n):
+        # build's own check: a file holds no items to declare empty
+        data = save(build(np.eye(2, dtype=np.float32), IndexConfig(n_trees=1)))
+        with pytest.raises(ValueError, match="cannot build an index over zero"):
+            load(data, np.zeros((n, dim), dtype=np.float32))
+
+
+def flip_one_bit(items):
+    bits = items.view(np.uint32).copy()
+    bits[5, 2] ^= 1  # the last mantissa bit of one value
+    return bits.view(np.float32)
+
+
+class TestOtherItemsRefused:
+    """An index file loads only for the items it was saved with: the digest
+    covers their shape and every bit of the float32 rows build stores."""
+
+    ITEMS = np.random.default_rng(13).normal(size=(40, 5)).astype(np.float32)
+    CFG = IndexConfig(n_trees=2, search_k=10, leaf_capacity=4, seed=6)
+
+    @pytest.mark.parametrize("other", [
+        flip_one_bit,
+        lambda x: np.delete(x, 7, axis=0),
+        lambda x: x[[1, 0, *range(2, len(x))]],
+        lambda x: x.reshape(x.shape[1], x.shape[0]),
+    ], ids=["bit-flipped", "row-dropped", "rows-swapped", "transposed-shape"])
+    def test_refused(self, other):
+        data = save(build(self.ITEMS, self.CFG))
+        changed = other(self.ITEMS)
+        assert changed.tobytes() != self.ITEMS.tobytes() or changed.shape != self.ITEMS.shape
+        with pytest.raises(DecodeError, match="built for other items"):
+            load(data, changed)
+
+    def test_file_refusal_names_the_path(self, tmp_path):
+        path = tmp_path / "index.csgi"
+        save_file(build(self.ITEMS, self.CFG), path)
+        with pytest.raises(DecodeError, match=re.escape(f"{path}: index was built for other items")):
+            load_file(path, flip_one_bit(self.ITEMS))
+
+    def test_cosine_index_loads_for_rescaled_items(self):
+        # build stores unit rows under cosine, and x and 2 x have the same ones
+        cfg = replace(self.CFG, metric="cosine")
+        twice = 2 * self.ITEMS
+        again = load(save(build(self.ITEMS, cfg)), twice)
+        fresh = build(twice, cfg)
+        assert again.items.tobytes() == fresh.items.tobytes()
+        for q in np.random.default_rng(14).normal(size=(10, 5)):
+            for budget in (10, 40):  # a walk and a scan
+                assert query(again, q, 3, budget).neighbors == query(fresh, q, 3, budget).neighbors
 
 
 class TestLazyTrees:
@@ -759,7 +822,7 @@ class TestLazyTrees:
         rng = np.random.default_rng(30)
         items = rng.normal(size=(50, 4)).astype(np.float32)
         idx = build(items, IndexConfig(n_trees=3, search_k=5, leaf_capacity=4, seed=2))
-        again = load(save(idx))
+        again = load(save(idx), items)
         q = rng.normal(size=4)
         assert query(again, q, k=2, search_k=50).neighbors == exact_scan(again.items, q, 2)
         assert grown == []
@@ -769,9 +832,10 @@ class TestLazyTrees:
         assert grown == [3]
 
     def test_load_of_huge_forest_grows_nothing(self, grown):
-        data = bytearray(save(build(np.eye(2, dtype=np.float32), IndexConfig(n_trees=1))))
-        data[8:12] = struct.pack("<I", 2**32 - 1)
-        idx = load(bytes(data))
+        items = np.eye(2, dtype=np.float32)
+        data = bytearray(save(build(items, IndexConfig(n_trees=1))))
+        data[8:12] = struct.pack("<I", 2**32 - 1)  # the digest covers the items, not the config
+        idx = load(bytes(data), items)
         assert idx.config.n_trees == 2**32 - 1
         assert query(idx, [1.0, 0.0], k=1).ids == [0]
         assert grown == []

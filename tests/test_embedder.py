@@ -685,6 +685,7 @@ class TestTrainConfig:
             {"margin": 0.0},
             {"iterations": -1},
             {"seed": -1},
+            {"seed": 2**64},
             {"mining": "hardest"},
             {"layer_sizes": ()},
             {"layer_sizes": (0,)},

@@ -93,6 +93,11 @@ def flags(cfg: dict[str, str]) -> list[str]:
     return [arg for key, value in cfg.items() for arg in (f"--{key}", value)]
 
 
+def load_index(out):
+    """out's index.csgi, loaded for out's emb_test.csgd."""
+    return load_index_file(out / "index.csgi", load_descriptors_file(out / "emb_test.csgd")[1])
+
+
 def fresh_copy(pipeline_run, tmp_path):
     """Copy the finished run so a test can mutate artifacts safely."""
     root, out, cfg, _ = pipeline_run
@@ -530,7 +535,7 @@ class TestFullPipeline:
 
     def test_index_covers_test_items(self, pipeline_run):
         _, out, _, _ = pipeline_run
-        index = load_index_file(out / "index.csgi")
+        index = load_index(out)
         ids, _ = load_descriptors_file(out / "emb_test.csgd")
         assert len(index) == len(ids)
         assert index.config.seed == 7
@@ -647,6 +652,23 @@ def test_resplit_random_mining_cosine_walking_run(tmp_path, monkeypatch, classic
 
 
 class TestRetrieveStage:
+    def test_index_for_other_embeddings_refused(self, pipeline_run, tmp_path):
+        # train and embed under another seed, skipping index: index.csgi is
+        # still the old embeddings' index, which the new ones must not load
+        _, cfg = fresh_copy(pipeline_run, tmp_path)
+        cfg["seed"] = "8"
+        out = Path(cfg["data.out_dir"])
+        for stage in ("train", "embed"):
+            run_stage(stage, cfg)
+        groups = (out / "groups.jsonl").read_bytes()
+        with pytest.raises(StageError, match=r"index\.csgi: index was built for other items") as exc_info:
+            run_stage("retrieve", cfg)
+        assert exc_info.value.stage == "retrieve"
+        assert (out / "groups.jsonl").read_bytes() == groups
+        run_stage("index", cfg)
+        run_stage("retrieve", cfg)
+        assert (out / "groups.jsonl").read_bytes() != groups
+
     @pytest.mark.parametrize("iou_filter", ["0", "0.3", "0.5", "0.8"])
     def test_ground_truth_iou_once_per_test_item(self, pipeline_run, tmp_path, monkeypatch, iou_filter):
         # a member's verdict is decided once per item, not once per group it is in
@@ -1364,7 +1386,7 @@ class TestCli:
         ])
         assert code == 0
         assert "index:" in capsys.readouterr().out
-        index = load_index_file(tmp_path / "copy" / "out" / "index.csgi")
+        index = load_index(tmp_path / "copy" / "out")
         assert index.config.n_trees == 3  # dotted flag reached the stage
 
     def test_config_file_plus_flag_precedence(self, pipeline_run, tmp_path, capsys):
@@ -1376,7 +1398,7 @@ class TestCli:
         )
         code = main(["index", "--config", str(cfg_file), "--index.n_trees", "6"])
         assert code == 0
-        index = load_index_file(tmp_path / "copy" / "out" / "index.csgi")
+        index = load_index(tmp_path / "copy" / "out")
         assert index.config.n_trees == 6  # flag beats file
 
     def test_env_seed_overrides_flag(self, pipeline_run, tmp_path, capsys, monkeypatch):
@@ -1389,7 +1411,7 @@ class TestCli:
             "--seed", "7",
         ])
         assert code == 0
-        index = load_index_file(tmp_path / "copy" / "out" / "index.csgi")
+        index = load_index(tmp_path / "copy" / "out")
         assert index.config.seed == 123
 
     @pytest.mark.parametrize("stage,flag,value", [
