@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _binio
-from .errors import ConfigError, DecodeError
+from .errors import SEED_BITS, DecodeError, check_rules, int_rule
 
 MAGIC = b"CSGI"
 VERSION = 3
@@ -39,8 +39,19 @@ METRICS = ("euclidean", "cosine")
 UNIT_ROUNDOFF = 2.0**-53
 
 
+# IndexConfig's integer fields: (least value, bits). save() writes each as an
+# unsigned integer of that many bits, so it must also be below 2**bits.
+FIELD_BOUNDS = {"n_trees": (1, 32), "search_k": (1, 32), "leaf_capacity": (2, 32), "seed": (0, SEED_BITS)}
+# IndexConfig's fields with their (words, predicate) rules, which the index.* config keys take too.
+INDEX_RULES = {name: int_rule(low, bits) for name, (low, bits) in FIELD_BOUNDS.items()}
+INDEX_RULES["metric"] = ("one of " + ", ".join(METRICS), METRICS.__contains__)
+
+
 @dataclass(frozen=True)
 class IndexConfig:
+    """The forest's shape and seed, and the default query budget; each field
+    must meet its INDEX_RULES rule, else ConfigError."""
+
     n_trees: int = 350
     search_k: int = 50
     leaf_capacity: int = 16
@@ -48,12 +59,7 @@ class IndexConfig:
     metric: str = "euclidean"
 
     def __post_init__(self):
-        for name, (low, bits) in FIELD_BOUNDS.items():
-            value = getattr(self, name)
-            if not low <= value < 2**bits:
-                raise ConfigError(f"{name} must be >= {low} and < 2**{bits}, got {value}")
-        if self.metric not in METRICS:
-            raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
+        check_rules(self, INDEX_RULES)
 
 
 @dataclass(frozen=True)
@@ -333,9 +339,6 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
     return RetrievalResult([(int(ids[i]), float(dists[i])) for i in order])
 
 
-# IndexConfig's integer fields: (least value, bits). save() writes each as an
-# unsigned integer of that many bits, so it must also be below 2**bits.
-FIELD_BOUNDS = {"n_trees": (1, 32), "search_k": (1, 32), "leaf_capacity": (2, 32), "seed": (0, 64)}
 # The file header after magic and version: n_trees, search_k, leaf_capacity, seed, metric id.
 HEADER = "<IIIQB"
 

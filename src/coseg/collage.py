@@ -10,6 +10,7 @@ from typing import ClassVar
 import numpy as np
 
 from .descriptors import resize_nearest
+from .errors import check_rules, int_rule
 from .geometry import BoundingBox
 
 CANVAS_SIDE = 512
@@ -34,19 +35,23 @@ def default_slots() -> tuple[BoundingBox, ...]:
     return tuple(slots)
 
 
+# CollageSpec's field with its (words, predicate) rule, which the collage.background key takes too.
+COLLAGE_RULES = {"background": ("three comma-separated integers in [0, 255]",
+                                lambda v: len(v) == 3 and all(map(int_rule(0, 8)[1], v)))}
+
+
 @dataclass(frozen=True)
 class CollageSpec:
-    """Canvas look: the background fill color. The geometry is not settable:
+    """Canvas look: the background fill color, which must meet its
+    COLLAGE_RULES rule, else ConfigError. The geometry is not settable:
     every canvas uses the default_slots() tiling, readable as spec.slots."""
 
     slots: ClassVar[tuple[BoundingBox, ...]] = default_slots()
     background: tuple[int, int, int] = SKY_BLUE
 
     def __post_init__(self) -> None:
-        bg = tuple(int(c) for c in self.background)
-        if len(bg) != 3 or any(not 0 <= c <= 255 for c in bg):
-            raise ValueError(f"background must be three bytes, got {self.background}")
-        object.__setattr__(self, "background", bg)
+        check_rules(self, COLLAGE_RULES)
+        object.__setattr__(self, "background", tuple(int(c) for c in self.background))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DecodeError, TrainingDiverged
+from .errors import FLAG_RULE, SEED_BITS, DecodeError, TrainingDiverged, check_rules, int_rule
 from ._binio import Reader
 
 MODEL_MAGIC = b"CSGM"
@@ -120,9 +120,27 @@ class LabeledDescriptors:
         return self.vectors.shape[1]
 
 
+_POSITIVE = int_rule(1)
+_FINITE_POSITIVE = ("finite and > 0", lambda v: 0 < v < math.inf)
+# TrainConfig's fields with their (words, predicate) rules, which the seed and train.* keys take too.
+TRAIN_RULES = {
+    "learning_rate": _FINITE_POSITIVE,
+    "momentum": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "batch_size": _POSITIVE,
+    "margin": _FINITE_POSITIVE,
+    "iterations": int_rule(0),
+    "seed": int_rule(0, SEED_BITS),
+    "mining": ("one of " + ", ".join(MINING_MODES), MINING_MODES.__contains__),
+    "layer_sizes": ("comma-separated integers >= 1", lambda v: len(v) > 0 and all(map(_POSITIVE[1], v))),
+    "pool_factor": _POSITIVE,
+    "classical_hinge": FLAG_RULE,
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and sampling settings for train().
+    """Optimizer and sampling settings for train(); each field must meet its
+    TRAIN_RULES rule, else ConfigError.
 
     classical_hinge selects the variant whose dissimilar-pair term hinges on
     the distance itself, 0.5 * max(0, m - D)**2, instead of the default
@@ -141,25 +159,8 @@ class TrainConfig:
     classical_hinge: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (self.margin > 0 and math.isfinite(self.margin)):
-            raise ConfigError(f"margin must be positive, got {self.margin}")
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be >= 0 and < 2**64, got {self.seed}")
-        if self.mining not in MINING_MODES:
-            raise ConfigError(f"mining must be one of {MINING_MODES}, got {self.mining!r}")
+        check_rules(self, TRAIN_RULES)
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
-        if len(self.layer_sizes) == 0 or any(s < 1 for s in self.layer_sizes):
-            raise ConfigError(f"layer_sizes must be positive integers, got {self.layer_sizes}")
-        if self.pool_factor < 1:
-            raise ConfigError(f"pool_factor must be >= 1, got {self.pool_factor}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types, and the (words, predicate) config rules every layer shares."""
+
+import numbers
+
+SEED_BITS = 64  # a run's one seed feeds the split, training and the index header's 64-bit field
+FLAG_RULE = ("true or false", lambda v: isinstance(v, bool))
 
 
 class DecodeError(ValueError):
@@ -19,6 +24,20 @@ class VersionError(DecodeError):
 
 class ConfigError(ValueError):
     """A configuration file or override is missing or malformed."""
+
+
+def int_rule(low: int, bits: int | None = None):
+    """An integer >= low, and < 2**bits when bits is given: (words, predicate)."""
+    if bits is None:
+        return f">= {low}", lambda v: isinstance(v, numbers.Integral) and v >= low
+    return f">= {low} and < 2**{bits}", lambda v: isinstance(v, numbers.Integral) and low <= v < 2**bits
+
+
+def check_rules(obj, rules: dict) -> None:
+    """ConfigError naming the first field of obj, in rules' order, that breaks its rule."""
+    for name, (words, ok) in rules.items():
+        if not ok(value := getattr(obj, name)):
+            raise ConfigError(f"{name} must be {words}, got {value!r}")
 
 
 class TrainingDiverged(RuntimeError):

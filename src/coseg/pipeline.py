@@ -9,37 +9,24 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 import os
 import shutil
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from ._binio import read_lines
-from .annindex import FIELD_BOUNDS, METRICS, IndexConfig, build
+from .annindex import INDEX_RULES, IndexConfig, build
 from .annindex import load_file as load_index_file
 from .annindex import save_file as save_index_file
-from .collage import CollageItem, CollageSpec, make_collage
-from .descriptors import (
-    DESCRIPTOR_DIM,
-    load_descriptors_file,
-    patch_descriptor,
-    save_descriptors_file,
-)
-from .embedder import (
-    MINING_MODES,
-    LabeledDescriptors,
-    TrainConfig,
-    load_model_file,
-    save_model_file,
-    train,
-)
-from .errors import ConfigError, StageError
+from .collage import COLLAGE_RULES, CollageItem, CollageSpec, make_collage
+from .descriptors import DESCRIPTOR_DIM, load_descriptors_file, patch_descriptor, save_descriptors_file
+from .embedder import TRAIN_RULES, LabeledDescriptors, TrainConfig, load_model_file, save_model_file, train
+from .errors import FLAG_RULE, ConfigError, StageError, int_rule
 from .geometry import BoundingBox, Proposal, dedup_near, load_proposals, nms, top_k
 from .metrics import BoxTruth, ItemTable, evaluate, group_item_ids, iou_verdicts, save_report_file
 from .pnm import read_image, read_pbm, write_ppm
@@ -84,21 +71,15 @@ def _path(raw: str) -> Path:
     return Path(raw)
 
 
-def _int(default: str, low: int, bits: int | None = None) -> Key:
-    """An integer >= low, and < 2**bits when bits is given."""
-    if bits is None:
-        return Key(default, int, f">= {low}", lambda v: v >= low)
-    return Key(default, int, f">= {low} and < 2**{bits}", lambda v: low <= v < 2**bits)
-
-
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_FLAG = Key("false", lambda raw: _BOOLS[raw.lower()], "true or false")
+_FLAG = Key("false", lambda raw: _BOOLS[raw.lower()], *FLAG_RULE)
 _PATH = Key("", _path, "set")
 
 # Every config key in one place. DEFAULTS, the unknown-key checks and the CLI
-# flags derive from it; parse_config types and checks values by it.
+# flags derive from it; parse_config types and checks values by it. A key that
+# a typed config's field takes (see _typed) has that field's rule.
 KEYS: dict[str, Key] = {
-    "seed": _int("0", *FIELD_BOUNDS["seed"]),
+    "seed": Key("0", int, *TRAIN_RULES["seed"]),
     "data.manifest": _PATH,
     "data.proposals": _PATH,
     "data.out_dir": _PATH,
@@ -106,26 +87,25 @@ KEYS: dict[str, Key] = {
     "split.train_fraction": Key("0.8", float, "in (0, 1)", lambda v: 0 < v < 1),
     "ingest.dedup_threshold": Key("0.95", float, "in (0, 1]", lambda v: 0 < v <= 1),
     "ingest.nms_threshold": Key("0.7", float, "in (0, 1]", lambda v: 0 < v <= 1),
-    "ingest.top_k": _int("10", 1),
-    "train.lr": Key("0.01", float, "finite and > 0", lambda v: 0 < v < math.inf),
-    "train.momentum": Key("0.9", float, "in [0, 1)", lambda v: 0 <= v < 1),
-    "train.batch_size": _int("128", 1),
-    "train.margin": Key("1.0", float, "finite and > 0", lambda v: 0 < v < math.inf),
-    "train.iterations": _int("100000", 0),
-    "train.mining": Key("aggressive", str, "one of " + ", ".join(MINING_MODES), MINING_MODES.__contains__),
-    "train.layers": Key("128,256", _ints, "comma-separated integers >= 1", lambda v: min(v) >= 1),
-    "train.pool_factor": _int("10", 1),
+    "ingest.top_k": Key("10", int, *int_rule(1)),
+    "train.lr": Key("0.01", float, *TRAIN_RULES["learning_rate"]),
+    "train.momentum": Key("0.9", float, *TRAIN_RULES["momentum"]),
+    "train.batch_size": Key("128", int, *TRAIN_RULES["batch_size"]),
+    "train.margin": Key("1.0", float, *TRAIN_RULES["margin"]),
+    "train.iterations": Key("100000", int, *TRAIN_RULES["iterations"]),
+    "train.mining": Key("aggressive", str, *TRAIN_RULES["mining"]),
+    "train.layers": Key("128,256", _ints, *TRAIN_RULES["layer_sizes"]),
+    "train.pool_factor": Key("10", int, *TRAIN_RULES["pool_factor"]),
     "train.classical_hinge": _FLAG,
-    "index.n_trees": _int("350", *FIELD_BOUNDS["n_trees"]),
-    "index.search_k": _int("50", *FIELD_BOUNDS["search_k"]),
-    "index.leaf_capacity": _int("16", *FIELD_BOUNDS["leaf_capacity"]),
-    "index.metric": Key("euclidean", str, "one of " + ", ".join(METRICS), METRICS.__contains__),
-    "retrieve.k": _int("10", 1),
-    "retrieve.search_k": _int("50", 1),
+    "index.n_trees": Key("350", int, *INDEX_RULES["n_trees"]),
+    "index.search_k": Key("50", int, *INDEX_RULES["search_k"]),
+    "index.leaf_capacity": Key("16", int, *INDEX_RULES["leaf_capacity"]),
+    "index.metric": Key("euclidean", str, *INDEX_RULES["metric"]),
+    "retrieve.k": Key("10", int, *int_rule(1)),
+    "retrieve.search_k": Key("50", int, *int_rule(1)),
     "retrieve.iou_filter": Key("0.5", float, "in [0, 1]", lambda v: 0 <= v <= 1),
-    "collage.background": Key("135,206,235", _ints, "three comma-separated integers in [0, 255]",
-                              lambda v: len(v) == 3 and all(0 <= c <= 255 for c in v)),
-    "collage.limit": _int("8", 0),
+    "collage.background": Key("135,206,235", _ints, *COLLAGE_RULES["background"]),
+    "collage.limit": Key("8", int, *int_rule(0)),
 }
 
 DEFAULTS = {key: spec.default for key, spec in KEYS.items() if spec.default}
@@ -276,8 +256,9 @@ def split_dataset(
     stay non-empty whenever the class has two or more items. A single-item
     class goes to train with a warning.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    rule = KEYS["split.train_fraction"]
+    if not rule.ok(train_fraction):
+        raise ValueError(f"train_fraction must be {rule.rule}, got {train_fraction}")
     rng = np.random.default_rng(seed)
     by_class: dict[str, list[int]] = {}
     for i, r in enumerate(records):
@@ -451,24 +432,21 @@ def stage_ingest(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str
         save_descriptors_file(ids, vectors[sel], outputs[f"desc_{split}.csgd"])
 
 
+# The config key of each typed config field whose key is not <stage>.<field>.
+_FIELD_KEYS = {"learning_rate": "train.lr", "layer_sizes": "train.layers", "seed": "seed"}
+
+
+def _typed(cls, stage: str, cfg: dict[str, Any]):
+    """cls built from a stage's typed config: each field from its _FIELD_KEYS key, else stage.field."""
+    return cls(**{f.name: cfg[_FIELD_KEYS.get(f.name, f"{stage}.{f.name}")] for f in fields(cls)})
+
+
 def stage_train(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
-    tc = TrainConfig(
-        learning_rate=cfg["train.lr"],
-        momentum=cfg["train.momentum"],
-        batch_size=cfg["train.batch_size"],
-        margin=cfg["train.margin"],
-        iterations=cfg["train.iterations"],
-        seed=cfg["seed"],
-        mining=cfg["train.mining"],
-        layer_sizes=cfg["train.layers"],
-        pool_factor=cfg["train.pool_factor"],
-        classical_hinge=cfg["train.classical_hinge"],
-    )
     ids, vectors = load_descriptors_file(inputs["desc_train.csgd"])
     items = _ById.read(load_items, inputs["items.csv"])
     dataset = LabeledDescriptors(vectors=vectors, labels=_class_labels([items[i] for i in ids]))
     del vectors  # training reads the float64 copy alone
-    result = train(dataset, tc)
+    result = train(dataset, _typed(TrainConfig, "train", cfg))
     save_model_file(result.params, outputs["model.csgm"])
     _write_table(outputs["loss_trace.csv"], ["iteration", "loss"],
                  ((i, repr(loss)) for i, loss in enumerate(result.loss_trace)))
@@ -482,15 +460,8 @@ def stage_embed(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str,
 
 
 def stage_index(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
-    ic = IndexConfig(
-        n_trees=cfg["index.n_trees"],
-        search_k=cfg["index.search_k"],
-        leaf_capacity=cfg["index.leaf_capacity"],
-        seed=cfg["seed"],
-        metric=cfg["index.metric"],
-    )
     _, embeddings = load_descriptors_file(inputs["emb_test.csgd"])
-    save_index_file(build(embeddings, ic), outputs["index.csgi"])
+    save_index_file(build(embeddings, _typed(IndexConfig, "index", cfg)), outputs["index.csgi"])
 
 
 def _ground_truth(
@@ -548,7 +519,7 @@ def _safe_name(item_id: str) -> str:
 
 
 def stage_collage(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
-    spec = CollageSpec(background=cfg["collage.background"])
+    spec = _typed(CollageSpec, "collage", cfg)
     groups = load_groups(inputs["groups.jsonl"])
     items = _ById.read(load_items, inputs["items.csv"])
     manifest = _ById.read(load_manifest, inputs["manifest_used.csv"])

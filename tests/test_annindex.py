@@ -91,6 +91,7 @@ class TestIndexConfig:
             {"search_k": 2**32},
             {"leaf_capacity": 2**32},
             {"seed": 2**64},
+            {"n_trees": 2.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -129,8 +129,12 @@ class TestForward:
 
 
 def assert_forward_bits(params, x, all_layers):
-    """forward_batch equals, bit for bit, np.maximum(x @ w.T + b, 0.0) per
-    hidden layer and the identity on the last, each layer a new array."""
+    """forward_batch equals np.maximum(x @ w.T + b, 0.0) per hidden layer and
+    the identity on the last, each layer a new array: bit for bit, -0.0
+    included, except that a NaN need only be NaN on both sides. IEEE 754
+    leaves open which operand's NaN a sum returns, and NumPy's in-place
+    z += b returns b's where z + b returns z's. No NaN reaches an artifact:
+    training stops on a non-finite loss."""
     want = [x]
     last = len(params.weights) - 1
     with np.errstate(all="ignore"):
@@ -143,7 +147,9 @@ def assert_forward_bits(params, x, all_layers):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape
-        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert np.array_equal(g[~nan].view(np.uint64), w[~nan].view(np.uint64))
 
 
 SPECIAL = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])
@@ -181,6 +187,16 @@ class TestForwardBatchBits:
         )
         x = np.array([[-0.0], [0.0], [np.nan], [np.inf], [-np.inf], [2.0]])
         assert_forward_bits(params, x, all_layers)
+
+    @pytest.mark.parametrize("all_layers", [False, True])
+    def test_nan_meets_nan_bias(self, all_layers):
+        # inf times a zero weight is NaN, and the last layer adds a NaN bias:
+        # the in-place sum keeps the bias's NaN, the reference's sum z's
+        params = EncoderParams(
+            weights=(np.zeros((3, 1)), np.zeros((1, 3))),
+            biases=(np.zeros(3), np.array([np.nan])),
+        )
+        assert_forward_bits(params, np.array([[np.inf]]), all_layers)
 
 
 class TestContrastiveLoss:
@@ -690,11 +706,21 @@ class TestTrainConfig:
             {"layer_sizes": ()},
             {"layer_sizes": (0,)},
             {"pool_factor": 0},
+            {"batch_size": 2.5},
+            {"iterations": 2.5},
+            {"pool_factor": 1.5},
+            {"seed": 1.5},
+            {"layer_sizes": (2.7,)},
+            {"classical_hinge": "no"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = TrainConfig(batch_size=np.int64(4), seed=np.uint64(3), layer_sizes=np.array([5, 2]))
+        assert cfg.layer_sizes == (5, 2)
 
 
 class TestSamplePairs:

@@ -3,18 +3,19 @@ import logging
 import os
 import re
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import synthdata
-from coseg.annindex import RetrievalResult
+from coseg.annindex import IndexConfig, RetrievalResult
 from coseg.annindex import load_file as load_index_file
 from coseg.cli import main
 from coseg.collage import CollageSpec
 from coseg.descriptors import load_descriptors_file
+from coseg.embedder import TrainConfig
 from coseg.errors import ConfigError, StageError
 from coseg.geometry import (
     BoundingBox,
@@ -1304,9 +1305,30 @@ REJECTED = [
 ]
 
 
+def typed_rejections():
+    """Each REJECTED value that parses, for each typed config field its key
+    feeds in the stages: (type, field, key, parsed value)."""
+    for _, key, value in REJECTED:
+        try:
+            parsed = KEYS[key].parse(value)
+        except (KeyError, ValueError):
+            continue
+        for cls, stage in ((TrainConfig, "train"), (IndexConfig, "index"), (CollageSpec, "collage")):
+            for f in fields(cls):
+                if coseg.pipeline._FIELD_KEYS.get(f.name, f"{stage}.{f.name}") == key:
+                    yield pytest.param(cls, f.name, key, parsed, id=f"{cls.__name__}.{f.name}={value}")
+
+
 class TestKeys:
     def test_every_key_has_a_rejected_value(self):
         assert {key for _, key, _ in REJECTED} == set(KEYS)
+
+    @pytest.mark.parametrize("cls,field,key,value", typed_rejections())
+    def test_typed_configs_refuse_in_the_keys_words(self, cls, field, key, value):
+        # TrainConfig(learning_rate=0) is refused as --train.lr 0 is, in the same words
+        with pytest.raises(ConfigError) as info:
+            cls(**{field: value})
+        assert f"{field} must be {KEYS[key].rule}, got " in str(info.value)
 
     def test_defaults_pass_their_rules(self):
         parsed = parse_config({**DEFAULTS, "data.manifest": "m", "data.proposals": "p", "data.out_dir": "o"})
