@@ -1,14 +1,15 @@
 """The bottom I/O layer: a bounds-checked cursor over the little-endian binary
-formats' bytes, and the one framing every text file is read with."""
+formats' bytes, naming() for decode errors, and the one text file framing."""
 
 from __future__ import annotations
 
+import contextlib
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagicError, TruncatedError, VersionError
+from .errors import BadMagicError, DecodeError, TruncatedError, VersionError
 
 
 class Reader:
@@ -49,6 +50,15 @@ class Reader:
     def expect_eof(self) -> None:
         if self.pos != len(self.data):
             raise TruncatedError(f"{len(self.data) - self.pos} trailing bytes after content")
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Re-raise a DecodeError raised inside, of its own type, with `path: ` before its message."""
+    try:
+        yield
+    except DecodeError as e:
+        raise type(e)(f"{path}: {e}") from e
 
 
 def read_lines(path) -> list[str]:

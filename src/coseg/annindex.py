@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _binio
-from .errors import SEED_BITS, DecodeError, check_rules, int_rule
+from .errors import SEED_BITS, DecodeError, check, check_rules, int_rule
 
 MAGIC = b"CSGI"
 VERSION = 3
@@ -45,6 +45,7 @@ FIELD_BOUNDS = {"n_trees": (1, 32), "search_k": (1, 32), "leaf_capacity": (2, 32
 # IndexConfig's fields with their (words, predicate) rules, which the index.* config keys take too.
 INDEX_RULES = {name: int_rule(low, bits) for name, (low, bits) in FIELD_BOUNDS.items()}
 INDEX_RULES["metric"] = ("one of " + ", ".join(METRICS), METRICS.__contains__)
+K_RULE = int_rule(1)  # query's and retrieve_similar's k, and the retrieve.k key's
 
 
 @dataclass(frozen=True)
@@ -316,8 +317,7 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
     right. Where T, or an a or eps of a candidate, is not finite, the bound
     says nothing and every candidate is kept.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check("k", k, K_RULE)
     qv = np.asarray(q, dtype=np.float64).ravel()
     if qv.shape[0] != index.dim:
         raise ValueError(f"query dimension {qv.shape[0]} != index dimension {index.dim}")
@@ -388,8 +388,5 @@ def save_file(index: AnnIndex, path) -> None:
 
 
 def load_file(path, items) -> AnnIndex:
-    try:
-        with open(path, "rb") as fh:
-            return load(fh.read(), items)
-    except DecodeError as e:
-        raise type(e)(f"{path}: {e}") from e
+    with _binio.naming(path), open(path, "rb") as fh:
+        return load(fh.read(), items)

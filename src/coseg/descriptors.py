@@ -10,7 +10,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._binio import Reader
+from ._binio import Reader, naming
 from .errors import DecodeError, TruncatedError
 from .geometry import BoundingBox
 
@@ -123,5 +123,5 @@ def save_descriptors_file(ids: list[str], vectors: np.ndarray, path) -> None:
 
 
 def load_descriptors_file(path) -> tuple[list[str], np.ndarray]:
-    with open(path, "rb") as fh:
+    with naming(path), open(path, "rb") as fh:
         return load_descriptors(fh.read())

@@ -18,13 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FLAG_RULE, SEED_BITS, DecodeError, TrainingDiverged, check_rules, int_rule
-from ._binio import Reader
+from .errors import FLAG_RULE, SEED_BITS, DecodeError, TrainingDiverged, check, check_rules, int_rule
+from ._binio import Reader, naming
 
 MODEL_MAGIC = b"CSGM"
 MODEL_VERSION = 1
 
 MINING_MODES = ("random", "aggressive")
+LABEL_RULE = ("0 or 1", lambda v: v in (0, 1))  # a pair's label: 1 same class, 0 different
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,7 @@ class PairSample:
     label: int
 
     def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
+        check("label", self.label, LABEL_RULE)
         object.__setattr__(self, "a", np.asarray(self.a, dtype=np.float64))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
         if self.a.shape != self.b.shape or self.a.ndim != 1:
@@ -173,11 +173,9 @@ class TrainResult:
 
 def init_params(input_dim: int, layer_sizes: Sequence[int], seed: int) -> EncoderParams:
     """Seeded uniform init in +-sqrt(6/(fan_in+fan_out)); biases start at zero."""
-    if input_dim < 1:
-        raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-    sizes = [int(input_dim), *[int(s) for s in layer_sizes]]
-    if len(sizes) < 2 or any(s < 1 for s in sizes[1:]):
-        raise ValueError(f"layer_sizes must be non-empty positive integers, got {layer_sizes}")
+    check("input_dim", input_dim, _POSITIVE)
+    check("layer_sizes", layer_sizes, TRAIN_RULES["layer_sizes"])
+    sizes = [input_dim, *layer_sizes]
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -238,10 +236,8 @@ def contrastive_loss(
     fb = np.asarray(fb, dtype=np.float64)
     if fa.shape != fb.shape:
         raise ValueError(f"embedding shapes differ: {fa.shape} vs {fb.shape}")
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    if not margin > 0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    check("label", label, LABEL_RULE)
+    check("margin", margin, TRAIN_RULES["margin"])
     diff = fa - fb
     return float(_pair_losses(np.sum(diff * diff), label == 1, margin, classical_hinge))
 
@@ -269,7 +265,7 @@ def _batch_gradient(
     labels: np.ndarray,
     margin: float,
     classical_hinge: bool,
-    out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
+    out: tuple[list[np.ndarray], list[np.ndarray]],
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean loss and mean-loss gradients over the pairs (rows ia, rows ib).
 
@@ -282,9 +278,6 @@ def _batch_gradient(
     row sums its pair gradients and runs backward once. One bincount over
     flat (row, column) indices does the summing: each entry starts at +0.0
     and adds the a-side gradients in pair order, then the negated b-side ones.
-
-    out, _gradient_arrays' (weights, biases) lists, receives the gradients in
-    place and is returned; without it, new arrays are made.
     """
     n = len(ia)
     diff = acts[-1][ia] - acts[-1][ib]
@@ -307,7 +300,7 @@ def _batch_gradient(
     signed = np.concatenate([pair_delta, -pair_delta]).ravel()
     delta = np.bincount(flat, signed, minlength=acts[-1].size).reshape(acts[-1].shape)
     n_layers = len(params.weights)
-    grad_w, grad_b = _gradient_arrays(params) if out is None else out
+    grad_w, grad_b = out
     for layer in range(n_layers - 1, -1, -1):
         np.matmul(delta.T, acts[layer], out=grad_w[layer])
         np.sum(delta, axis=0, out=grad_b[layer])
@@ -323,8 +316,7 @@ def loss_gradient(
     classical_hinge: bool = False,
 ) -> EncoderParams:
     """Analytic gradient of contrastive_loss(forward(a), forward(b)) wrt params."""
-    if not margin > 0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    check("margin", margin, TRAIN_RULES["margin"])
     _, grad_w, grad_b = _batch_gradient(
         params,
         forward_batch(params, np.stack([pair.a, pair.b]), all_layers=True),
@@ -333,6 +325,7 @@ def loss_gradient(
         np.array([pair.label]),
         margin,
         classical_hinge,
+        _gradient_arrays(params),
     )
     return EncoderParams(weights=tuple(grad_w), biases=tuple(grad_b))
 
@@ -508,5 +501,5 @@ def save_model_file(params: EncoderParams, path) -> None:
 
 
 def load_model_file(path) -> EncoderParams:
-    with open(path, "rb") as fh:
+    with naming(path), open(path, "rb") as fh:
         return load_model(fh.read())

@@ -33,11 +33,16 @@ def int_rule(low: int, bits: int | None = None):
     return f">= {low} and < 2**{bits}", lambda v: isinstance(v, numbers.Integral) and low <= v < 2**bits
 
 
+def check(name: str, value, rule) -> None:
+    """ConfigError `<name> must be <words>, got <value!r>` unless value meets rule, a (words, predicate)."""
+    if not rule[1](value):
+        raise ConfigError(f"{name} must be {rule[0]}, got {value!r}")
+
+
 def check_rules(obj, rules: dict) -> None:
-    """ConfigError naming the first field of obj, in rules' order, that breaks its rule."""
-    for name, (words, ok) in rules.items():
-        if not ok(value := getattr(obj, name)):
-            raise ConfigError(f"{name} must be {words}, got {value!r}")
+    """check() on each field of obj in rules' order."""
+    for name, rule in rules.items():
+        check(name, getattr(obj, name), rule)
 
 
 class TrainingDiverged(RuntimeError):

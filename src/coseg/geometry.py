@@ -6,6 +6,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._binio import read_lines
+from .errors import check, int_rule
+
+IOU_RULE = ("in (0, 1]", lambda v: 0 < v <= 1)  # nms' and dedup_near's, and the ingest.*_threshold keys'
+TOP_K_RULE = int_rule(1)  # top_k's k, and the ingest.top_k key's
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,7 @@ def _suppress(props: list[Proposal], order, iou_threshold: float) -> list[Propos
     The one suppression loop behind nms (score order) and dedup_near (input
     order). All proposals must belong to one image.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou threshold must be in (0, 1], got {iou_threshold}")
+    check("iou_threshold", iou_threshold, IOU_RULE)
     ids = {p.image_id for p in props}
     if len(ids) > 1:
         raise ValueError(f"proposals span multiple images: {sorted(ids)}")
@@ -103,8 +106,7 @@ def dedup_near(props: list[Proposal], iou_threshold: float) -> list[Proposal]:
 
 def top_k(props: list[Proposal], k: int) -> list[Proposal]:
     """The k highest-scored proposals in descending score order (ties by input order)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check("k", k, TOP_K_RULE)
     return [props[i] for i in _by_score(props)[:k]]
 
 

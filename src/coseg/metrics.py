@@ -15,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check
 from .geometry import BoundingBox
+
+THRESHOLD_RULE = ("in [0, 1]", lambda v: 0 <= v <= 1)  # iou_verdicts', and the retrieve.iou_filter key's
 
 
 def _check_same_shape(seg: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +104,7 @@ ItemTable = dict[str, tuple[BoundingBox, np.ndarray | BoxTruth | None, str]]
 def iou_verdicts(items: ItemTable, threshold: float) -> dict[str, bool]:
     """Whether each item's box reaches Jaccard >= threshold against its ground
     truth, as evaluate() scores it; a None ground truth passes."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    check("threshold", threshold, THRESHOLD_RULE)
     return {i: gt is None or _scores(*_counts(box, gt))[1] >= threshold for i, (box, gt, _) in items.items()}
 
 

@@ -20,15 +20,16 @@ from typing import Any
 import numpy as np
 
 from ._binio import read_lines
-from .annindex import INDEX_RULES, IndexConfig, build
+from .annindex import INDEX_RULES, K_RULE, IndexConfig, build
 from .annindex import load_file as load_index_file
 from .annindex import save_file as save_index_file
 from .collage import COLLAGE_RULES, CollageItem, CollageSpec, make_collage
 from .descriptors import DESCRIPTOR_DIM, load_descriptors_file, patch_descriptor, save_descriptors_file
 from .embedder import TRAIN_RULES, LabeledDescriptors, TrainConfig, load_model_file, save_model_file, train
-from .errors import FLAG_RULE, ConfigError, StageError, int_rule
-from .geometry import BoundingBox, Proposal, dedup_near, load_proposals, nms, top_k
-from .metrics import BoxTruth, ItemTable, evaluate, group_item_ids, iou_verdicts, save_report_file
+from .errors import FLAG_RULE, ConfigError, StageError, check, int_rule
+from .geometry import IOU_RULE, TOP_K_RULE, BoundingBox, Proposal, dedup_near, load_proposals, nms, top_k
+from .metrics import (THRESHOLD_RULE, BoxTruth, ItemTable, evaluate, group_item_ids, iou_verdicts,
+                      save_report_file)
 from .pnm import read_image, read_pbm, write_ppm
 from .retrieval import embed_all, filter_candidates, load_groups, retrieve_similar, save_groups
 
@@ -74,6 +75,7 @@ def _path(raw: str) -> Path:
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _FLAG = Key("false", lambda raw: _BOOLS[raw.lower()], *FLAG_RULE)
 _PATH = Key("", _path, "set")
+TRAIN_FRACTION_RULE = ("in (0, 1)", lambda v: 0 < v < 1)  # split_dataset's, and split.train_fraction's
 
 # Every config key in one place. DEFAULTS, the unknown-key checks and the CLI
 # flags derive from it; parse_config types and checks values by it. A key that
@@ -84,10 +86,10 @@ KEYS: dict[str, Key] = {
     "data.proposals": _PATH,
     "data.out_dir": _PATH,
     "split.resplit": _FLAG,
-    "split.train_fraction": Key("0.8", float, "in (0, 1)", lambda v: 0 < v < 1),
-    "ingest.dedup_threshold": Key("0.95", float, "in (0, 1]", lambda v: 0 < v <= 1),
-    "ingest.nms_threshold": Key("0.7", float, "in (0, 1]", lambda v: 0 < v <= 1),
-    "ingest.top_k": Key("10", int, *int_rule(1)),
+    "split.train_fraction": Key("0.8", float, *TRAIN_FRACTION_RULE),
+    "ingest.dedup_threshold": Key("0.95", float, *IOU_RULE),
+    "ingest.nms_threshold": Key("0.7", float, *IOU_RULE),
+    "ingest.top_k": Key("10", int, *TOP_K_RULE),
     "train.lr": Key("0.01", float, *TRAIN_RULES["learning_rate"]),
     "train.momentum": Key("0.9", float, *TRAIN_RULES["momentum"]),
     "train.batch_size": Key("128", int, *TRAIN_RULES["batch_size"]),
@@ -101,9 +103,9 @@ KEYS: dict[str, Key] = {
     "index.search_k": Key("50", int, *INDEX_RULES["search_k"]),
     "index.leaf_capacity": Key("16", int, *INDEX_RULES["leaf_capacity"]),
     "index.metric": Key("euclidean", str, *INDEX_RULES["metric"]),
-    "retrieve.k": Key("10", int, *int_rule(1)),
+    "retrieve.k": Key("10", int, *K_RULE),
     "retrieve.search_k": Key("50", int, *int_rule(1)),
-    "retrieve.iou_filter": Key("0.5", float, "in [0, 1]", lambda v: 0 <= v <= 1),
+    "retrieve.iou_filter": Key("0.5", float, *THRESHOLD_RULE),
     "collage.background": Key("135,206,235", _ints, *COLLAGE_RULES["background"]),
     "collage.limit": Key("8", int, *int_rule(0)),
 }
@@ -256,9 +258,7 @@ def split_dataset(
     stay non-empty whenever the class has two or more items. A single-item
     class goes to train with a warning.
     """
-    rule = KEYS["split.train_fraction"]
-    if not rule.ok(train_fraction):
-        raise ValueError(f"train_fraction must be {rule.rule}, got {train_fraction}")
+    check("train_fraction", train_fraction, TRAIN_FRACTION_RULE)
     rng = np.random.default_rng(seed)
     by_class: dict[str, list[int]] = {}
     for i, r in enumerate(records):

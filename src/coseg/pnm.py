@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._binio import naming
 from .errors import BadMagicError, DecodeError, TruncatedError
 
 _HEAD_BLOCK = 512  # first read of a raster file; headers are far shorter
@@ -64,14 +65,14 @@ def _read_raster(path, magics: tuple[bytes, ...], rows: slice = slice(None)) -> 
     rows are then read from their offset straight into a fresh array that
     owns its memory (a bitmap's packed rows are then unpacked). The samples
     are returned as stored, so any maxval but 255 is rejected. Bytes after
-    the raster are ignored.
+    the raster are ignored. A DecodeError names the path.
     """
-    with open(path, "rb", buffering=0) as fh:
+    with naming(path), open(path, "rb", buffering=0) as fh:
         head = fh.read(_HEAD_BLOCK)
         magic = head[:2]
         if magic not in magics:
             expected = " or ".join(m.decode() for m in magics)
-            raise BadMagicError(f"{path}: expected {expected}, found {magic!r}")
+            raise BadMagicError(f"expected {expected}, found {magic!r}")
         while True:
             try:
                 fields, off = _header_ints(head, 2, 2 if magic == b"P4" else 3)
@@ -96,8 +97,8 @@ def _read_raster(path, magics: tuple[bytes, ...], rows: slice = slice(None)) -> 
         fh.seek(off + start * (need // h))
         need = math.prod(shape)
         image = np.fromfile(fh, np.uint8, count=need)
-    if image.size < need:
-        raise TruncatedError(f"{path} shrank while it was read")
+        if image.size < need:
+            raise TruncatedError("file shrank while it was read")
     image.shape = shape  # in place: reshape would return a view
     if magic == b"P4":
         return np.unpackbits(image, axis=1, count=w).astype(bool)

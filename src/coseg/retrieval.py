@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._binio import read_lines
-from .annindex import AnnIndex, RetrievalResult, query
+from .annindex import K_RULE, AnnIndex, RetrievalResult, query
 from .embedder import EncoderParams, forward_batch
+from .errors import check
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,9 @@ def retrieve_similar(
     item name for each index position (defaults to the position as a string).
     class_hints, when given, must hold every anchor; without it every hint is
     None. Each query asks for k+1 neighbors so that dropping the anchor's own
-    entry still leaves k; search_k goes to query as given.
+    entry still leaves k, which must meet K_RULE; search_k goes to query as given.
     """
+    check("k", k, K_RULE)
     n_items = index.items.shape[0]
     if embeddings.shape[0] != n_items:
         raise ValueError(

@@ -24,7 +24,7 @@ from coseg.annindex import (
     save_file,
     split_plane,
 )
-from coseg.errors import BadMagicError, DecodeError, TruncatedError, VersionError
+from coseg.errors import BadMagicError, ConfigError, DecodeError, TruncatedError, VersionError
 from oracles import exact_scan, from_steps, full_rerank, grow_forest_oracle, leaves, to_steps, walk_oracle
 
 
@@ -325,6 +325,12 @@ class TestQuery:
         idx = build(np.eye(3), IndexConfig(n_trees=1))
         with pytest.raises(ValueError):
             query(idx, [1.0, 0.0, 0.0], k=0)
+
+    def test_fractional_k_refused_by_its_rule(self):
+        # it used to pass the check and fail later with a TypeError
+        idx = build(np.eye(3), IndexConfig(n_trees=1))
+        with pytest.raises(ConfigError, match=r"k must be >= 1, got 1\.5"):
+            query(idx, [1.0, 0.0, 0.0], k=1.5)
 
     def test_cosine_metric_ranks_by_angle(self):
         items = np.array(

@@ -1,7 +1,8 @@
 """Malformed artifacts are rejected, never with an unexpected exception:
-truncations, bit flips and random headers are fed to the .csgd, .csgm and
-.csgi decoders, which may raise only DecodeError, and to the PBM/PGM/PPM
-readers, which may raise only ValueError (DecodeError is one)."""
+truncations, bit flips and random headers are written to files and fed to the
+.csgd, .csgm and .csgi file loaders, which may raise only DecodeError, and to
+the PBM/PGM/PPM readers, which may raise only ValueError (DecodeError is one).
+Every DecodeError starts with the path of the file it came from."""
 
 import struct
 
@@ -11,19 +12,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coseg import pnm
-from coseg.annindex import IndexConfig, build, load, save
-from coseg.descriptors import load_descriptors, save_descriptors
-from coseg.embedder import EncoderParams, load_model, save_model
+from coseg.annindex import IndexConfig, build, load_file, save
+from coseg.descriptors import load_descriptors_file, save_descriptors
+from coseg.embedder import EncoderParams, load_model_file, save_model
 from coseg.errors import DecodeError
 
 _rng = np.random.default_rng(0)
 ITEMS = np.random.default_rng(1).normal(size=(12, 3))  # the items the index sample is loaded for
 
-# name -> (valid bytes, decoder over bytes, header fields after magic and version)
+# name -> (valid bytes, loader over a path, header fields after magic and version)
 BINARY = {
     "csgd": (
         save_descriptors(["a", "bé", ""], _rng.normal(size=(3, 4))),
-        load_descriptors,
+        load_descriptors_file,
         "<IQ",  # dim, count
     ),
     "csgm": (
@@ -31,12 +32,12 @@ BINARY = {
             weights=(_rng.normal(size=(3, 4)), _rng.normal(size=(2, 3))),
             biases=(_rng.normal(size=3), _rng.normal(size=2)),
         )),
-        load_model,
+        load_model_file,
         "<III",  # layer count, first layer rows and cols
     ),
     "csgi": (
         save(build(ITEMS, IndexConfig(n_trees=2, leaf_capacity=4, seed=1))),
-        lambda data: load(data, ITEMS),
+        lambda path: load_file(path, ITEMS),
         "<IIIQB",  # n_trees, search_k, leaf_capacity, seed, metric; the items' digest follows
     ),
 }
@@ -52,17 +53,23 @@ FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCh
 
 
 @pytest.fixture(scope="module")
-def raster_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("raster")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
 
 
-def decode_raster(raster_dir, name):
-    path = raster_dir / f"fuzz.{name}"
-    reader = RASTER[name][1]
+def file_decoder(fuzz_dir, name):
+    """A decoder over bytes: it writes them to a file and reads that with
+    name's loader, whose DecodeError must start with the file's path."""
+    path = fuzz_dir / f"fuzz.{name}"
+    reader = {**BINARY, **RASTER}[name][1]
 
     def decode(data: bytes):
         path.write_bytes(data)
-        return reader(path)
+        try:
+            return reader(path)
+        except DecodeError as e:
+            assert str(e).startswith(f"{path}: "), str(e)
+            raise
 
     return decode
 
@@ -82,47 +89,45 @@ def decodes_or_raises(decode, data: bytes, error=ValueError) -> None:
 
 
 @pytest.mark.parametrize("name", sorted(BINARY))
-def test_valid_samples_decode(name):
-    data, decode, _ = BINARY[name]
-    decode(data)
+def test_valid_samples_decode(name, fuzz_dir):
+    file_decoder(fuzz_dir, name)(BINARY[name][0])
 
 
 @pytest.mark.parametrize("name", sorted(RASTER))
-def test_valid_raster_samples_decode(name, raster_dir):
-    decode_raster(raster_dir, name)(RASTER[name][0])
+def test_valid_raster_samples_decode(name, fuzz_dir):
+    file_decoder(fuzz_dir, name)(RASTER[name][0])
 
 
 @pytest.mark.parametrize("name", sorted(BINARY))
 @FUZZ
 @given(cut=st.integers(0, 10**6))
-def test_binary_truncation_rejected(name, cut):
-    data, decode, _ = BINARY[name]
+def test_binary_truncation_rejected(name, cut, fuzz_dir):
+    data = BINARY[name][0]
     with pytest.raises(DecodeError):
-        decode(data[: cut % len(data)])
+        file_decoder(fuzz_dir, name)(data[: cut % len(data)])
 
 
 @pytest.mark.parametrize("name", sorted(RASTER))
 @FUZZ
 @given(cut=st.integers(0, 10**6))
-def test_raster_truncation_rejected(name, cut, raster_dir):
+def test_raster_truncation_rejected(name, cut, fuzz_dir):
     data = RASTER[name][0]
     with pytest.raises(ValueError):
-        decode_raster(raster_dir, name)(data[: cut % len(data)])
+        file_decoder(fuzz_dir, name)(data[: cut % len(data)])
 
 
 @pytest.mark.parametrize("name", sorted(BINARY))
 @FUZZ
 @given(bits=st.lists(st.integers(0, 2**20), min_size=1, max_size=6))
-def test_binary_bit_flips(name, bits):
-    data, decode, _ = BINARY[name]
-    decodes_or_raises(decode, flip_bits(data, bits), DecodeError)
+def test_binary_bit_flips(name, bits, fuzz_dir):
+    decodes_or_raises(file_decoder(fuzz_dir, name), flip_bits(BINARY[name][0], bits), DecodeError)
 
 
 @pytest.mark.parametrize("name", sorted(RASTER))
 @FUZZ
 @given(bits=st.lists(st.integers(0, 2**20), min_size=1, max_size=6))
-def test_raster_bit_flips(name, bits, raster_dir):
-    decodes_or_raises(decode_raster(raster_dir, name), flip_bits(RASTER[name][0], bits))
+def test_raster_bit_flips(name, bits, fuzz_dir):
+    decodes_or_raises(file_decoder(fuzz_dir, name), flip_bits(RASTER[name][0], bits))
 
 
 def header_values(fields: str):
@@ -137,13 +142,13 @@ def header_values(fields: str):
 @pytest.mark.parametrize("name", sorted(BINARY))
 @FUZZ
 @given(data=st.data(), tail=st.one_of(st.none(), st.binary(max_size=64)))
-def test_binary_random_header(name, data, tail):
+def test_binary_random_header(name, data, tail, fuzz_dir):
     # valid magic and version, random header fields, then either the valid
     # body that followed the original header or random bytes
-    valid, decode, fields = BINARY[name]
+    valid, _, fields = BINARY[name]
     values = data.draw(header_values(fields))
     body = valid[8 + struct.calcsize(fields) :] if tail is None else tail
-    decodes_or_raises(decode, valid[:8] + struct.pack(fields, *values) + body, DecodeError)
+    decodes_or_raises(file_decoder(fuzz_dir, name), valid[:8] + struct.pack(fields, *values) + body, DecodeError)
 
 
 @pytest.mark.parametrize("name", sorted(RASTER))
@@ -152,6 +157,6 @@ def test_binary_random_header(name, data, tail):
     header=st.text(alphabet="0123456789 \t\n#x-+", max_size=24),
     raster=st.binary(max_size=64),
 )
-def test_raster_random_header(name, header, raster, raster_dir):
+def test_raster_random_header(name, header, raster, fuzz_dir):
     magic = RASTER[name][0][:2]
-    decodes_or_raises(decode_raster(raster_dir, name), magic + header.encode() + raster)
+    decodes_or_raises(file_decoder(fuzz_dir, name), magic + header.encode() + raster)

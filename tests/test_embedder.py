@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from coseg.embedder import (
     TrainConfig,
     _batch_gradient,
     _class_members,
+    _gradient_arrays,
     _mine_hard_indices,
     _sample_pair_indices,
     contrastive_loss,
@@ -279,7 +281,8 @@ class TestContrastiveLoss:
         # one linear layer: the pair's rows are both its input and its embedding
         params = EncoderParams(weights=(np.eye(emb.shape[1]),), biases=(np.zeros(emb.shape[1]),))
         trained, _, _ = _batch_gradient(
-            params, [emb, emb], np.array([0]), np.array([1]), np.array([label]), margin, classical
+            params, [emb, emb], np.array([0]), np.array([1]), np.array([label]), margin, classical,
+            _gradient_arrays(params),
         )
         got = contrastive_loss(emb[0], emb[1], label, margin, classical)
         assert np.float64(got).view(np.uint64) == np.float64(trained).view(np.uint64)
@@ -386,7 +389,8 @@ def batch_gradient(params, vectors, ia, ib, labels, margin, classical_hinge):
     touch, each once, with ia and ib mapped onto them."""
     rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
     acts = forward_batch(params, vectors[rows], all_layers=True)
-    return _batch_gradient(params, acts, inv[: len(ia)], inv[len(ia) :], labels, margin, classical_hinge)
+    return _batch_gradient(params, acts, inv[: len(ia)], inv[len(ia) :], labels, margin, classical_hinge,
+                           _gradient_arrays(params))
 
 
 def same_bits(got, want):
@@ -1072,13 +1076,21 @@ class TestModelSerialization:
         (lambda: LabeledDescriptors(vectors=np.zeros(3), labels=np.zeros(3)), "vectors must be 2-d"),
         (lambda: LabeledDescriptors(vectors=np.zeros((3, 2)), labels=np.zeros(2)), "3 vectors but label shape"),
         (lambda: init_params(0, (2,), seed=0), "input_dim must be >= 1"),
-        (lambda: init_params(2, (), seed=0), "layer_sizes must be non-empty"),
+        (lambda: init_params(2, (), seed=0), "layer_sizes must be comma-separated integers >= 1, got ()"),
         (lambda: loss_gradient(tiny_params(), PairSample(a=np.ones(2), b=np.ones(2), label=1), 0.0),
-         "margin must be positive"),
+         "margin must be finite and > 0, got 0.0"),
+        # values TrainConfig refuses that these functions used to take
+        (lambda: contrastive_loss(np.zeros(2), np.zeros(2), 0, margin=float("inf")),
+         "margin must be finite and > 0, got inf"),
+        (lambda: loss_gradient(tiny_params(), PairSample(a=np.ones(2), b=np.zeros(2), label=0), float("inf")),
+         "margin must be finite and > 0, got inf"),
+        (lambda: init_params(3, (2.7,), 0), "layer_sizes must be comma-separated integers >= 1, got (2.7,)"),
+        (lambda: init_params(2.5, (2,), 0), "input_dim must be >= 1, got 2.5"),
     ],
     ids=["weight-bias-count", "pair-label", "pair-shapes", "descriptors-1d", "label-count",
-         "input-dim-0", "no-layers", "gradient-margin-0"],
+         "input-dim-0", "no-layers", "gradient-margin-0", "loss-margin-inf", "gradient-margin-inf",
+         "fractional-width", "fractional-input-dim"],
 )
 def test_argument_errors(call, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coseg.errors import ConfigError
 from coseg.geometry import (
     BoundingBox,
     Proposal,
@@ -201,6 +202,11 @@ class TestTopK:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             top_k([], 0)
+
+    def test_fractional_k_refused_by_its_rule(self):
+        # it used to pass the check and fail in the slice with a TypeError
+        with pytest.raises(ConfigError, match=r"k must be >= 1, got 1\.5"):
+            top_k([prop(0, 0, 1, 1, 0.5)], 1.5)
 
     def test_equals_full_sort_prefix(self):
         rng = np.random.default_rng(4)

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import synthdata
-from coseg.annindex import IndexConfig, RetrievalResult
+from coseg.annindex import IndexConfig, RetrievalResult, build, query
 from coseg.annindex import load_file as load_index_file
 from coseg.cli import main
 from coseg.collage import CollageSpec
 from coseg.descriptors import load_descriptors_file
-from coseg.embedder import TrainConfig
+from coseg.embedder import PairSample, TrainConfig, contrastive_loss, init_params, loss_gradient
 from coseg.errors import ConfigError, StageError
 from coseg.geometry import (
     BoundingBox,
@@ -52,9 +52,9 @@ from coseg.pipeline import (
     save_items,
     save_manifest,
 )
-from coseg.metrics import jaccard, precision
+from coseg.metrics import iou_verdicts, jaccard, precision
 from coseg.pnm import read_image, write_pbm, write_pgm, write_ppm
-from coseg.retrieval import SimilarityGroup, load_groups, save_groups
+from coseg.retrieval import SimilarityGroup, load_groups, retrieve_similar, save_groups
 from oracles import drawn, whole_frame_collage
 
 FAST_OVERRIDES = {
@@ -1130,6 +1130,24 @@ class TestOneGroundTruth:
             assert (new_out / name).read_bytes() == (out / name).read_bytes()
 
 
+class TestDecodeErrorsNameTheirFile:
+    def test_truncated_model(self, pipeline_run, tmp_path):
+        _, cfg = fresh_copy(pipeline_run, tmp_path)
+        model = Path(cfg["data.out_dir"]) / "model.csgm"
+        model.write_bytes(model.read_bytes()[:-3])
+        message = re.escape(f"stage 'embed' failed: {model}: needed ") + r"\d+ bytes at offset \d+, only \d+ left"
+        with pytest.raises(StageError, match=message):
+            run_stage("embed", cfg)
+
+    def test_frame_with_maxval_254(self, pipeline_run, tmp_path):
+        new_root, cfg = fresh_copy(pipeline_run, tmp_path)
+        frame = (new_root / load_manifest(new_root / "manifest.csv")[0].image_path).resolve()
+        frame.write_bytes(frame.read_bytes().replace(b"\n255\n", b"\n254\n", 1))
+        message = re.escape(f"stage 'ingest' failed: {frame}: unsupported maxval 254 (only 255)")
+        with pytest.raises(StageError, match=message):
+            run_stage("ingest", cfg)
+
+
 class TestRunStage:
     def test_unknown_stage(self):
         with pytest.raises(ConfigError, match="unknown stage"):
@@ -1279,6 +1297,7 @@ REJECTED = [
     ("ingest", "ingest.dedup_threshold", "1.5"),
     ("ingest", "ingest.nms_threshold", "0"),
     ("ingest", "ingest.top_k", "many"),
+    ("ingest", "ingest.top_k", "0"),
     ("train", "train.lr", "0"),
     ("train", "train.lr", "inf"),
     ("train", "train.lr", "abc"),
@@ -1298,6 +1317,7 @@ REJECTED = [
     ("index", "index.leaf_capacity", str(2**32)),
     ("index", "index.metric", "Euclidean"),
     ("retrieve", "retrieve.k", "1.5"),
+    ("retrieve", "retrieve.k", "0"),
     ("retrieve", "retrieve.search_k", "0"),
     ("retrieve", "retrieve.iou_filter", "nan"),
     ("collage", "collage.background", "1,2"),
@@ -1319,6 +1339,36 @@ def typed_rejections():
                     yield pytest.param(cls, f.name, key, parsed, id=f"{cls.__name__}.{f.name}={value}")
 
 
+_PROPS = [Proposal("img", BoundingBox(0, 0, 2, 2), 0.5)]
+_EMB = np.eye(3)
+_INDEX = build(_EMB, IndexConfig(n_trees=1))
+# Each library argument a config key feeds: key -> (parameter, call with a value).
+LIBRARY_ARGUMENTS = {
+    "train.margin": [
+        ("margin", lambda v: contrastive_loss(np.zeros(2), np.ones(2), 0, v)),
+        ("margin", lambda v: loss_gradient(init_params(2, (2,), 0), PairSample(np.ones(2), np.zeros(2), 0), v)),
+    ],
+    "train.layers": [("layer_sizes", lambda v: init_params(3, v, 0))],
+    "ingest.dedup_threshold": [("iou_threshold", lambda v: dedup_near(_PROPS, v))],
+    "ingest.nms_threshold": [("iou_threshold", lambda v: nms(_PROPS, v))],
+    "ingest.top_k": [("k", lambda v: top_k(_PROPS, v))],
+    "retrieve.k": [("k", lambda v: retrieve_similar(_INDEX, _EMB, v)), ("k", lambda v: query(_INDEX, _EMB[0], v))],
+    "retrieve.iou_filter": [("threshold", lambda v: iou_verdicts({}, v))],
+}
+
+
+def library_rejections():
+    """Each REJECTED value that parses, for each library argument its key
+    feeds: (key, parameter, call, parsed value)."""
+    for _, key, value in REJECTED:
+        try:
+            parsed = KEYS[key].parse(value)
+        except (KeyError, ValueError):
+            continue
+        for i, (param, call) in enumerate(LIBRARY_ARGUMENTS.get(key, [])):
+            yield pytest.param(key, param, call, parsed, id=f"{key}={value}-{i}")
+
+
 class TestKeys:
     def test_every_key_has_a_rejected_value(self):
         assert {key for _, key, _ in REJECTED} == set(KEYS)
@@ -1329,6 +1379,16 @@ class TestKeys:
         with pytest.raises(ConfigError) as info:
             cls(**{field: value})
         assert f"{field} must be {KEYS[key].rule}, got " in str(info.value)
+
+    def test_library_arguments_have_a_rejected_value(self):
+        assert {case.values[0] for case in library_rejections()} == set(LIBRARY_ARGUMENTS)
+
+    @pytest.mark.parametrize("key,param,call,value", library_rejections())
+    def test_library_arguments_refuse_in_the_keys_words(self, key, param, call, value):
+        # top_k(props, 0) is refused as --ingest.top_k 0 is, in the same words
+        with pytest.raises(ConfigError) as info:
+            call(value)
+        assert f"{param} must be {KEYS[key].rule}, got " in str(info.value)
 
     def test_defaults_pass_their_rules(self):
         parsed = parse_config({**DEFAULTS, "data.manifest": "m", "data.proposals": "p", "data.out_dir": "o"})
