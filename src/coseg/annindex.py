@@ -26,7 +26,7 @@ import functools
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,7 @@ FIELD_BOUNDS = {"n_trees": (1, 32), "search_k": (1, 32), "leaf_capacity": (2, 32
 INDEX_RULES = {name: int_rule(low, bits) for name, (low, bits) in FIELD_BOUNDS.items()}
 INDEX_RULES["metric"] = ("one of " + ", ".join(METRICS), METRICS.__contains__)
 K_RULE = int_rule(1)  # query's and retrieve_similar's k, and the retrieve.k key's
+SEARCH_K_RULE = int_rule(1)  # query's and retrieve_similar's search_k, and the retrieve.search_k key's
 
 
 @dataclass(frozen=True)
@@ -95,18 +96,11 @@ class Rows:
 class RetrievalResult:
     """Neighbors as (item_id, distance) pairs in ascending distance order."""
 
-    neighbors: list[tuple[int, float]] = field(default_factory=list)
+    neighbors: list[tuple[int, float]]
 
     @property
     def ids(self) -> list[int]:
         return [i for i, _ in self.neighbors]
-
-    @property
-    def distances(self) -> list[float]:
-        return [d for _, d in self.neighbors]
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
 
 
 @dataclass
@@ -291,6 +285,7 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
     best first, whole leaves at a time, so at least budget distinct items are
     candidates. The k closest candidates are returned in ascending order of
     their exact distance sqrt(einsum((x - q)**2)), ties broken by item id.
+    k must meet K_RULE and a given search_k SEARCH_K_RULE, else ConfigError.
 
     Only the candidates that can reach the k closest are scored exactly. For
     item x and query q of dimension d, with u = 2**-53, one product x @ q over
@@ -323,6 +318,8 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
         raise ValueError(f"query dimension {qv.shape[0]} != index dimension {index.dim}")
     if search_k is None:
         search_k = index.config.search_k
+    else:
+        check("search_k", search_k, SEARCH_K_RULE)
     if index.config.metric == "cosine":
         qv = _unit_query(qv)
 

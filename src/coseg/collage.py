@@ -112,7 +112,6 @@ def compose(assignment: list[tuple[int, CollageItem]], spec: CollageSpec) -> np.
     return canvas
 
 
-def make_collage(items: list[CollageItem], spec: CollageSpec | None = None) -> np.ndarray:
+def make_collage(items: list[CollageItem], spec: CollageSpec) -> np.ndarray:
     """layout + compose in one call."""
-    spec = spec or CollageSpec()
     return compose(layout(items, spec), spec)

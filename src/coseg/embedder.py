@@ -62,14 +62,6 @@ class EncoderParams:
     def input_dim(self) -> int:
         return self.weights[0].shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(w.shape[0] for w in self.weights)
-
     def copy(self) -> EncoderParams:
         return EncoderParams(
             weights=tuple(w.copy() for w in self.weights),
@@ -111,9 +103,6 @@ class LabeledDescriptors:
             raise ValueError(
                 f"{self.vectors.shape[0]} vectors but label shape {self.labels.shape}"
             )
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
 
     @property
     def dim(self) -> int:
@@ -189,7 +178,7 @@ def init_params(input_dim: int, layer_sizes: Sequence[int], seed: int) -> Encode
 def forward_batch(
     params: EncoderParams, batch: np.ndarray, *, all_layers: bool = False
 ) -> np.ndarray | list[np.ndarray]:
-    """Embed every row of a (n, input_dim) array; returns (n, output_dim).
+    """Embed every row of a (n, input_dim) array; returns (n, last layer's rows).
 
     The encoder's one forward pass. With all_layers, returns every layer's
     output instead, input first and embedding last, as training's backward

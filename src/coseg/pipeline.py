@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from ._binio import read_lines
-from .annindex import INDEX_RULES, K_RULE, IndexConfig, build
+from .annindex import INDEX_RULES, K_RULE, SEARCH_K_RULE, IndexConfig, build
 from .annindex import load_file as load_index_file
 from .annindex import save_file as save_index_file
 from .collage import COLLAGE_RULES, CollageItem, CollageSpec, make_collage
@@ -104,7 +104,7 @@ KEYS: dict[str, Key] = {
     "index.leaf_capacity": Key("16", int, *INDEX_RULES["leaf_capacity"]),
     "index.metric": Key("euclidean", str, *INDEX_RULES["metric"]),
     "retrieve.k": Key("10", int, *K_RULE),
-    "retrieve.search_k": Key("50", int, *int_rule(1)),
+    "retrieve.search_k": Key("50", int, *SEARCH_K_RULE),
     "retrieve.iou_filter": Key("0.5", float, *THRESHOLD_RULE),
     "collage.background": Key("135,206,235", _ints, *COLLAGE_RULES["background"]),
     "collage.limit": Key("8", int, *int_rule(0)),

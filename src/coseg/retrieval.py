@@ -57,7 +57,8 @@ def retrieve_similar(
     item name for each index position (defaults to the position as a string).
     class_hints, when given, must hold every anchor; without it every hint is
     None. Each query asks for k+1 neighbors so that dropping the anchor's own
-    entry still leaves k, which must meet K_RULE; search_k goes to query as given.
+    entry still leaves k, which must meet K_RULE; search_k goes to query, which
+    checks it against SEARCH_K_RULE when given.
     """
     check("k", k, K_RULE)
     n_items = index.items.shape[0]

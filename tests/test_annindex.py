@@ -258,8 +258,9 @@ class TestQuery:
         items = rng.normal(size=(50, 6))
         idx = build(items, IndexConfig(n_trees=4, search_k=50, leaf_capacity=8, seed=0))
         res = query(idx, rng.normal(size=6), k=10)
-        assert res.distances == sorted(res.distances)
-        assert len(res) == 10
+        dists = [d for _, d in res.neighbors]
+        assert dists == sorted(dists)
+        assert len(res.neighbors) == 10
         assert len(set(res.ids)) == 10
 
     def test_exhaustive_budget_matches_brute_force(self):
@@ -284,7 +285,7 @@ class TestQuery:
         items = np.eye(3, dtype=np.float32)
         idx = build(items, IndexConfig(n_trees=2, search_k=10, leaf_capacity=4))
         res = query(idx, [1.0, 0.0, 0.0], k=10)
-        assert len(res) == 3
+        assert len(res.neighbors) == 3
 
     def test_search_k_argument_overrides_config(self):
         rng = np.random.default_rng(8)
@@ -332,6 +333,13 @@ class TestQuery:
         with pytest.raises(ConfigError, match=r"k must be >= 1, got 1\.5"):
             query(idx, [1.0, 0.0, 0.0], k=1.5)
 
+    @pytest.mark.parametrize("search_k", [2.5, -7])
+    def test_bad_search_k_refused_by_its_rule(self, search_k):
+        # 2.5 used to fail in the walk with NumPy's TypeError, and -7 to pass silently
+        idx = build(np.random.default_rng(0).normal(size=(40, 3)), IndexConfig(n_trees=1, leaf_capacity=4))
+        with pytest.raises(ConfigError, match=f"search_k must be >= 1, got {search_k}"):
+            query(idx, [1.0, 0.0, 0.0], k=1, search_k=search_k)
+
     def test_cosine_metric_ranks_by_angle(self):
         items = np.array(
             [[10.0, 0.1], [0.1, 10.0], [1.0, 0.0]], dtype=np.float32
@@ -355,7 +363,7 @@ class TestQuery:
             got = query(idx, items[3] * scale, k=5, search_k=40)
         assert got.ids[0] == 3
         assert got.ids == want.ids
-        assert got.distances == pytest.approx(want.distances, abs=1e-6)
+        assert [d for _, d in got.neighbors] == pytest.approx([d for _, d in want.neighbors], abs=1e-6)
 
     def test_recall_reasonable_on_clustered_data(self):
         rng = np.random.default_rng(10)
@@ -436,7 +444,8 @@ class TestExactScan:
         idx.forest = line_forest(2.5, [[0, 1, 2], [3]], [-1, 1])
         got = query(idx, [2.45], k=2, search_k=3)  # k * n_trees = 2 < 4
         assert got.ids == [2, 1]
-        assert got.distances == sorted(got.distances)
+        dists = [d for _, d in got.neighbors]
+        assert dists == sorted(dists)
         assert walks == [3]
         assert query(idx, [2.45], k=2, search_k=4).ids == [3, 2]
 
@@ -556,7 +565,7 @@ class TestCertifiedRerank:
         for search_k in (5, 30):
             got = query(idx, q, k=4, search_k=search_k)
             assert got.neighbors == full_rerank(idx, q, 4, search_k)
-            assert got.distances == [np.inf] * 4
+            assert [d for _, d in got.neighbors] == [np.inf] * 4
         assert query(idx, q, k=4, search_k=30).ids == [0, 1, 2, 3]
 
     def test_exact_step_scores_k_rows_plus_ties_at_desk_vga_shape(self):

@@ -252,7 +252,7 @@ class TestMakeCollage:
 
     def test_ten_items_leave_no_background_when_masks_full(self):
         items = [solid_item((i + 1, 0, 0), float(i)) for i in range(10)]
-        canvas = make_collage(items)
+        canvas = make_collage(items, CollageSpec())
         bg = np.array(SKY_BLUE, dtype=np.uint8)
         assert not np.any(np.all(canvas == bg, axis=2))
 
@@ -264,8 +264,8 @@ class TestMakeCollage:
             region = rng.integers(0, 256, size=(*size, 3), dtype=np.uint8)
             mask = rng.random(size) > 0.3
             items.append(CollageItem(region=region, mask=mask, distance=float(rng.random())))
-        a = make_collage(items)
-        b = make_collage(items)
+        a = make_collage(items, CollageSpec())
+        b = make_collage(items, CollageSpec())
         assert np.array_equal(a, b)
 
     def test_random_invariants(self):

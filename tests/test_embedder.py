@@ -66,8 +66,7 @@ class TestEncoderParams:
     def test_dims(self):
         p = tiny_params()
         assert p.input_dim == 2
-        assert p.output_dim == 1
-        assert p.layer_sizes == (2, 1)
+        assert [w.shape for w in p.weights] == [(2, 2), (1, 2)]
 
     def test_copy_is_independent(self):
         p = tiny_params()
@@ -552,7 +551,7 @@ class TestBatchGradient:
         assert len(seen) == 3
         for batch, (ia, ib, _) in zip(seen, steps):
             rows = np.unique(np.concatenate([ia, ib]))
-            assert len(rows) < len(ds)
+            assert len(rows) < len(ds.vectors)
             assert np.array_equal(batch, ds.vectors[rows])
 
     def test_aggressive_forward_runs_once_on_all_rows(self, monkeypatch):
@@ -981,7 +980,7 @@ class TestTrain:
 
         monkeypatch.setattr(embedder, "_class_members", counting)
         assert save_model(train(ds, cfg).params) == want
-        assert calls == [len(ds)]
+        assert calls == [len(ds.vectors)]
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_raises_with_iteration(self):
@@ -1010,7 +1009,7 @@ class TestModelSerialization:
     def test_round_trip(self):
         params = init_params(6, (4, 3), seed=9)
         again = load_model(save_model(params))
-        assert again.layer_sizes == params.layer_sizes
+        assert [w.shape for w in again.weights] == [w.shape for w in params.weights]
         assert all(np.array_equal(a, b) for a, b in zip(again.weights, params.weights))
         assert all(np.array_equal(a, b) for a, b in zip(again.biases, params.biases))
 
@@ -1064,7 +1063,7 @@ class TestModelSerialization:
             load_model(self.model_bytes(*layers))
 
     def test_chained_layers_load(self):
-        assert load_model(self.model_bytes((3, 4), (2, 3))).layer_sizes == (3, 2)
+        assert [w.shape for w in load_model(self.model_bytes((3, 4), (2, 3))).weights] == [(3, 4), (2, 3)]
 
 
 @pytest.mark.parametrize(

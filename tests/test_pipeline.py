@@ -549,7 +549,7 @@ class TestFullPipeline:
         assert [g.anchor for g in groups] == ids
         known = set(ids)
         for g in groups:
-            assert len(g.members) <= 5
+            assert len(g.members.neighbors) <= 5
             for member, _ in g.members.neighbors:
                 assert member in known
 
@@ -701,7 +701,7 @@ class TestRetrieveStage:
         ]
         assert [list(g.members.neighbors) for g in load_groups(out / "groups.jsonl")] == want
         if float(iou_filter) > 0:  # at 0 every member passes
-            assert sum(map(len, want)) < sum(len(g.members) for g in unfiltered)
+            assert sum(map(len, want)) < sum(len(g.members.neighbors) for g in unfiltered)
         if iou_filter == pipeline_run[2]["retrieve.iou_filter"]:
             assert (out / "groups.jsonl").read_bytes() == (pipeline_run[1] / "groups.jsonl").read_bytes()
 
@@ -1353,6 +1353,10 @@ LIBRARY_ARGUMENTS = {
     "ingest.nms_threshold": [("iou_threshold", lambda v: nms(_PROPS, v))],
     "ingest.top_k": [("k", lambda v: top_k(_PROPS, v))],
     "retrieve.k": [("k", lambda v: retrieve_similar(_INDEX, _EMB, v)), ("k", lambda v: query(_INDEX, _EMB[0], v))],
+    "retrieve.search_k": [
+        ("search_k", lambda v: retrieve_similar(_INDEX, _EMB, 1, v)),
+        ("search_k", lambda v: query(_INDEX, _EMB[0], 1, v)),
+    ],
     "retrieve.iou_filter": [("threshold", lambda v: iou_verdicts({}, v))],
 }
 

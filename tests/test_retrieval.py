@@ -37,7 +37,7 @@ class TestSimilarityGroup:
 
     def test_equal_distances_allowed(self):
         g = group("a", [("b", 1.0), ("c", 1.0)])
-        assert len(g.members) == 2
+        assert len(g.members.neighbors) == 2
 
     @pytest.mark.parametrize(
         "dists",
@@ -48,7 +48,7 @@ class TestSimilarityGroup:
             group("a", [(f"m{i}", d) for i, d in enumerate(dists)])
 
     def test_zero_distance_allowed(self):
-        assert group("a", [("b", 0.0), ("c", -0.0)]).members.distances == [0.0, 0.0]
+        assert [d for _, d in group("a", [("b", 0.0), ("c", -0.0)]).members.neighbors] == [0.0, 0.0]
 
 
 class TestEmbedAll:
@@ -93,7 +93,7 @@ class TestRetrieveSimilar:
         groups = retrieve_similar(self.make_index(emb), emb, k=5)
         for g in groups:
             assert g.anchor not in [m for m, _ in g.members.neighbors]
-            assert len(g.members) == 5
+            assert len(g.members.neighbors) == 5
 
     def test_ids_map_positions_to_names(self):
         emb = np.array([[0.0], [1.0], [10.0]])
@@ -185,9 +185,9 @@ class TestFilterCandidates:
         items = {"p": (BoundingBox(5, 0, 10, 10), BoxTruth(BoundingBox(0, 0, 10, 10), 64, 64), "k")}
         g = group("q", [("p", 0.0)])
         kept = filter_candidates(g, iou_verdicts(items, threshold=1 / 3))
-        assert len(kept.members) == 1
+        assert len(kept.members.neighbors) == 1
         dropped = filter_candidates(g, iou_verdicts(items, threshold=0.34))
-        assert len(dropped.members) == 0
+        assert len(dropped.members.neighbors) == 0
 
     def test_unknown_member_rejected(self):
         g = group("q", [("missing", 0.1)])

@@ -1,11 +1,12 @@
 """Rules the package's own source keeps, read with the standard library's ast:
-every name a module imports is used there, every top-level name is used in the
-package or allowlisted with its outside user, the imports follow one layering
-with no cycle, and no line runs past 110 characters (CI's awk step checks the
-same limit)."""
+every name a module imports is used there, every top-level name and every
+class's methods and properties are used in the package or allowlisted with
+their outside user, the imports follow one layering with no cycle, and no line
+runs past 110 characters (CI's awk step checks the same limit)."""
 
 import ast
 import graphlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,9 +28,11 @@ LAYERS = [
     {"__main__"},
 ]
 
-# top-level names no package module uses -> who uses them instead
+# top-level names (module.name) and class members (module.Class.member) no
+# package module uses -> who uses them instead
 OUTSIDE_USERS = {
     "__init__.__version__": "the package's public version, equal to pyproject.toml's",
+    "annindex.RetrievalResult.ids": "the acceptance gate's criteria 3 and 4, and demo 03",
     "descriptors.save_descriptors": "the tests, which compare save_descriptors_file's bytes with it",
     "embedder.forward": "the tests and the acceptance gate",
     "embedder.contrastive_loss": "the tests and the acceptance gate",
@@ -96,12 +99,42 @@ def references(module: str, stmt: ast.stmt) -> set[str]:
     return out
 
 
+def allowlisted(dots: int) -> set[str]:
+    """OUTSIDE_USERS' keys with that many dots: 1 for top-level names, 2 for class members."""
+    return {key for key in OUTSIDE_USERS if key.count(".") == dots}
+
+
 def test_every_top_level_name_is_used_or_has_an_outside_user():
     uses = {stmt: references(module, stmt) for module, tree in TREES.items() for stmt in tree.body}
     unused = {f"{module}.{name}" for module, tree in TREES.items() for name, stmt in top_level_names(tree)
               if not any(f"{module}.{name}" in refs for user, refs in uses.items() if user is not stmt)}
-    assert sorted(unused - OUTSIDE_USERS.keys()) == []  # delete, use, or allowlist with the user
-    assert sorted(OUTSIDE_USERS.keys() - unused) == []  # used in the package: off the allowlist
+    assert sorted(unused - allowlisted(1)) == []  # delete, use, or allowlist with the user
+    assert sorted(allowlisted(1) - unused) == []  # used in the package: off the allowlist
+
+
+def class_members(tree: ast.Module):
+    """(class name, member name, def) for each method and property of a
+    top-level class; dunder methods are left out."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for node in stmt.body:
+                if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield stmt.name, node.name, node
+
+
+def attributes(node: ast.AST) -> Counter:
+    """How often each name is read or written as an attribute (`x.name`) under node."""
+    return Counter(child.attr for child in ast.walk(node) if isinstance(child, ast.Attribute))
+
+
+def test_every_class_member_is_used_or_has_an_outside_user():
+    # by name alone: an `x.name` anywhere outside the member's own def keeps it,
+    # so a member that shares its name with another is kept and is left to a reader
+    package = sum(map(attributes, TREES.values()), Counter())
+    unused = {f"{module}.{cls}.{name}" for module, tree in TREES.items() for cls, name, node in class_members(tree)
+              if package[name] == attributes(node)[name]}
+    assert sorted(unused - allowlisted(2)) == []  # delete, use, or allowlist with the user
+    assert sorted(allowlisted(2) - unused) == []  # used in the package: off the allowlist
 
 
 def imports(tree: ast.Module) -> set[str]:
