@@ -1,5 +1,6 @@
 """The bottom I/O layer: a bounds-checked cursor over the little-endian binary
-formats' bytes, naming() for decode errors, and the one text file framing."""
+formats' bytes, the one opener of their files, naming() for decode errors, and
+the one text file framing."""
 
 from __future__ import annotations
 
@@ -37,16 +38,6 @@ class Reader:
         dt = np.dtype(dtype)
         return np.frombuffer(self.take(dt.itemsize * count), dtype=dt).copy()
 
-    def expect_magic(self, magic: bytes) -> None:
-        got = self.take(len(magic))
-        if got != magic:
-            raise BadMagicError(f"expected magic {magic!r}, found {got!r}")
-
-    def expect_version(self, supported: int) -> None:
-        (got,) = self.unpack("<I")
-        if got != supported:
-            raise VersionError(f"format version {got} not supported (expected {supported})")
-
     def expect_eof(self) -> None:
         if self.pos != len(self.data):
             raise TruncatedError(f"{len(self.data) - self.pos} trailing bytes after content")
@@ -59,6 +50,22 @@ def naming(path):
         yield
     except DecodeError as e:
         raise type(e)(f"{path}: {e}") from e
+
+
+@contextlib.contextmanager
+def open_reader(path, magic: bytes, version: int):
+    """A Reader over the file's bytes, past its magic and its `<I` version,
+    each checked; a DecodeError raised here or inside names the path."""
+    with naming(path):
+        with open(path, "rb") as fh:
+            r = Reader(fh.read())
+        got = r.take(len(magic))
+        if got != magic:
+            raise BadMagicError(f"expected magic {magic!r}, found {got!r}")
+        (got,) = r.unpack("<I")
+        if got != version:
+            raise VersionError(f"format version {got} not supported (expected {version})")
+        yield r
 
 
 def read_lines(path) -> list[str]:

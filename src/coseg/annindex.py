@@ -27,6 +27,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ METRICS = ("euclidean", "cosine")
 UNIT_ROUNDOFF = 2.0**-53
 
 
-# IndexConfig's integer fields: (least value, bits). save() writes each as an
+# IndexConfig's integer fields: (least value, bits). save_file writes each as an
 # unsigned integer of that many bits, so it must also be below 2**bits.
 FIELD_BOUNDS = {"n_trees": (1, 32), "search_k": (1, 32), "leaf_capacity": (2, 32), "seed": (0, SEED_BITS)}
 # IndexConfig's fields with their (words, predicate) rules, which the index.* config keys take too.
@@ -94,12 +95,13 @@ class Rows:
 
 @dataclass
 class RetrievalResult:
-    """Neighbors as (item_id, distance) pairs in ascending distance order."""
+    """Neighbors as (item_id, distance) pairs in ascending distance order: an
+    index's row positions from query, item ids in a retrieval's groups."""
 
-    neighbors: list[tuple[int, float]]
+    neighbors: Sequence[tuple[int | str, float]]
 
     @property
-    def ids(self) -> list[int]:
+    def ids(self) -> list[int | str]:
         return [i for i, _ in self.neighbors]
 
 
@@ -346,44 +348,30 @@ def _digest(items: np.ndarray) -> bytes:
     return h.digest()
 
 
-def save(index: AnnIndex) -> bytes:
-    """Serialize the index: magic, version, `HEADER` (the config), then the
+def save_file(index: AnnIndex, path) -> None:
+    """Write the index: magic, version, `HEADER` (the config), then the
     sha256 of (n, dim) as `<QQ` and of the float32 rows build stored; no rows."""
     c = index.config
-    return b"".join([
-        MAGIC,
-        struct.pack("<I", VERSION),
-        struct.pack(HEADER, c.n_trees, c.search_k, c.leaf_capacity, c.seed, METRICS.index(c.metric)),
-        _digest(index.items),
-    ])
-
-
-def load(data: bytes, items) -> AnnIndex:
-    """The index save() wrote, rebuilt by build() over items (no forest grown).
-    Other items than the saved ones raise DecodeError; load_file's names the path."""
-    r = _binio.Reader(data)
-    r.expect_magic(MAGIC)
-    r.expect_version(VERSION)
-    n_trees, search_k, leaf_capacity, seed, metric_id = r.unpack(HEADER)
-    if metric_id >= len(METRICS):
-        raise DecodeError(f"unknown metric id {metric_id}")
-    try:
-        cfg = IndexConfig(n_trees, search_k, leaf_capacity, seed, METRICS[metric_id])
-    except ValueError as e:
-        raise DecodeError(f"index header: {e}") from e
-    digest = r.take(hashlib.sha256().digest_size)
-    r.expect_eof()
-    index = build(items, cfg)
-    if _digest(index.items) != digest:
-        raise DecodeError(f"index was built for other items than these, of shape {index.items.shape}")
-    return index
-
-
-def save_file(index: AnnIndex, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(save(index))
+        fh.write(MAGIC + struct.pack("<I", VERSION))
+        fh.write(struct.pack(HEADER, c.n_trees, c.search_k, c.leaf_capacity, c.seed, METRICS.index(c.metric)))
+        fh.write(_digest(index.items))
 
 
 def load_file(path, items) -> AnnIndex:
-    with _binio.naming(path), open(path, "rb") as fh:
-        return load(fh.read(), items)
+    """The index save_file wrote, rebuilt by build() over items (no forest
+    grown). Other items than the saved ones raise DecodeError."""
+    with _binio.open_reader(path, MAGIC, VERSION) as r:
+        n_trees, search_k, leaf_capacity, seed, metric_id = r.unpack(HEADER)
+        if metric_id >= len(METRICS):
+            raise DecodeError(f"unknown metric id {metric_id}")
+        try:
+            cfg = IndexConfig(n_trees, search_k, leaf_capacity, seed, METRICS[metric_id])
+        except ValueError as e:
+            raise DecodeError(f"index header: {e}") from e
+        digest = r.take(hashlib.sha256().digest_size)
+        r.expect_eof()
+        index = build(items, cfg)
+        if _digest(index.items) != digest:
+            raise DecodeError(f"index was built for other items than these, of shape {index.items.shape}")
+    return index

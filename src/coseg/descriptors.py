@@ -4,13 +4,11 @@ binary descriptor file format used to exchange them between pipeline stages.
 
 from __future__ import annotations
 
-import itertools
 import struct
-from typing import Iterator
 
 import numpy as np
 
-from ._binio import Reader, naming
+from ._binio import open_reader
 from .errors import DecodeError, TruncatedError
 from .geometry import BoundingBox
 
@@ -66,11 +64,12 @@ def patch_descriptor(image: np.ndarray, box: BoundingBox) -> np.ndarray:
     return (small.reshape(-1) / 255.0).astype(np.float32)
 
 
-def _encode_descriptors(ids: list[str], vectors: np.ndarray) -> Iterator[bytes]:
-    """The id/vector records as chunks: magic, version, dim and count `<IQ`,
-    then one chunk per record, a `<H` length-prefixed UTF-8 id followed by dim
-    float32 values. Every check runs before the first chunk is made."""
-    vectors = np.asarray(vectors, dtype=np.float32)
+def save_descriptors_file(ids: list[str], vectors: np.ndarray, path) -> None:
+    """Write id/vector records as a `.csgd` file: magic, version, dim and count
+    `<IQ`, then per record a `<H` length-prefixed UTF-8 id followed by dim
+    float32 values. Every check runs before the file is opened, and the
+    records are written one at a time."""
+    vectors = np.asarray(vectors, dtype="<f4")
     if vectors.ndim != 2:
         raise ValueError(f"vectors must be 2-d, got shape {vectors.shape}")
     if len(ids) != vectors.shape[0]:
@@ -78,50 +77,30 @@ def _encode_descriptors(ids: list[str], vectors: np.ndarray) -> Iterator[bytes]:
     for item_id in ids:  # encoded again per record, so no list of encoded ids is held
         if len(item_id.encode("utf-8")) > 0xFFFF:
             raise ValueError(f"item id too long to encode: {item_id[:32]!r}...")
-    header = DESCRIPTOR_MAGIC + struct.pack("<IIQ", DESCRIPTOR_VERSION, vectors.shape[1], vectors.shape[0])
-    return itertools.chain([header], map(_encode_record, ids, vectors))
-
-
-def _encode_record(item_id: str, vec: np.ndarray) -> bytes:
-    raw = item_id.encode("utf-8")
-    return struct.pack("<H", len(raw)) + raw + np.ascontiguousarray(vec, dtype="<f4").tobytes()
-
-
-def save_descriptors(ids: list[str], vectors: np.ndarray) -> bytes:
-    """Serialize id/vector records in the `.csgd` layout of _encode_descriptors."""
-    return b"".join(_encode_descriptors(ids, vectors))
-
-
-def load_descriptors(data: bytes) -> tuple[list[str], np.ndarray]:
-    r = Reader(data)
-    r.expect_magic(DESCRIPTOR_MAGIC)
-    r.expect_version(DESCRIPTOR_VERSION)
-    dim, count = r.unpack("<IQ")
-    if dim == 0:
-        raise DecodeError("descriptor file declares zero dimension")
-    if count * (2 + 4 * dim) > len(data) - r.pos:  # a u16 id length and dim floats each
-        raise TruncatedError(f"{count} records of dim {dim} overrun {len(data) - r.pos} bytes")
-    ids: list[str] = []
-    vectors = np.empty((count, dim), dtype=np.float32)
-    for i in range(count):
-        (n,) = r.unpack("<H")
-        try:
-            ids.append(r.take(n).decode("utf-8"))
-        except UnicodeDecodeError as e:
-            raise DecodeError(f"descriptor {i} id is not UTF-8: {e}") from e
-        vectors[i] = r.array("<f4", dim)
-    r.expect_eof()
-    return ids, vectors
-
-
-def save_descriptors_file(ids: list[str], vectors: np.ndarray, path) -> None:
-    """Write save_descriptors' bytes record by record; a bad id or shape raises
-    before the file is opened."""
-    chunks = _encode_descriptors(ids, vectors)
     with open(path, "wb") as fh:
-        fh.writelines(chunks)
+        fh.write(DESCRIPTOR_MAGIC + struct.pack("<IIQ", DESCRIPTOR_VERSION, *vectors.shape[::-1]))
+        for item_id, vec in zip(ids, vectors):
+            raw = item_id.encode("utf-8")
+            fh.write(struct.pack("<H", len(raw)) + raw + vec.tobytes())
 
 
 def load_descriptors_file(path) -> tuple[list[str], np.ndarray]:
-    with naming(path), open(path, "rb") as fh:
-        return load_descriptors(fh.read())
+    """The ids and the (count, dim) float32 vectors of a `.csgd` file."""
+    with open_reader(path, DESCRIPTOR_MAGIC, DESCRIPTOR_VERSION) as r:
+        dim, count = r.unpack("<IQ")
+        if dim == 0:
+            raise DecodeError("descriptor file declares zero dimension")
+        left = len(r.data) - r.pos
+        if count * (2 + 4 * dim) > left:  # a u16 id length and dim floats each
+            raise TruncatedError(f"{count} records of dim {dim} overrun {left} bytes")
+        ids: list[str] = []
+        vectors = np.empty((count, dim), dtype=np.float32)
+        for i in range(count):
+            (n,) = r.unpack("<H")
+            try:
+                ids.append(r.take(n).decode("utf-8"))
+            except UnicodeDecodeError as e:
+                raise DecodeError(f"descriptor {i} id is not UTF-8: {e}") from e
+            vectors[i] = r.array("<f4", dim)
+        r.expect_eof()
+    return ids, vectors

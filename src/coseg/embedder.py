@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FLAG_RULE, SEED_BITS, DecodeError, TrainingDiverged, check, check_rules, int_rule
-from ._binio import Reader, naming
+from ._binio import open_reader
 
 MODEL_MAGIC = b"CSGM"
 MODEL_VERSION = 1
@@ -255,8 +255,9 @@ def _batch_gradient(
     margin: float,
     classical_hinge: bool,
     out: tuple[list[np.ndarray], list[np.ndarray]],
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean loss and mean-loss gradients over the pairs (rows ia, rows ib).
+) -> float:
+    """Mean loss over the pairs (rows ia, rows ib); the mean-loss gradients go
+    into out's (weights, biases) arrays.
 
     acts holds every layer's output, input first, for exactly the rows the
     pairs touch, each once; ia and ib index those rows, and no forward pass
@@ -295,7 +296,7 @@ def _batch_gradient(
         np.sum(delta, axis=0, out=grad_b[layer])
         if layer > 0:
             delta = (delta @ params.weights[layer]) * (acts[layer] > 0)
-    return loss, grad_w, grad_b
+    return loss
 
 
 def loss_gradient(
@@ -306,7 +307,8 @@ def loss_gradient(
 ) -> EncoderParams:
     """Analytic gradient of contrastive_loss(forward(a), forward(b)) wrt params."""
     check("margin", margin, TRAIN_RULES["margin"])
-    _, grad_w, grad_b = _batch_gradient(
+    grad_w, grad_b = _gradient_arrays(params)
+    _batch_gradient(
         params,
         forward_batch(params, np.stack([pair.a, pair.b]), all_layers=True),
         np.array([0]),
@@ -314,7 +316,7 @@ def loss_gradient(
         np.array([pair.label]),
         margin,
         classical_hinge,
-        _gradient_arrays(params),
+        (grad_w, grad_b),
     )
     return EncoderParams(weights=tuple(grad_w), biases=tuple(grad_b))
 
@@ -427,7 +429,7 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed + 1)
     trace: list[float] = []
     every = acts = None
-    grads = _gradient_arrays(params)
+    grad_w, grad_b = _gradient_arrays(params)
     for it in range(cfg.iterations):
         if cfg.mining == "aggressive":
             del every
@@ -441,8 +443,8 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
             acts = [layer[rows] for layer in every]
         else:
             acts = forward_batch(params, dataset.vectors[rows], all_layers=True)
-        loss, grad_w, grad_b = _batch_gradient(
-            params, acts, inv[: len(ia)], inv[len(ia) :], y, cfg.margin, cfg.classical_hinge, grads
+        loss = _batch_gradient(
+            params, acts, inv[: len(ia)], inv[len(ia) :], y, cfg.margin, cfg.classical_hinge, (grad_w, grad_b)
         )
         if not math.isfinite(loss):
             raise TrainingDiverged(iteration=it, value=loss)
@@ -454,41 +456,29 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     return TrainResult(params=params, loss_trace=tuple(trace))
 
 
-def save_model(params: EncoderParams) -> bytes:
-    """Serialize params: magic, version, layer count `<I`, then per layer its
-    row/col sizes `<II`, row-major weights and bias, little-endian float64."""
-    out = bytearray(MODEL_MAGIC)
-    out += struct.pack("<II", MODEL_VERSION, len(params.weights))
-    for w, b in zip(params.weights, params.biases):
-        out += struct.pack("<II", *w.shape)
-        out += np.ascontiguousarray(w, dtype="<f8").tobytes()
-        out += np.ascontiguousarray(b, dtype="<f8").tobytes()
-    return bytes(out)
-
-
-def load_model(data: bytes) -> EncoderParams:
-    r = Reader(data)
-    r.expect_magic(MODEL_MAGIC)
-    r.expect_version(MODEL_VERSION)
-    (n_layers,) = r.unpack("<I")
-    weights = []
-    biases = []
-    for _ in range(n_layers):
-        rows, cols = r.unpack("<II")
-        weights.append(r.array("<f8", rows * cols).reshape(rows, cols))
-        biases.append(r.array("<f8", rows))
-    r.expect_eof()
-    try:
-        return EncoderParams(weights=tuple(weights), biases=tuple(biases))
-    except ValueError as e:
-        raise DecodeError(f"model file: {e}") from e
-
-
 def save_model_file(params: EncoderParams, path) -> None:
+    """Write params as a `.csgm` file: magic, version, layer count `<I`, then per
+    layer its row/col sizes `<II`, row-major weights and bias, little-endian
+    float64. The layers are written one at a time, each straight from its arrays."""
     with open(path, "wb") as fh:
-        fh.write(save_model(params))
+        fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(params.weights)))
+        for w, b in zip(params.weights, params.biases):
+            fh.write(struct.pack("<II", *w.shape))
+            fh.write(np.ascontiguousarray(w, dtype="<f8"))
+            fh.write(np.ascontiguousarray(b, dtype="<f8"))
 
 
 def load_model_file(path) -> EncoderParams:
-    with naming(path), open(path, "rb") as fh:
-        return load_model(fh.read())
+    with open_reader(path, MODEL_MAGIC, MODEL_VERSION) as r:
+        (n_layers,) = r.unpack("<I")
+        weights = []
+        biases = []
+        for _ in range(n_layers):
+            rows, cols = r.unpack("<II")
+            weights.append(r.array("<f8", rows * cols).reshape(rows, cols))
+            biases.append(r.array("<f8", rows))
+        r.expect_eof()
+        try:
+            return EncoderParams(weights=tuple(weights), biases=tuple(biases))
+        except ValueError as e:
+            raise DecodeError(f"model file: {e}") from e

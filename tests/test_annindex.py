@@ -17,10 +17,8 @@ from coseg.annindex import (
     Forest,
     IndexConfig,
     build,
-    load,
     load_file,
     query,
-    save,
     save_file,
     split_plane,
 )
@@ -656,6 +654,20 @@ class TestWalk:
         assert annindex._walk_candidates(idx, q, 2).tolist() == [0, 1, 2, 3, 4]
 
 
+def csgi_bytes(tmp_path, index) -> bytes:
+    """The bytes save_file writes for index."""
+    path = tmp_path / "out.csgi"
+    save_file(index, path)
+    return path.read_bytes()
+
+
+def load_csgi(tmp_path, data: bytes, items):
+    """load_file over a file holding data, for items."""
+    path = tmp_path / "in.csgi"
+    path.write_bytes(data)
+    return load_file(path, items)
+
+
 class TestSerialization:
     def sample(self, metric="euclidean"):
         """The items and an index over them."""
@@ -664,9 +676,9 @@ class TestSerialization:
         cfg = IndexConfig(n_trees=3, search_k=40, leaf_capacity=6, seed=4, metric=metric)
         return items, build(items, cfg)
 
-    def test_round_trip_preserves_queries(self):
+    def test_round_trip_preserves_queries(self, tmp_path):
         items, idx = self.sample()
-        again = load(save(idx), items)
+        again = load_csgi(tmp_path, csgi_bytes(tmp_path, idx), items)
         assert again.config == idx.config
         assert np.array_equal(again.items, idx.items)
         rng = np.random.default_rng(12)
@@ -674,21 +686,22 @@ class TestSerialization:
             q = rng.normal(size=6)
             assert query(again, q, k=5).neighbors == query(idx, q, k=5).neighbors
 
-    def test_round_trip_is_byte_identical(self):
+    def test_round_trip_is_byte_identical(self, tmp_path):
         items, idx = self.sample(metric="cosine")
-        data = save(idx)
-        assert save(load(data, items)) == data
+        data = csgi_bytes(tmp_path, idx)
+        assert csgi_bytes(tmp_path, load_csgi(tmp_path, data, items)) == data
 
     def test_file_round_trip(self, tmp_path):
         items, idx = self.sample()
         path = tmp_path / "index.csgi"
         save_file(idx, path)
         again = load_file(path, items)
-        assert save(again) == save(idx)
+        assert csgi_bytes(tmp_path, again) == csgi_bytes(tmp_path, idx)
 
-    def test_header_layout(self):
+    def test_header_layout(self, tmp_path):
         items = np.eye(2, dtype=np.float32)
-        data = save(build(items, IndexConfig(n_trees=1, search_k=7, leaf_capacity=3, seed=5)))
+        idx = build(items, IndexConfig(n_trees=1, search_k=7, leaf_capacity=3, seed=5))
+        data = csgi_bytes(tmp_path, idx)
         assert data[:4] == b"CSGI"
         assert int.from_bytes(data[4:8], "little") == 3  # version
         assert int.from_bytes(data[8:12], "little") == 1  # n_trees
@@ -698,81 +711,81 @@ class TestSerialization:
         assert data[28] == 0  # metric id: euclidean
         assert data[29:] == hashlib.sha256(struct.pack("<QQ", 2, 2) + items.astype("<f4").tobytes()).digest()
 
-    def test_largest_config_round_trips(self):
+    def test_largest_config_round_trips(self, tmp_path):
         top = IndexConfig(**{name: 2**bits - 1 for name, (_, bits) in FIELD_BOUNDS.items()})
         items = np.eye(2, dtype=np.float32)
-        assert load(save(AnnIndex(top, items)), items).config == top
+        assert load_csgi(tmp_path, csgi_bytes(tmp_path, AnnIndex(top, items)), items).config == top
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
         items, idx = self.sample()
-        data = save(idx)
+        data = csgi_bytes(tmp_path, idx)
         with pytest.raises(BadMagicError):
-            load(b"JUNK" + data[4:], items)
+            load_csgi(tmp_path, b"JUNK" + data[4:], items)
 
-    def test_bad_version(self):
+    def test_bad_version(self, tmp_path):
         items, idx = self.sample()
-        data = save(idx)
+        data = csgi_bytes(tmp_path, idx)
         with pytest.raises(VersionError):
-            load(data[:4] + (9).to_bytes(4, "little") + data[8:], items)
+            load_csgi(tmp_path, data[:4] + (9).to_bytes(4, "little") + data[8:], items)
 
-    def test_truncated(self):
+    def test_truncated(self, tmp_path):
         items, idx = self.sample()
-        data = save(idx)
+        data = csgi_bytes(tmp_path, idx)
         with pytest.raises(TruncatedError):
-            load(data[: len(data) // 2], items)
+            load_csgi(tmp_path, data[: len(data) // 2], items)
 
-    def test_unknown_metric_id(self):
+    def test_unknown_metric_id(self, tmp_path):
         items = np.eye(2, dtype=np.float32)
-        data = bytearray(save(build(items, IndexConfig(n_trees=1))))
+        data = bytearray(csgi_bytes(tmp_path, build(items, IndexConfig(n_trees=1))))
         data[28] = 7  # metric byte follows the u64 seed
         with pytest.raises(DecodeError):
-            load(bytes(data), items)
+            load_csgi(tmp_path, bytes(data), items)
 
-    def test_trailing_bytes_rejected(self):
+    def test_trailing_bytes_rejected(self, tmp_path):
         items, idx = self.sample()
         with pytest.raises(ValueError):
-            load(save(idx) + b"\x00", items)
+            load_csgi(tmp_path, csgi_bytes(tmp_path, idx) + b"\x00", items)
 
     @pytest.mark.parametrize("metric", METRICS)
-    def test_reloaded_trees_equal_built_trees(self, metric):
+    def test_reloaded_trees_equal_built_trees(self, tmp_path, metric):
         items, idx = self.sample(metric)
-        assert forest(load(save(idx), items)) == forest(idx)
+        assert forest(load_csgi(tmp_path, csgi_bytes(tmp_path, idx), items)) == forest(idx)
 
-    def test_holds_header_and_digest_only(self):
+    def test_holds_header_and_digest_only(self, tmp_path):
         _, idx = self.sample()
-        assert len(save(idx)) == 8 + struct.calcsize("<IIIQB") + 32 == 61
+        assert len(csgi_bytes(tmp_path, idx)) == 8 + struct.calcsize("<IIIQB") + 32 == 61
 
-    def test_version_1_file_rejected(self):
+    def test_version_1_file_rejected(self, tmp_path):
         # a version-1 file: the header, the items, then the trees; here one
         # tree that is a single leaf holding items 0, 1 and 2
         items = np.eye(3, dtype=np.float32)
         header = struct.pack("<4sIIIIQBIQ", b"CSGI", 1, 1, 50, 4, 0, 0, 3, 3)
         v1 = header + items.tobytes() + b"\x00" + struct.pack("<4I", 3, 0, 1, 2)
         with pytest.raises(VersionError):
-            load(v1, items)
+            load_csgi(tmp_path, v1, items)
 
-    def test_version_2_file_rejected(self):
+    def test_version_2_file_rejected(self, tmp_path):
         # a version-2 file: the config, dim and n, then a copy of the items
         items = np.eye(3, dtype=np.float32)
         v2 = struct.pack("<4sIIIIQBIQ", b"CSGI", 2, 1, 50, 4, 0, 0, 3, 3) + items.tobytes()
         with pytest.raises(VersionError):
-            load(v2, items)
+            load_csgi(tmp_path, v2, items)
 
     @pytest.mark.parametrize("field,value", [(0, 0), (1, 0), (2, 1), (2, 0)])
-    def test_header_outside_config_range_rejected(self, field, value):
+    def test_header_outside_config_range_rejected(self, tmp_path, field, value):
         # zero trees, zero search_k, leaf_capacity below 2: once a plain ValueError
         items, idx = self.sample()
-        data = save(idx)
+        data = csgi_bytes(tmp_path, idx)
         at = 8 + 4 * field
         with pytest.raises(DecodeError):
-            load(data[:at] + struct.pack("<I", value) + data[at + 4 :], items)
+            load_csgi(tmp_path, data[:at] + struct.pack("<I", value) + data[at + 4 :], items)
 
     @pytest.mark.parametrize("dim,n", [(0, 3), (3, 0)])
-    def test_load_refuses_empty_items(self, dim, n):
+    def test_load_refuses_empty_items(self, tmp_path, dim, n):
         # build's own check: a file holds no items to declare empty
-        data = save(build(np.eye(2, dtype=np.float32), IndexConfig(n_trees=1)))
+        data = csgi_bytes(tmp_path, build(np.eye(2, dtype=np.float32), IndexConfig(n_trees=1)))
         with pytest.raises(ValueError, match="cannot build an index over zero"):
-            load(data, np.zeros((n, dim), dtype=np.float32))
+            load_csgi(tmp_path, data, np.zeros((n, dim), dtype=np.float32))
 
 
 def flip_one_bit(items):
@@ -794,12 +807,12 @@ class TestOtherItemsRefused:
         lambda x: x[[1, 0, *range(2, len(x))]],
         lambda x: x.reshape(x.shape[1], x.shape[0]),
     ], ids=["bit-flipped", "row-dropped", "rows-swapped", "transposed-shape"])
-    def test_refused(self, other):
-        data = save(build(self.ITEMS, self.CFG))
+    def test_refused(self, tmp_path, other):
+        data = csgi_bytes(tmp_path, build(self.ITEMS, self.CFG))
         changed = other(self.ITEMS)
         assert changed.tobytes() != self.ITEMS.tobytes() or changed.shape != self.ITEMS.shape
         with pytest.raises(DecodeError, match="built for other items"):
-            load(data, changed)
+            load_csgi(tmp_path, data, changed)
 
     def test_file_refusal_names_the_path(self, tmp_path):
         path = tmp_path / "index.csgi"
@@ -807,11 +820,11 @@ class TestOtherItemsRefused:
         with pytest.raises(DecodeError, match=re.escape(f"{path}: index was built for other items")):
             load_file(path, flip_one_bit(self.ITEMS))
 
-    def test_cosine_index_loads_for_rescaled_items(self):
+    def test_cosine_index_loads_for_rescaled_items(self, tmp_path):
         # build stores unit rows under cosine, and x and 2 x have the same ones
         cfg = replace(self.CFG, metric="cosine")
         twice = 2 * self.ITEMS
-        again = load(save(build(self.ITEMS, cfg)), twice)
+        again = load_csgi(tmp_path, csgi_bytes(tmp_path, build(self.ITEMS, cfg)), twice)
         fresh = build(twice, cfg)
         assert again.items.tobytes() == fresh.items.tobytes()
         for q in np.random.default_rng(14).normal(size=(10, 5)):
@@ -834,11 +847,11 @@ class TestLazyTrees:
         monkeypatch.setattr(annindex, "_grow_forest", counting_grow_forest)
         return calls
 
-    def test_only_a_walking_query_grows_trees(self, grown):
+    def test_only_a_walking_query_grows_trees(self, tmp_path, grown):
         rng = np.random.default_rng(30)
         items = rng.normal(size=(50, 4)).astype(np.float32)
         idx = build(items, IndexConfig(n_trees=3, search_k=5, leaf_capacity=4, seed=2))
-        again = load(save(idx), items)
+        again = load_csgi(tmp_path, csgi_bytes(tmp_path, idx), items)
         q = rng.normal(size=4)
         assert query(again, q, k=2, search_k=50).neighbors == exact_scan(again.items, q, 2)
         assert grown == []
@@ -847,11 +860,11 @@ class TestLazyTrees:
         query(again, rng.normal(size=4), k=2)
         assert grown == [3]
 
-    def test_load_of_huge_forest_grows_nothing(self, grown):
+    def test_load_of_huge_forest_grows_nothing(self, tmp_path, grown):
         items = np.eye(2, dtype=np.float32)
-        data = bytearray(save(build(items, IndexConfig(n_trees=1))))
+        data = bytearray(csgi_bytes(tmp_path, build(items, IndexConfig(n_trees=1))))
         data[8:12] = struct.pack("<I", 2**32 - 1)  # the digest covers the items, not the config
-        idx = load(bytes(data), items)
+        idx = load_csgi(tmp_path, bytes(data), items)
         assert idx.config.n_trees == 2**32 - 1
         assert query(idx, [1.0, 0.0], k=1).ids == [0]
         assert grown == []

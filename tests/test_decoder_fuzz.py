@@ -4,6 +4,7 @@ truncations, bit flips and random headers are written to files and fed to the
 the PBM/PGM/PPM readers, which may raise only ValueError (DecodeError is one).
 Every DecodeError starts with the path of the file it came from."""
 
+import functools
 import struct
 
 import numpy as np
@@ -12,23 +13,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coseg import pnm
-from coseg.annindex import IndexConfig, build, load_file, save
-from coseg.descriptors import load_descriptors_file, save_descriptors
-from coseg.embedder import EncoderParams, load_model_file, save_model
+from coseg.annindex import IndexConfig, build, load_file, save_file
+from coseg.descriptors import load_descriptors_file, save_descriptors_file
+from coseg.embedder import EncoderParams, load_model_file, save_model_file
 from coseg.errors import DecodeError
 
 _rng = np.random.default_rng(0)
 ITEMS = np.random.default_rng(1).normal(size=(12, 3))  # the items the index sample is loaded for
 
-# name -> (valid bytes, loader over a path, header fields after magic and version)
+# name -> (writer of a valid file to a path, loader over a path, header fields after magic and version)
 BINARY = {
     "csgd": (
-        save_descriptors(["a", "bé", ""], _rng.normal(size=(3, 4))),
+        functools.partial(save_descriptors_file, ["a", "bé", ""], _rng.normal(size=(3, 4))),
         load_descriptors_file,
         "<IQ",  # dim, count
     ),
     "csgm": (
-        save_model(EncoderParams(
+        functools.partial(save_model_file, EncoderParams(
             weights=(_rng.normal(size=(3, 4)), _rng.normal(size=(2, 3))),
             biases=(_rng.normal(size=3), _rng.normal(size=2)),
         )),
@@ -36,7 +37,7 @@ BINARY = {
         "<III",  # layer count, first layer rows and cols
     ),
     "csgi": (
-        save(build(ITEMS, IndexConfig(n_trees=2, leaf_capacity=4, seed=1))),
+        functools.partial(save_file, build(ITEMS, IndexConfig(n_trees=2, leaf_capacity=4, seed=1))),
         lambda path: load_file(path, ITEMS),
         "<IIIQB",  # n_trees, search_k, leaf_capacity, seed, metric; the items' digest follows
     ),
@@ -55,6 +56,17 @@ FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCh
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def valid(fuzz_dir):
+    """name -> the bytes of the valid file BINARY's writer writes for name."""
+    out = {}
+    for name, (write, _, _) in BINARY.items():
+        path = fuzz_dir / f"valid.{name}"
+        write(path)
+        out[name] = path.read_bytes()
+    return out
 
 
 def file_decoder(fuzz_dir, name):
@@ -89,8 +101,8 @@ def decodes_or_raises(decode, data: bytes, error=ValueError) -> None:
 
 
 @pytest.mark.parametrize("name", sorted(BINARY))
-def test_valid_samples_decode(name, fuzz_dir):
-    file_decoder(fuzz_dir, name)(BINARY[name][0])
+def test_valid_samples_decode(name, fuzz_dir, valid):
+    file_decoder(fuzz_dir, name)(valid[name])
 
 
 @pytest.mark.parametrize("name", sorted(RASTER))
@@ -101,8 +113,8 @@ def test_valid_raster_samples_decode(name, fuzz_dir):
 @pytest.mark.parametrize("name", sorted(BINARY))
 @FUZZ
 @given(cut=st.integers(0, 10**6))
-def test_binary_truncation_rejected(name, cut, fuzz_dir):
-    data = BINARY[name][0]
+def test_binary_truncation_rejected(name, cut, fuzz_dir, valid):
+    data = valid[name]
     with pytest.raises(DecodeError):
         file_decoder(fuzz_dir, name)(data[: cut % len(data)])
 
@@ -119,8 +131,8 @@ def test_raster_truncation_rejected(name, cut, fuzz_dir):
 @pytest.mark.parametrize("name", sorted(BINARY))
 @FUZZ
 @given(bits=st.lists(st.integers(0, 2**20), min_size=1, max_size=6))
-def test_binary_bit_flips(name, bits, fuzz_dir):
-    decodes_or_raises(file_decoder(fuzz_dir, name), flip_bits(BINARY[name][0], bits), DecodeError)
+def test_binary_bit_flips(name, bits, fuzz_dir, valid):
+    decodes_or_raises(file_decoder(fuzz_dir, name), flip_bits(valid[name], bits), DecodeError)
 
 
 @pytest.mark.parametrize("name", sorted(RASTER))
@@ -142,13 +154,13 @@ def header_values(fields: str):
 @pytest.mark.parametrize("name", sorted(BINARY))
 @FUZZ
 @given(data=st.data(), tail=st.one_of(st.none(), st.binary(max_size=64)))
-def test_binary_random_header(name, data, tail, fuzz_dir):
+def test_binary_random_header(name, data, tail, fuzz_dir, valid):
     # valid magic and version, random header fields, then either the valid
     # body that followed the original header or random bytes
-    valid, _, fields = BINARY[name]
+    sample, fields = valid[name], BINARY[name][2]
     values = data.draw(header_values(fields))
-    body = valid[8 + struct.calcsize(fields) :] if tail is None else tail
-    decodes_or_raises(file_decoder(fuzz_dir, name), valid[:8] + struct.pack(fields, *values) + body, DecodeError)
+    body = sample[8 + struct.calcsize(fields) :] if tail is None else tail
+    decodes_or_raises(file_decoder(fuzz_dir, name), sample[:8] + struct.pack(fields, *values) + body, DecodeError)
 
 
 @pytest.mark.parametrize("name", sorted(RASTER))

@@ -21,10 +21,8 @@ from coseg.embedder import (
     forward,
     forward_batch,
     init_params,
-    load_model,
     load_model_file,
     loss_gradient,
-    save_model,
     save_model_file,
     train,
 )
@@ -279,7 +277,7 @@ class TestContrastiveLoss:
         emb = np.array(pair)
         # one linear layer: the pair's rows are both its input and its embedding
         params = EncoderParams(weights=(np.eye(emb.shape[1]),), biases=(np.zeros(emb.shape[1]),))
-        trained, _, _ = _batch_gradient(
+        trained = _batch_gradient(
             params, [emb, emb], np.array([0]), np.array([1]), np.array([label]), margin, classical,
             _gradient_arrays(params),
         )
@@ -385,11 +383,13 @@ def add_at_gradient(params, vectors, ia, ib, labels, margin, classical_hinge):
 
 def batch_gradient(params, vectors, ia, ib, labels, margin, classical_hinge):
     """_batch_gradient on the activations of the rows of vectors the pairs
-    touch, each once, with ia and ib mapped onto them."""
+    touch, each once, with ia and ib mapped onto them: (loss, grad_w, grad_b)."""
     rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
     acts = forward_batch(params, vectors[rows], all_layers=True)
-    return _batch_gradient(params, acts, inv[: len(ia)], inv[len(ia) :], labels, margin, classical_hinge,
-                           _gradient_arrays(params))
+    grad_w, grad_b = _gradient_arrays(params)
+    loss = _batch_gradient(params, acts, inv[: len(ia)], inv[len(ia) :], labels, margin, classical_hinge,
+                           (grad_w, grad_b))
+    return loss, grad_w, grad_b
 
 
 def same_bits(got, want):
@@ -510,9 +510,9 @@ class TestBatchGradient:
         padded[where] = vectors
         seen, real = [], embedder._batch_gradient
 
-        def recording(*args):
-            seen.append(real(*args))
-            return seen[-1]
+        def recording(*args):  # the loss, then the gradients written into the last argument
+            seen.append((real(*args), *args[-1]))
+            return seen[-1][0]
 
         monkeypatch.setattr(embedder, "_mine_hard_indices", lambda *args: (where[ia], where[ib], y))
         monkeypatch.setattr(embedder, "_batch_gradient", recording)
@@ -909,14 +909,14 @@ class TestTrain:
         assert len(result.loss_trace) == 25
         assert all(np.isfinite(v) for v in result.loss_trace)
 
-    def test_deterministic_repetition(self):
+    def test_deterministic_repetition(self, tmp_path):
         ds = small_dataset(seed=8)
         cfg = TrainConfig(iterations=30, batch_size=8, layer_sizes=(4, 2), seed=3)
         a = train(ds, cfg)
         b = train(ds, cfg)
         assert a.loss_trace == b.loss_trace
         assert all(np.array_equal(x, y) for x, y in zip(a.params.weights, b.params.weights))
-        assert save_model(a.params) == save_model(b.params)
+        assert csgm_bytes(tmp_path, a.params) == csgm_bytes(tmp_path, b.params)
 
     @pytest.mark.parametrize("mining", MINING_MODES)
     def test_holds_one_step_at_a_time(self, mining):
@@ -965,13 +965,13 @@ class TestTrain:
         assert len(result.loss_trace) == 8
 
     @pytest.mark.parametrize("mining", ["random", "aggressive"])
-    def test_class_index_built_once_per_run(self, monkeypatch, mining):
+    def test_class_index_built_once_per_run(self, monkeypatch, tmp_path, mining):
         # the labels cannot change during a run, so neither can their index
         from coseg import embedder
 
         ds = small_dataset()
         cfg = TrainConfig(iterations=5, batch_size=6, layer_sizes=(3,), seed=0, mining=mining)
-        want = save_model(train(ds, cfg).params)
+        want = csgm_bytes(tmp_path, train(ds, cfg).params)
         calls = []
 
         def counting(labels):
@@ -979,7 +979,7 @@ class TestTrain:
             return _class_members(labels)
 
         monkeypatch.setattr(embedder, "_class_members", counting)
-        assert save_model(train(ds, cfg).params) == want
+        assert csgm_bytes(tmp_path, train(ds, cfg).params) == want
         assert calls == [len(ds.vectors)]
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -1005,10 +1005,24 @@ class TestTrain:
             train(ds, TrainConfig(iterations=1))
 
 
+def csgm_bytes(tmp_path, params) -> bytes:
+    """The bytes save_model_file writes for params."""
+    path = tmp_path / "out.csgm"
+    save_model_file(params, path)
+    return path.read_bytes()
+
+
+def load_csgm(tmp_path, data: bytes):
+    """load_model_file over a file holding data."""
+    path = tmp_path / "in.csgm"
+    path.write_bytes(data)
+    return load_model_file(path)
+
+
 class TestModelSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         params = init_params(6, (4, 3), seed=9)
-        again = load_model(save_model(params))
+        again = load_csgm(tmp_path, csgm_bytes(tmp_path, params))
         assert [w.shape for w in again.weights] == [w.shape for w in params.weights]
         assert all(np.array_equal(a, b) for a, b in zip(again.weights, params.weights))
         assert all(np.array_equal(a, b) for a, b in zip(again.biases, params.biases))
@@ -1020,32 +1034,32 @@ class TestModelSerialization:
         again = load_model_file(path)
         assert all(np.array_equal(a, b) for a, b in zip(again.weights, params.weights))
 
-    def test_header_layout(self):
+    def test_header_layout(self, tmp_path):
         params = EncoderParams(weights=(np.zeros((1, 1)),), biases=(np.zeros(1),))
-        data = save_model(params)
+        data = csgm_bytes(tmp_path, params)
         assert data[:4] == b"CSGM"
         assert int.from_bytes(data[4:8], "little") == 1  # version
         assert int.from_bytes(data[8:12], "little") == 1  # layer count
 
-    def test_bad_magic(self):
-        data = b"XXXX" + save_model(tiny_params())[4:]
+    def test_bad_magic(self, tmp_path):
+        data = b"XXXX" + csgm_bytes(tmp_path, tiny_params())[4:]
         with pytest.raises(BadMagicError):
-            load_model(data)
+            load_csgm(tmp_path, data)
 
-    def test_bad_version(self):
-        good = save_model(tiny_params())
+    def test_bad_version(self, tmp_path):
+        good = csgm_bytes(tmp_path, tiny_params())
         data = good[:4] + (99).to_bytes(4, "little") + good[8:]
         with pytest.raises(VersionError):
-            load_model(data)
+            load_csgm(tmp_path, data)
 
-    def test_truncated(self):
-        good = save_model(tiny_params())
+    def test_truncated(self, tmp_path):
+        good = csgm_bytes(tmp_path, tiny_params())
         with pytest.raises(TruncatedError):
-            load_model(good[:-4])
+            load_csgm(tmp_path, good[:-4])
 
-    def test_trailing_bytes_rejected(self):
+    def test_trailing_bytes_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            load_model(save_model(tiny_params()) + b"\x00")
+            load_csgm(tmp_path, csgm_bytes(tmp_path, tiny_params()) + b"\x00")
 
     @staticmethod
     def model_bytes(*layers):
@@ -1056,14 +1070,15 @@ class TestModelSerialization:
         return out
 
     @pytest.mark.parametrize("layers", [(), ((0, 3),), ((2, 0),), ((3, 4), (2, 2)), ((3, 4), (0, 3))])
-    def test_malformed_layers_rejected(self, layers):
+    def test_malformed_layers_rejected(self, tmp_path, layers):
         # zero layers, an empty first or later layer, shapes that do not chain:
         # EncoderParams' ValueError, re-raised as the decoder's error
         with pytest.raises(DecodeError):
-            load_model(self.model_bytes(*layers))
+            load_csgm(tmp_path, self.model_bytes(*layers))
 
-    def test_chained_layers_load(self):
-        assert [w.shape for w in load_model(self.model_bytes((3, 4), (2, 3))).weights] == [(3, 4), (2, 3)]
+    def test_chained_layers_load(self, tmp_path):
+        got = load_csgm(tmp_path, self.model_bytes((3, 4), (2, 3)))
+        assert [w.shape for w in got.weights] == [(3, 4), (2, 3)]
 
 
 @pytest.mark.parametrize(

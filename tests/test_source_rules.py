@@ -33,7 +33,6 @@ LAYERS = [
 OUTSIDE_USERS = {
     "__init__.__version__": "the package's public version, equal to pyproject.toml's",
     "annindex.RetrievalResult.ids": "the acceptance gate's criteria 3 and 4, and demo 03",
-    "descriptors.save_descriptors": "the tests, which compare save_descriptors_file's bytes with it",
     "embedder.forward": "the tests and the acceptance gate",
     "embedder.contrastive_loss": "the tests and the acceptance gate",
     "embedder.loss_gradient": "the tests and the acceptance gate",
