@@ -184,19 +184,18 @@ def forward_batch(
     output instead, input first and embedding last, as training's backward
     pass needs them. A row's outputs depend on that row alone.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != params.input_dim:
+    acts = [np.asarray(batch, dtype=np.float64)]  # a converted copy is freed with acts[0]
+    if acts[0].ndim != 2 or acts[0].shape[1] != params.input_dim:
         raise ValueError(
-            f"batch shape {batch.shape} does not match input dimension {params.input_dim}"
+            f"batch shape {acts[0].shape} does not match input dimension {params.input_dim}"
         )
-    acts = [batch]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = acts[-1] @ w.T
         z += b
         if i < last:
             np.maximum(z, 0.0, out=z)
-        acts.append(z)
+        acts = acts + [z] if all_layers else [z]  # keep only the layers returned
     return acts if all_layers else acts[-1]
 
 
@@ -389,13 +388,10 @@ def _mine_hard_indices(
         diff = emb[ia[s : s + count]] - emb[ib[s : s + count]]
         d2[s : s + count] = np.sum(diff * diff, axis=1)
 
-    n_pos = (count + 1) // 2
-    n_neg = count // 2
-    pos_idx = np.flatnonzero(y == 1)
-    neg_idx = np.flatnonzero(y == 0)
+    half = (len(ia) + 1) // 2  # _sample_pair_indices puts the pool's positives first
     # hardest positives have the largest distance; ties keep pool order
-    pos_pick = pos_idx[np.argsort(-d2[pos_idx], kind="stable")[:n_pos]]
-    neg_pick = neg_idx[np.argsort(d2[neg_idx], kind="stable")[:n_neg]]
+    pos_pick = np.argsort(-d2[:half], kind="stable")[: (count + 1) // 2]
+    neg_pick = half + np.argsort(d2[half:], kind="stable")[: count // 2]
     sel = np.concatenate([pos_pick, neg_pick])
     return ia[sel], ib[sel], y[sel]
 

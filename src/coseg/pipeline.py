@@ -499,12 +499,9 @@ def _scoring_table(ids, inputs: dict[str, Path]) -> ItemTable:
 def stage_retrieve(cfg: dict[str, Any], inputs: dict[str, Path], outputs: dict[str, Path]) -> None:
     ids, embeddings = load_descriptors_file(inputs["emb_test.csgd"])
     index = load_index_file(inputs["index.csgi"], embeddings)
-    table = _scoring_table(ids, inputs)
-    groups = retrieve_similar(
-        index, embeddings, k=cfg["retrieve.k"], search_k=cfg["retrieve.search_k"],
-        ids=ids, class_hints={i: cls for i, (_, _, cls) in table.items()},
-    )
-    verdicts = iou_verdicts(table, cfg["retrieve.iou_filter"])
+    verdicts = iou_verdicts(_scoring_table(ids, inputs), cfg["retrieve.iou_filter"])
+    groups = retrieve_similar(index, embeddings, k=cfg["retrieve.k"], search_k=cfg["retrieve.search_k"],
+                              ids=ids)
     save_groups([filter_candidates(g, verdicts) for g in groups], outputs["groups.jsonl"])
 
 

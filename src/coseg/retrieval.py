@@ -1,7 +1,7 @@
 """Similarity retrieval: embed descriptors, query the index for each item's
 nearest neighbors, and filter candidate groups by per-member verdicts, which
 metrics.iou_verdicts gives from evaluate's Jaccard. Groups serialize to JSON
-Lines for downstream stages. An anchor that given class hints lack raises.
+Lines for downstream stages.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class SimilarityGroup:
 
     anchor: str
     members: RetrievalResult
-    class_hint: str | None = None
 
     def __post_init__(self) -> None:
         ids = [m[0] for m in self.members.neighbors]
@@ -49,15 +48,13 @@ def retrieve_similar(
     k: int,
     search_k: int | None = None,
     ids: list[str] | None = None,
-    class_hints: dict[str, str | None] | None = None,
 ) -> list[SimilarityGroup]:
     """One SimilarityGroup per indexed item, the item itself excluded.
 
     The queries must be the indexed embeddings in index order; ids gives the
     item name for each index position (defaults to the position as a string).
-    class_hints, when given, must hold every anchor; without it every hint is
-    None. Each query asks for k+1 neighbors so that dropping the anchor's own
-    entry still leaves k, which must meet K_RULE; search_k goes to query, which
+    Each query asks for k+1 neighbors so that dropping the anchor's own entry
+    still leaves k, which must meet K_RULE; search_k goes to query, which
     checks it against SEARCH_K_RULE when given.
     """
     check("k", k, K_RULE)
@@ -76,44 +73,26 @@ def retrieve_similar(
     for pos, vec in enumerate(embeddings):
         res = query(index, vec, k=k + 1, search_k=search_k)
         kept = [(ids[i], d) for i, d in res.neighbors if i != pos][:k]
-        anchor = ids[pos]
-        hint = None if class_hints is None else class_hints[anchor]
-        groups.append(
-            SimilarityGroup(anchor=anchor, members=RetrievalResult(neighbors=tuple(kept)), class_hint=hint)
-        )
+        groups.append(SimilarityGroup(anchor=ids[pos], members=RetrievalResult(neighbors=tuple(kept))))
     return groups
 
 
 def filter_candidates(group: SimilarityGroup, verdicts: dict[str, bool]) -> SimilarityGroup:
     """Keep the members whose verdict (metrics.iou_verdicts) holds, in order,
-    with their distances and the group's class hint."""
+    with their distances."""
     for member_id, _ in group.members.neighbors:
         if member_id not in verdicts:
             raise ValueError(f"member {member_id!r} has no proposal record")
     kept = tuple(m for m in group.members.neighbors if verdicts[m[0]])
-    return SimilarityGroup(
-        anchor=group.anchor,
-        members=RetrievalResult(neighbors=kept),
-        class_hint=group.class_hint,
-    )
+    return SimilarityGroup(anchor=group.anchor, members=RetrievalResult(neighbors=kept))
 
 
 def save_groups(groups: list[SimilarityGroup], path) -> None:
-    """One JSON object per line: {anchor, members: [{id, distance}], class_hint}."""
+    """One JSON object per line: {anchor, members: [{id, distance}]}."""
     with open(path, "w", encoding="utf-8") as fh:
         for g in groups:
-            fh.write(
-                json.dumps(
-                    {
-                        "anchor": g.anchor,
-                        "members": [
-                            {"id": i, "distance": d} for i, d in g.members.neighbors
-                        ],
-                        "class_hint": g.class_hint,
-                    },
-                    ensure_ascii=False,
-                )
-            )
+            members = [{"id": i, "distance": d} for i, d in g.members.neighbors]
+            fh.write(json.dumps({"anchor": g.anchor, "members": members}, ensure_ascii=False))
             fh.write("\n")
 
 
@@ -130,10 +109,10 @@ def _member(record) -> tuple[str, float]:
 
 def load_groups(path) -> list[SimilarityGroup]:
     """Read save_groups' format back from read_lines' lines; blank lines are
-    skipped. A line that is not JSON, lacks a key, holds a value of the wrong
-    JSON type (a non-string anchor or member id, a distance that is not a
-    number, a class_hint neither string nor null) or breaks a SimilarityGroup
-    rule raises ValueError naming path:line."""
+    skipped, and so are keys other than anchor and members. A line that is not
+    JSON, lacks a key, holds a value of the wrong JSON type (a non-string
+    anchor or member id, a distance that is not a number) or breaks a
+    SimilarityGroup rule raises ValueError naming path:line."""
     groups: list[SimilarityGroup] = []
     for line_no, line in enumerate(read_lines(path), start=1):
         line = line.strip()
@@ -141,19 +120,11 @@ def load_groups(path) -> list[SimilarityGroup]:
             continue
         try:
             obj = json.loads(line)
-            anchor, hint = obj["anchor"], obj.get("class_hint")
+            anchor = obj["anchor"]
             if not isinstance(anchor, str):
                 raise TypeError(f"anchor must be a string, got {anchor!r}")
-            if hint is not None and not isinstance(hint, str):
-                raise TypeError(f"class_hint must be a string or null, got {hint!r}")
             members = tuple(_member(m) for m in obj["members"])
-            groups.append(
-                SimilarityGroup(
-                    anchor=anchor,
-                    members=RetrievalResult(neighbors=members),
-                    class_hint=hint,
-                )
-            )
+            groups.append(SimilarityGroup(anchor=anchor, members=RetrievalResult(neighbors=members)))
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"{path}:{line_no}: malformed group record ({exc})") from exc
     return groups

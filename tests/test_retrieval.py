@@ -20,10 +20,8 @@ def identity_params(dim):
     return EncoderParams(weights=(np.eye(dim),), biases=(np.zeros(dim),))
 
 
-def group(anchor, members, hint=None):
-    return SimilarityGroup(
-        anchor=anchor, members=RetrievalResult(neighbors=tuple(members)), class_hint=hint
-    )
+def group(anchor, members):
+    return SimilarityGroup(anchor=anchor, members=RetrievalResult(neighbors=tuple(members)))
 
 
 class TestSimilarityGroup:
@@ -119,19 +117,6 @@ class TestRetrieveSimilar:
         assert groups[0].members.neighbors == (("1", 0.0),)
         assert groups[1].members.neighbors == (("0", 0.0),)
 
-    def test_class_hints_attached(self):
-        emb = np.array([[0.0], [1.0]])
-        index = self.make_index(emb)
-        groups = retrieve_similar(index, emb, k=1, ids=["a", "b"], class_hints={"a": "mug", "b": None})
-        assert groups[0].class_hint == "mug"
-        assert groups[1].class_hint is None
-        assert [g.class_hint for g in retrieve_similar(index, emb, k=1, ids=["a", "b"])] == [None, None]
-
-    def test_anchor_missing_from_class_hints_raises(self):
-        emb = np.array([[0.0], [1.0]])
-        with pytest.raises(KeyError, match="b"):
-            retrieve_similar(self.make_index(emb), emb, k=1, ids=["a", "b"], class_hints={"a": "mug"})
-
     def test_query_count_must_match_index(self):
         emb = np.array([[0.0], [1.0]])
         idx = self.make_index(emb)
@@ -195,10 +180,9 @@ class TestFilterCandidates:
             filter_candidates(g, iou_verdicts(self.items, threshold=0.5))
 
     def test_order_and_metadata_preserved(self):
-        g = group("q", [("a#0", 0.1), ("b#0", 0.2), ("a#1", 0.3)], hint="mug")
+        g = group("q", [("a#0", 0.1), ("b#0", 0.2), ("a#1", 0.3)])
         out = filter_candidates(g, iou_verdicts(self.items, threshold=0.5))
         assert out.anchor == "q"
-        assert out.class_hint == "mug"
         assert out.members.neighbors == (("a#0", 0.1), ("b#0", 0.2))
 
     def test_none_ground_truth_passes_its_items(self):
@@ -214,8 +198,8 @@ class TestFilterCandidates:
 class TestGroupFiles:
     def test_round_trip(self, tmp_path):
         groups = [
-            group("a", [("b", 0.5), ("c", 1.25)], hint="mug"),
-            group("d", [], hint=None),
+            group("a", [("b", 0.5), ("c", 1.25)]),
+            group("d", []),
         ]
         path = tmp_path / "groups.jsonl"
         save_groups(groups, path)
@@ -223,9 +207,7 @@ class TestGroupFiles:
         assert len(again) == 2
         assert again[0].anchor == "a"
         assert again[0].members.neighbors == (("b", 0.5), ("c", 1.25))
-        assert again[0].class_hint == "mug"
         assert again[1].members.neighbors == ()
-        assert again[1].class_hint is None
 
     def test_one_json_object_per_line(self, tmp_path):
         import json
@@ -236,7 +218,7 @@ class TestGroupFiles:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         obj = json.loads(lines[0])
-        assert obj == {"anchor": "a", "members": [{"id": "b", "distance": 0.5}], "class_hint": None}
+        assert obj == {"anchor": "a", "members": [{"id": "b", "distance": 0.5}]}
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -265,14 +247,13 @@ class TestGroupFiles:
             '{"anchor": "a", "members": [{"id": 7, "distance": 1.0}]}',
             '{"anchor": "a", "members": [{"id": ["x"], "distance": 1.0}]}',
             '{"anchor": 3, "members": []}',
-            '{"anchor": "a", "members": [], "class_hint": 4}',
             '{"anchor": "a", "members": [{"id": "b", "distance": 1' + "0" * 400 + '}]}',
         ],
         ids=[
             "non_numeric_distance", "anchor_among_members", "decreasing_distances",
             "nan_distance", "negative_and_infinite_distances", "bool_distance",
             "numeric_string_distance", "null_distance", "int_member_id", "list_member_id",
-            "int_anchor", "int_class_hint", "int_distance_beyond_float",
+            "int_anchor", "int_distance_beyond_float",
         ],
     )
     def test_rejected_record_names_path_and_line(self, tmp_path, record):
@@ -290,8 +271,18 @@ class TestGroupFiles:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "g.jsonl"
-        path.write_text('\n{"anchor": "a", "members": [], "class_hint": null}\n\n', encoding="utf-8")
+        path.write_text('\n{"anchor": "a", "members": []}\n\n', encoding="utf-8")
         assert len(load_groups(path)) == 1
+
+    @pytest.mark.parametrize("extra", [', "class_hint": "mug"', ', "class_hint": 4', ', "class_hint": null'])
+    def test_older_class_hint_key_ignored(self, tmp_path, extra):
+        # older writers added the anchor's class; a record loads the same with or without it
+        record = '{"anchor": "a", "members": [{"id": "b", "distance": 0.5}]%s}\n'
+        path = tmp_path / "g.jsonl"
+        path.write_text(record % "", encoding="utf-8")
+        plain = load_groups(path)
+        path.write_text(record % extra, encoding="utf-8")
+        assert load_groups(path) == plain == [group("a", [("b", 0.5)])]
 
     def test_integer_distance_loads_as_float(self, tmp_path):
         path = tmp_path / "g.jsonl"

@@ -98,7 +98,7 @@ def similarity_groups(draw):
     ids = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
     dists = sorted(draw(st.lists(st.floats(0.0, 1e300), min_size=len(ids) - 1, max_size=len(ids) - 1)))
     members = RetrievalResult(neighbors=tuple(zip(ids[1:], dists)))
-    return SimilarityGroup(anchor=ids[0], members=members, class_hint=draw(st.none() | texts))
+    return SimilarityGroup(anchor=ids[0], members=members)
 
 
 @FUZZ
@@ -113,7 +113,7 @@ READERS = {
     "items.csv": (load_items, ",".join(ITEMS_FIELDS).encode() + b"\n"),
     "proposals.csv": (load_proposals, b"img,1,2,3,4,0.5,gen\n"),
     "config.txt": (load_config, b"seed=3\n"),
-    "groups.jsonl": (load_groups, b'{"anchor": "a", "members": [], "class_hint": null}\n'),
+    "groups.jsonl": (load_groups, b'{"anchor": "a", "members": []}\n'),
 }
 
 FRAGMENTS = [b"\r", b"\n", b"\r\n", b",", b'"', b"\xef\xbb\xbf", b"[", b"{", b"=", b"1", b"-", b".", b"\x00",
