@@ -267,6 +267,9 @@ def _batch_gradient(
     row sums its pair gradients and runs backward once. One bincount over
     flat (row, column) indices does the summing: each entry starts at +0.0
     and adds the a-side gradients in pair order, then the negated b-side ones.
+    Both sides are written once, into the two halves of one signed array; the
+    pair differences, the flat indices and that array are each dropped as
+    soon as they are used, and the rectifier gates apply in place.
     """
     n = len(ia)
     diff = acts[-1][ia] - acts[-1][ib]
@@ -282,19 +285,23 @@ def _batch_gradient(
         neg_coeff = np.where((~pos) & (d2 < margin), -1.0, 0.0)
 
     coeff = (np.where(pos, 1.0, 0.0) + neg_coeff) / n
-    pair_delta = coeff[:, None] * diff
     # d(loss)/d(fb) = -d(loss)/d(fa); a row in several pairs sums them all
     dim = diff.shape[1]
+    signed = np.empty((2 * n, dim))
+    np.multiply(coeff[:, None], diff, out=signed[:n])
+    np.negative(signed[:n], out=signed[n:])
+    del diff
     flat = (np.concatenate([ia, ib])[:, None] * dim + np.arange(dim)).ravel()
-    signed = np.concatenate([pair_delta, -pair_delta]).ravel()
-    delta = np.bincount(flat, signed, minlength=acts[-1].size).reshape(acts[-1].shape)
+    delta = np.bincount(flat, signed.ravel(), minlength=acts[-1].size).reshape(acts[-1].shape)
+    del flat, signed
     n_layers = len(params.weights)
     grad_w, grad_b = out
     for layer in range(n_layers - 1, -1, -1):
         np.matmul(delta.T, acts[layer], out=grad_w[layer])
         np.sum(delta, axis=0, out=grad_b[layer])
         if layer > 0:
-            delta = (delta @ params.weights[layer]) * (acts[layer] > 0)
+            delta = delta @ params.weights[layer]
+            delta *= acts[layer] > 0
     return loss
 
 
@@ -378,15 +385,18 @@ def _mine_hard_indices(
 
     emb holds the embedding of every row that members indexes; no forward
     pass runs here. The pool's squared embedding distances are scored one
-    batch (count pairs) at a time, so the temporaries stay batch-sized; each
-    distance is still one row's own sum. Positives are ranked by descending
-    and negatives by ascending distance, ties in pool order.
+    batch (count pairs) at a time, each difference squared where it lies, so
+    the temporaries stay batch-sized; each distance is still one row's own
+    sum. Positives are ranked by descending and negatives by ascending
+    distance, ties in pool order.
     """
     ia, ib, y = _sample_pair_indices(members, pool_factor * count, rng)
     d2 = np.empty(len(ia))
     for s in range(0, len(ia), count):
-        diff = emb[ia[s : s + count]] - emb[ib[s : s + count]]
-        d2[s : s + count] = np.sum(diff * diff, axis=1)
+        diff = emb[ia[s : s + count]]
+        diff -= emb[ib[s : s + count]]
+        diff *= diff
+        d2[s : s + count] = np.sum(diff, axis=1)
 
     half = (len(ia) + 1) // 2  # _sample_pair_indices puts the pool's positives first
     # hardest positives have the largest distance; ties keep pool order
@@ -409,7 +419,9 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     Aborts with TrainingDiverged if a batch loss goes non-finite.
 
     Each step is one momentum update, applied in place to the initial params:
-    v <- momentum*v - lr*g; params <- params + v.
+    v <- momentum*v - lr*g; params <- params + v. The gradients are scaled by
+    lr where they lie, since the next backward pass overwrites them, so the
+    update allocates no parameter-sized array.
 
     One step's arrays are alive at a time. Every step writes its gradients
     into one set of arrays, and the loop deletes each of a step's other
@@ -446,7 +458,8 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
             raise TrainingDiverged(iteration=it, value=loss)
         for p, v, g in zip(arrays, velocity, (*grad_w, *grad_b)):
             v *= cfg.momentum
-            v -= cfg.learning_rate * g
+            g *= cfg.learning_rate
+            v -= g
             p += v
         trace.append(loss)
     return TrainResult(params=params, loss_trace=tuple(trace))

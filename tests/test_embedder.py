@@ -511,7 +511,7 @@ class TestBatchGradient:
         seen, real = [], embedder._batch_gradient
 
         def recording(*args):  # the loss, then the gradients written into the last argument
-            seen.append((real(*args), *args[-1]))
+            seen.append((real(*args), *([a.copy() for a in part] for part in args[-1])))
             return seen[-1][0]
 
         monkeypatch.setattr(embedder, "_mine_hard_indices", lambda *args: (where[ia], where[ib], y))
