@@ -7,13 +7,10 @@ ranks each leaf by the smallest signed distance from the query to the planes
 on its path and takes leaves best first until its budget is met. A query
 whose budget covers every item scans all items instead.
 
-The candidates are then re-ranked by exact distance, certified filter first.
-One product x @ q over float64 items gives each item an approximate squared
-distance a = |x|^2 - 2 x.q + |q|^2, and eps = 4 (d + 4) u (|x| + |q|)^2,
-u = 2**-53, bounds how far a and the exact score can lie apart (see query).
-Only candidates whose lower bound a - eps reaches the k-th smallest upper
-bound a + eps are scored exactly, so the answer is the one a full re-rank
-gives, bit for bit.
+The candidates are then re-ranked by exact distance, certified filter first:
+one product x @ q bounds every candidate's squared distance, and only those
+the bound keeps in reach of the k closest are scored exactly (see query and
+coseg._certify), so the answer is the one a full re-rank gives, bit for bit.
 
 The forest is a pure function of the items and the config, so it is grown
 only when a query first walks it. The file form holds the config and a sha256
@@ -32,12 +29,12 @@ from typing import Sequence
 import numpy as np
 
 from . import _binio
+from ._certify import slack
 from .errors import SEED_BITS, DecodeError, check, check_rules, int_rule
 
 MAGIC = b"CSGI"
 VERSION = 3
 METRICS = ("euclidean", "cosine")
-UNIT_ROUNDOFF = 2.0**-53
 
 
 # IndexConfig's integer fields: (least value, bits). save_file writes each as an
@@ -258,7 +255,7 @@ def _shortlist(rows: Rows, qv: np.ndarray, ids: np.ndarray, k: int) -> np.ndarra
     with np.errstate(over="ignore", invalid="ignore"):
         qq = qv @ qv
         approx = (rows.sq_norms - 2.0 * (rows.values @ qv) + qq)[ids]
-        eps = (4 * (len(qv) + 4) * UNIT_ROUNDOFF) * (rows.norms[ids] + np.sqrt(qq)) ** 2
+        eps = slack(len(qv)) * (rows.norms[ids] + np.sqrt(qq)) ** 2
         upper = approx + eps
         kth = min(k, len(ids)) - 1
         bound = np.partition(upper, kth)[kth]
@@ -290,29 +287,19 @@ def query(index: AnnIndex, q, k: int, search_k: int | None = None) -> RetrievalR
     k must meet K_RULE and a given search_k SEARCH_K_RULE, else ConfigError.
 
     Only the candidates that can reach the k closest are scored exactly. For
-    item x and query q of dimension d, with u = 2**-53, one product x @ q over
-    all items gives a = |x|^2 - 2 x.q + |q|^2 and eps = 4 (d + 4) u (|x| + |q|)^2.
+    item x and query q of dimension d, one product x @ q over all items gives
+    a = |x|^2 - 2 x.q + |q|^2 and eps = c (|x| + |q|)^2, c = _certify.slack(d).
     T is the min(k, candidates)-th smallest a + eps over the candidates, and
-    the candidates with a - eps <= T, in ascending id order, are scored.
+    the candidates with a - eps <= T, in ascending id order, are scored; a
+    stable argsort's first k of them is the full re-rank's answer, bit for
+    bit. The proof, which covers the final sqrt, is coseg._certify's.
 
-    Why that is exact. Let s be the true squared distance and E the einsum
-    value. In any summation order a sum's rounding error is at most
-    gamma_m * sum|terms|, gamma_m = m u / (1 - m u), and the absolute terms of
-    both a and E add up to at most (|x| + |q|)^2. So |a - s| and |E - s| are
-    each about (d + 3) u (|x| + |q|)^2. Two distances can round to the same
-    sqrt only when their squares differ by at most about 4 u E. eps exceeds
-    the three terms together, so a - eps <= E - 4 u E and E <= a + eps. The
-    second makes T at least D, the k-th smallest E. By the first, every
-    candidate whose distance is at most the k-th distance, ties included, has
-    a - eps <= E - 4 u E <= D <= T and is kept. Scoring the kept ids in
-    ascending id order and taking the first k of a stable argsort then gives
-    the full re-rank's answer, bit for bit.
-
-    Underflow voids the bound only for a zero row against a query of norm
-    below about 1e-150: zero rows share one a and one E, and every other
-    float32 row lies at squared distance above 1e-90, so the kept set is still
-    right. Where T, or an a or eps of a candidate, is not finite, the bound
-    says nothing and every candidate is kept.
+    That proof's absolute term for underflow is left out here: underflow
+    voids the bound only for a zero row against a query of norm below about
+    1e-150, zero rows share one a and one E, and every other float32 row lies
+    at squared distance above 1e-90, so the kept set is still right. Where T,
+    or an a or eps of a candidate, is not finite, the bound says nothing and
+    every candidate is kept.
     """
     check("k", k, K_RULE)
     qv = np.asarray(q, dtype=np.float64).ravel()

@@ -38,11 +38,18 @@ def _nearest_axis(src: int, dst: int) -> np.ndarray:
 
 
 def resize_nearest(image: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Nearest-neighbor resample of a 2-d or 3-d (h, w[, c]) array."""
+    """Nearest-neighbor resample of a 2-d or 3-d (h, w[, c]) array.
+
+    Both axes are pure gathers, so either order gives the same array. A
+    column gather copies one pixel at a time and a row gather whole rows, so
+    the columns go first only when the source has fewer rows than the target.
+    """
     if height < 1 or width < 1:
         raise ValueError(f"target size must be positive, got {height}x{width}")
     rows = _nearest_axis(image.shape[0], height)
     cols = _nearest_axis(image.shape[1], width)
+    if image.shape[0] < height:
+        return image.take(cols, 1).take(rows, 0)
     return image.take(rows, 0).take(cols, 1)
 
 

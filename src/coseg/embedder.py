@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import FLAG_RULE, SEED_BITS, DecodeError, TrainingDiverged, check, check_rules, int_rule
 from ._binio import open_reader
+from ._certify import pool_candidates
 
 MODEL_MAGIC = b"CSGM"
 MODEL_VERSION = 1
@@ -248,6 +249,7 @@ def _gradient_arrays(params: EncoderParams) -> tuple[list[np.ndarray], list[np.n
 def _batch_gradient(
     params: EncoderParams,
     acts: Sequence[np.ndarray],
+    rows: np.ndarray | slice,
     ia: np.ndarray,
     ib: np.ndarray,
     labels: np.ndarray,
@@ -258,10 +260,13 @@ def _batch_gradient(
     """Mean loss over the pairs (rows ia, rows ib); the mean-loss gradients go
     into out's (weights, biases) arrays.
 
-    acts holds every layer's output, input first, for exactly the rows the
-    pairs touch, each once; ia and ib index those rows, and no forward pass
-    runs here. Each pair's gradient is c * (fa - fb) with respect to fa and
-    the negation with respect to fb. The hinge kink and the zero-distance
+    acts holds every layer's output, input first; rows picks from it exactly
+    the rows the pairs touch, each once (slice(None) when acts holds just
+    those), and ia and ib index the picked rows. No forward pass runs here,
+    and each layer is gathered at rows only when the backward pass reaches
+    it, so the gathered input layer is never alive beside the summing arrays.
+    Each pair's gradient is c * (fa - fb) with respect to fa and the negation
+    with respect to fb. The hinge kink and the zero-distance
     point of the classical variant use subgradient 0. Both branches share the
     weights and a row's rectifier gates depend on that row alone, so each
     row sums its pair gradients and runs backward once. One bincount over
@@ -272,7 +277,8 @@ def _batch_gradient(
     soon as they are used, and the rectifier gates apply in place.
     """
     n = len(ia)
-    diff = acts[-1][ia] - acts[-1][ib]
+    top = acts[-1][rows]
+    diff = top[ia] - top[ib]
     d2 = np.sum(diff * diff, axis=1)
     pos = np.asarray(labels) == 1
     loss = float(np.mean(_pair_losses(d2, pos, margin, classical_hinge)))
@@ -292,16 +298,17 @@ def _batch_gradient(
     np.negative(signed[:n], out=signed[n:])
     del diff
     flat = (np.concatenate([ia, ib])[:, None] * dim + np.arange(dim)).ravel()
-    delta = np.bincount(flat, signed.ravel(), minlength=acts[-1].size).reshape(acts[-1].shape)
-    del flat, signed
+    delta = np.bincount(flat, signed.ravel(), minlength=top.size).reshape(top.shape)
+    del flat, signed, top
     n_layers = len(params.weights)
     grad_w, grad_b = out
     for layer in range(n_layers - 1, -1, -1):
-        np.matmul(delta.T, acts[layer], out=grad_w[layer])
+        act = acts[layer][rows]
+        np.matmul(delta.T, act, out=grad_w[layer])
         np.sum(delta, axis=0, out=grad_b[layer])
         if layer > 0:
             delta = delta @ params.weights[layer]
-            delta *= acts[layer] > 0
+            delta *= act > 0
     return loss
 
 
@@ -317,6 +324,7 @@ def loss_gradient(
     _batch_gradient(
         params,
         forward_batch(params, np.stack([pair.a, pair.b]), all_layers=True),
+        slice(None),
         np.array([0]),
         np.array([1]),
         np.array([pair.label]),
@@ -384,25 +392,30 @@ def _mine_hard_indices(
     """Pick the hardest pairs out of a random pool of pool_factor*count.
 
     emb holds the embedding of every row that members indexes; no forward
-    pass runs here. The pool's squared embedding distances are scored one
-    batch (count pairs) at a time, each difference squared where it lies, so
-    the temporaries stay batch-sized; each distance is still one row's own
-    sum. Positives are ranked by descending and negatives by ascending
-    distance, ties in pool order.
+    pass runs here. The pool is bounded first: where one Gram product over
+    the rows costs less than scoring the pool, only the pairs that
+    _certify.pool_candidates certifies can make the batch are scored
+    exactly; else, or where a bound is not finite, the whole pool is. Either
+    set is scored one batch (count pairs) at a time, in pool order, each
+    difference squared where it lies, so the temporaries stay batch-sized;
+    each distance is still one row's own sum. Positives are ranked by
+    descending and negatives by ascending distance, ties in pool order, so
+    the picks are those of the whole pool, bit for bit.
     """
     ia, ib, y = _sample_pair_indices(members, pool_factor * count, rng)
-    d2 = np.empty(len(ia))
-    for s in range(0, len(ia), count):
-        diff = emb[ia[s : s + count]]
-        diff -= emb[ib[s : s + count]]
+    keep, n_pos = pool_candidates(emb, ia, ib, count)
+    ka, kb = ia[keep], ib[keep]
+    d2 = np.empty(len(keep))
+    for s in range(0, len(keep), count):
+        diff = emb[ka[s : s + count]]
+        diff -= emb[kb[s : s + count]]
         diff *= diff
         d2[s : s + count] = np.sum(diff, axis=1)
 
-    half = (len(ia) + 1) // 2  # _sample_pair_indices puts the pool's positives first
     # hardest positives have the largest distance; ties keep pool order
-    pos_pick = np.argsort(-d2[:half], kind="stable")[: (count + 1) // 2]
-    neg_pick = half + np.argsort(d2[half:], kind="stable")[: count // 2]
-    sel = np.concatenate([pos_pick, neg_pick])
+    pos_pick = np.argsort(-d2[:n_pos], kind="stable")[: (count + 1) // 2]
+    neg_pick = n_pos + np.argsort(d2[n_pos:], kind="stable")[: count // 2]
+    sel = keep[np.concatenate([pos_pick, neg_pick])]
     return ia[sel], ib[sel], y[sel]
 
 
@@ -411,11 +424,16 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
 
     Batch gradients average the per-pair losses. Each step finds the rows its
     pairs touch once, and runs forward_batch once: an aggressive step over
-    every training row, whose embeddings feed the mining and whose layers,
-    gathered at the touched rows, feed the gradient; a random step over the
-    touched rows alone. Every touched row then runs backward once. The pair
-    stream draws from a generator seeded with cfg.seed + 1 so it is
-    independent of the cfg.seed weight init.
+    every training row, whose embeddings feed the mining and whose layers
+    feed the gradient, each gathered at the touched rows when the backward
+    pass reaches it; a random step over the touched rows alone. Every
+    touched row then runs backward once. The mining bounds its pool first
+    and scores exactly only the pairs that can make the batch, or the whole
+    pool where the bounding costs more (a training set above about
+    4 * sqrt(pool) rows) or a bound is not finite; either way it picks what
+    scoring the whole pool picks. The pair stream draws from a generator
+    seeded with cfg.seed + 1 so it is independent of the cfg.seed weight
+    init.
     Aborts with TrainingDiverged if a batch loss goes non-finite.
 
     Each step is one momentum update, applied in place to the initial params:
@@ -448,11 +466,12 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
         rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
         del acts
         if cfg.mining == "aggressive":
-            acts = [layer[rows] for layer in every]
+            acts, picked = every, rows
         else:
-            acts = forward_batch(params, dataset.vectors[rows], all_layers=True)
+            acts, picked = forward_batch(params, dataset.vectors[rows], all_layers=True), slice(None)
         loss = _batch_gradient(
-            params, acts, inv[: len(ia)], inv[len(ia) :], y, cfg.margin, cfg.classical_hinge, (grad_w, grad_b)
+            params, acts, picked, inv[: len(ia)], inv[len(ia) :], y, cfg.margin, cfg.classical_hinge,
+            (grad_w, grad_b),
         )
         if not math.isfinite(loss):
             raise TrainingDiverged(iteration=it, value=loss)

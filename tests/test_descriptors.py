@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from coseg.descriptors import (
     DESCRIPTOR_DIM,
     PATCH_SIDE,
+    _nearest_axis,
     load_descriptors_file,
     patch_descriptor,
     resize_nearest,
@@ -73,6 +74,23 @@ class TestResizeNearest:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             resize_nearest(np.zeros((2, 2)), 0, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        src=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        dst=st.tuples(st.integers(1, 18), st.integers(1, 18)),
+        channels=st.sampled_from([(), (3,)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_row_then_column_gather(self, src, dst, channels, seed):
+        # either gather order must give image[rows][:, cols], bit for bit and
+        # C-ordered, whether each axis is scaled up, down or kept
+        img = np.random.default_rng(seed).integers(0, 256, size=src + channels, dtype=np.uint8)
+        rows, cols = _nearest_axis(src[0], dst[0]), _nearest_axis(src[1], dst[1])
+        out = resize_nearest(img, *dst)
+        assert out.flags.c_contiguous
+        assert out.dtype == img.dtype
+        assert np.array_equal(out, img[rows][:, cols])
 
 
 class TestPatchDescriptor:

@@ -1,11 +1,13 @@
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coseg import _certify
 from coseg.embedder import (
     MINING_MODES,
     EncoderParams,
@@ -278,7 +280,7 @@ class TestContrastiveLoss:
         # one linear layer: the pair's rows are both its input and its embedding
         params = EncoderParams(weights=(np.eye(emb.shape[1]),), biases=(np.zeros(emb.shape[1]),))
         trained = _batch_gradient(
-            params, [emb, emb], np.array([0]), np.array([1]), np.array([label]), margin, classical,
+            params, [emb, emb], slice(None), np.array([0]), np.array([1]), np.array([label]), margin, classical,
             _gradient_arrays(params),
         )
         got = contrastive_loss(emb[0], emb[1], label, margin, classical)
@@ -387,7 +389,7 @@ def batch_gradient(params, vectors, ia, ib, labels, margin, classical_hinge):
     rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
     acts = forward_batch(params, vectors[rows], all_layers=True)
     grad_w, grad_b = _gradient_arrays(params)
-    loss = _batch_gradient(params, acts, inv[: len(ia)], inv[len(ia) :], labels, margin, classical_hinge,
+    loss = _batch_gradient(params, acts, slice(None), inv[: len(ia)], inv[len(ia) :], labels, margin, classical_hinge,
                            (grad_w, grad_b))
     return loss, grad_w, grad_b
 
@@ -583,7 +585,8 @@ class TestTrainUpdate:
         for _ in range(cfg.iterations):
             params = EncoderParams(weights=tuple(weights), biases=tuple(biases))
             if cfg.mining == "aggressive":
-                ia, ib, y = unblocked_mine(params, ds, cfg.batch_size, rng, cfg.pool_factor)
+                emb = forward_batch(params, ds.vectors)
+                ia, ib, y = unblocked_mine(emb, ds.labels, cfg.batch_size, rng, cfg.pool_factor)
             else:
                 ia, ib, y = _sample_pair_indices(_class_members(ds.labels), cfg.batch_size, rng)
             _, grad_w, grad_b = add_at_gradient(
@@ -792,11 +795,10 @@ def padded_table_pairs(labels, count, rng):
     return np.concatenate([table[pc, i], neg_a]), np.concatenate([table[pc, j], neg_b]), y
 
 
-def unblocked_mine(params, dataset, count, rng, pool_factor):
-    """Reference: the whole pool scored by one unblocked expression, then
-    the hardest positives and negatives, ties in pool order."""
-    ia, ib, y = _sample_pair_indices(_class_members(dataset.labels), pool_factor * count, rng)
-    emb = forward_batch(params, dataset.vectors)
+def unblocked_mine(emb, labels, count, rng, pool_factor):
+    """Reference: the whole pool of the embeddings emb scored by one unblocked
+    expression, then the hardest positives and negatives, ties in pool order."""
+    ia, ib, y = _sample_pair_indices(_class_members(labels), pool_factor * count, rng)
     d2 = np.sum((emb[ia] - emb[ib]) ** 2, axis=1)
     pos_idx = np.flatnonzero(y == 1)
     neg_idx = np.flatnonzero(y == 0)
@@ -815,6 +817,57 @@ def permuted_dataset():
     perms = np.stack([rng.permutation(u) for _ in range(16)])
     vectors = np.concatenate([perms[:10], np.zeros((6, 24)), perms[10:]])
     return LabeledDescriptors(vectors=vectors, labels=np.repeat([0, 1, 2], [10, 6, 6]))
+
+
+ROW_KINDS = ("rounded", "rounded", "constant", "permuted", "duplicate", "zero", "nan", "inf")
+SCALES = (1e-160, 1e-155, 1e-100, 1.0, 1e100, 1e150)
+
+
+@st.composite
+def mining_embeddings(draw):
+    """(embeddings, labels) that stress the certified pool: rounded values for
+    exact ties, constant rows, duplicate and zero rows, permutations of one
+    vector whose distances differ in their last bits, magnitudes from 1e-160
+    to 1e150 (one scale, or one per row), and rows holding a NaN or an inf.
+    Rows 0 and 1 share class 0 and row 2 is class 1, so pairs can be drawn."""
+    n = draw(st.integers(3, 24))
+    dim = draw(st.sampled_from([1, 2, 3, 8, 24]))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=n, max_size=n))
+    scales = draw(st.lists(st.sampled_from(SCALES), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        scales = [scales[0]] * n
+    labels = np.array([0, 0, 1] + draw(st.lists(st.integers(0, 3), min_size=n - 3, max_size=n - 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    base = rng.normal(size=dim)
+    emb = np.zeros((n, dim))
+    for i, (kind, scale) in enumerate(zip(kinds, scales)):
+        if kind == "rounded":
+            emb[i] = rng.integers(-3, 4, size=dim) * scale
+        elif kind == "constant":  # at small scales every product rounds alike
+            emb[i] = rng.integers(-3, 4) * scale
+        elif kind == "permuted":
+            emb[i] = rng.permutation(base) * scale
+        elif kind == "duplicate":
+            emb[i] = emb[rng.integers(i)] if i else 0.0
+        elif kind in ("nan", "inf"):
+            emb[i] = rng.integers(-3, 4, size=dim) * scale
+            emb[i, rng.integers(dim)] = np.nan if kind == "nan" else rng.choice([-np.inf, np.inf])
+    return emb, labels
+
+
+# Examples that each break one weakened form of the certificate: constant
+# rows whose products all underflow, where a bound four times smaller drops a
+# pair the picks take;
+UNDERFLOW_CASE = (
+    np.array([-3, 1, -1, -2, -3, -1, 1, 0])[:, None] * 5.166451422355176e-158 * np.ones((1, 64)),
+    np.array([0, 0, 1, 0, 0, 1, 1, 0]),
+)
+# a lone positive pair of zero rows, whose bounds both equal the cut, so
+# keeping only bounds above the cut drops it;
+ZERO_CASE = (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]]), np.array([0, 0, 1]))
+# an inf row, whose pairs' bounds are not finite and whose positives the
+# picks take first.
+INF_CASE = (np.array([[np.inf, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 3.0]]), np.array([0, 0, 1, 1]))
 
 
 def embedding_d2(params, ds, ia, ib):
@@ -863,8 +916,31 @@ class TestMineHardPairs:
             params = init_params(24, (16, 8), seed=3)
         emb = forward_batch(params, ds.vectors)
         got = _mine_hard_indices(emb, _class_members(ds.labels), count, np.random.default_rng(5), pool_factor)
-        want = unblocked_mine(params, ds, count, np.random.default_rng(5), pool_factor)
+        want = unblocked_mine(emb, ds.labels, count, np.random.default_rng(5), pool_factor)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @settings(max_examples=300, deadline=None)
+    @example(case=UNDERFLOW_CASE, count=1, pool_factor=10, seed=47)
+    @example(case=ZERO_CASE, count=1, pool_factor=1, seed=0)
+    @example(case=INF_CASE, count=2, pool_factor=10, seed=0)
+    @given(
+        case=mining_embeddings(),
+        count=st.integers(1, 12),
+        pool_factor=st.sampled_from([1, 10]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_certified_pool_equals_unblocked_reference(self, case, count, pool_factor, seed):
+        # both candidate sets, the bounded one and the whole pool, pick what
+        # the unblocked whole-pool score picks, bit for bit; a NaN or inf row
+        # makes the exact scores NaN or inf as it does the reference's
+        emb, labels = case
+        members = _class_members(labels)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = unblocked_mine(emb, labels, count, np.random.default_rng(seed), pool_factor)
+            for bounded in (True, False):
+                with mock.patch.object(_certify, "_gram_pays", lambda rows, pool: bounded):
+                    got = _mine_hard_indices(emb, members, count, np.random.default_rng(seed), pool_factor)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), f"bounded={bounded}"
 
     def test_permuted_pool_has_exact_ties(self):
         ds = permuted_dataset()

@@ -19,7 +19,7 @@ MAX_LINE = 110
 # a module imports only from modules in layers before its own
 LAYERS = [
     {"__init__", "errors"},
-    {"_binio"},
+    {"_binio", "_certify"},
     {"geometry", "pnm", "embedder", "annindex"},
     {"descriptors", "metrics"},
     {"collage", "retrieval"},
