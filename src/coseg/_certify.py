@@ -54,11 +54,21 @@ def slack(dim: int) -> float:
 def _gram_pays(rows: int, pool: int) -> bool:
     """Whether bounding the pool first costs less than scoring it whole. The
     Gram product costs about rows**2 multiply-adds per dimension and exact
-    scoring a few passes per pool pair. With 256 dimensions and a 1,280-pair
-    pool, on a 2-core x86 host with one BLAS thread, the two broke even
-    between rows**2 = 20 and 29 times the pool, so the rule keeps a margin
-    below that."""
-    return rows * rows <= 16 * pool
+    scoring a few passes per pool pair. With 256 dimensions, a 1,280-pair
+    pool and a batch of 128, on a 2-core x86 host with one BLAS thread, a
+    mining call took (median of 400 alternating calls, bounded against
+    whole pool):
+
+        rows   rows**2 / pool   bounded    whole
+         144        16.2        0.55 ms   0.71 ms
+         160        20.0        0.60 ms   0.69 ms
+         176        24.2        0.65 ms   0.69 ms
+         192        28.8        0.74 ms   0.71 ms
+         240        45.0        1.06 ms   0.79 ms
+
+    so the two break even between 24 and 29 times the pool, and the rule
+    switches at 25."""
+    return rows * rows <= 25 * pool
 
 
 def pool_candidates(emb: np.ndarray, ia: np.ndarray, ib: np.ndarray, count: int) -> tuple[np.ndarray, int]:

@@ -3,10 +3,13 @@ gradients, SGD-with-momentum training, pair sampling, and hard-pair mining.
 
 The encoder is a fully connected network with rectifier hidden layers and an
 identity output layer. Both inputs of a pair run through the same weights, so
-a batch gradient is a sum over the descriptor rows its pairs touch. A row's
-activations depend on that row alone, so one forward pass can serve several
-consumers: a hard-mining step embeds every training row once and feeds those
-activations to both the pair mining and the batch gradient.
+a batch gradient is a sum over the descriptor rows its pairs touch. In exact
+arithmetic a row's activations depend on that row alone, so one forward pass
+can serve several consumers: a hard-mining step embeds every training row
+once and feeds those activations to both the pair mining and the batch
+gradient. Bit for bit they need not: BLAS may block a product differently
+for another row count (see forward_batch), so a set of rows is embedded in
+one call, never in blocks.
 """
 
 from __future__ import annotations
@@ -183,7 +186,11 @@ def forward_batch(
 
     The encoder's one forward pass. With all_layers, returns every layer's
     output instead, input first and embedding last, as training's backward
-    pass needs them. A row's outputs depend on that row alone.
+    pass needs them. A row's outputs depend on that row alone in exact
+    arithmetic, not always bit for bit: with NumPy 2.4's OpenBLAS on a
+    SkylakeX kernel, 300 rows of 1,024 embedded in 64-row blocks differed
+    from one call when the first layer had 16 units or fewer (the Haswell
+    and Prescott kernels agreed).
     """
     acts = [np.asarray(batch, dtype=np.float64)]  # a converted copy is freed with acts[0]
     if acts[0].ndim != 2 or acts[0].shape[1] != params.input_dim:
@@ -248,7 +255,7 @@ def _gradient_arrays(params: EncoderParams) -> tuple[list[np.ndarray], list[np.n
 
 def _batch_gradient(
     params: EncoderParams,
-    acts: Sequence[np.ndarray],
+    acts: list[np.ndarray],
     rows: np.ndarray | slice,
     ia: np.ndarray,
     ib: np.ndarray,
@@ -262,9 +269,14 @@ def _batch_gradient(
 
     acts holds every layer's output, input first; rows picks from it exactly
     the rows the pairs touch, each once (slice(None) when acts holds just
-    those), and ia and ib index the picked rows. No forward pass runs here,
-    and each layer is gathered at rows only when the backward pass reaches
-    it, so the gathered input layer is never alive beside the summing arrays.
+    those), and ia and ib index the picked rows. No forward pass runs here.
+    acts is consumed from the top and is empty on return, so the caller
+    passes a list it owns: each layer leaves the list when the backward pass
+    reaches it, is gathered at rows then, and is freed at its last read. The
+    embedding goes once the pair differences are taken, each hidden layer
+    once its gradient and its rectifier gate are computed, so no layer's
+    gather is alive beside the summing arrays or the next layer's. The input
+    layer is freed only if the caller holds no other reference to it.
     Each pair's gradient is c * (fa - fb) with respect to fa and the negation
     with respect to fb. The hinge kink and the zero-distance
     point of the classical variant use subgradient 0. Both branches share the
@@ -277,8 +289,10 @@ def _batch_gradient(
     soon as they are used, and the rectifier gates apply in place.
     """
     n = len(ia)
-    top = acts[-1][rows]
+    top = acts.pop()[rows]
     diff = top[ia] - top[ib]
+    m = len(top)
+    del top
     d2 = np.sum(diff * diff, axis=1)
     pos = np.asarray(labels) == 1
     loss = float(np.mean(_pair_losses(d2, pos, margin, classical_hinge)))
@@ -298,17 +312,18 @@ def _batch_gradient(
     np.negative(signed[:n], out=signed[n:])
     del diff
     flat = (np.concatenate([ia, ib])[:, None] * dim + np.arange(dim)).ravel()
-    delta = np.bincount(flat, signed.ravel(), minlength=top.size).reshape(top.shape)
-    del flat, signed, top
-    n_layers = len(params.weights)
+    delta = np.bincount(flat, signed.ravel(), minlength=m * dim).reshape(m, dim)
+    del flat, signed
     grad_w, grad_b = out
-    for layer in range(n_layers - 1, -1, -1):
-        act = acts[layer][rows]
+    for layer in range(len(params.weights) - 1, -1, -1):
+        act = acts.pop()[rows]
         np.matmul(delta.T, act, out=grad_w[layer])
         np.sum(delta, axis=0, out=grad_b[layer])
         if layer > 0:
+            gate = act > 0
+            del act
             delta = delta @ params.weights[layer]
-            delta *= act > 0
+            delta *= gate
     return loss
 
 
@@ -430,7 +445,7 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     touched row then runs backward once. The mining bounds its pool first
     and scores exactly only the pairs that can make the batch, or the whole
     pool where the bounding costs more (a training set above about
-    4 * sqrt(pool) rows) or a bound is not finite; either way it picks what
+    5 * sqrt(pool) rows) or a bound is not finite; either way it picks what
     scoring the whole pool picks. The pair stream draws from a generator
     seeded with cfg.seed + 1 so it is independent of the cfg.seed weight
     init.
@@ -442,11 +457,13 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     update allocates no parameter-sized array.
 
     One step's arrays are alive at a time. Every step writes its gradients
-    into one set of arrays, and the loop deletes each of a step's other
-    arrays just before the next step allocates its successor. Freeing a
-    step's arrays at the end of the step, or the gradients before each
-    backward pass, lets glibc trim the heap on some runs, and the next step
-    faults its pages in again.
+    into one set of arrays. _batch_gradient empties the step's layer list,
+    freeing each layer at its last read, so no layer of one step is alive
+    when the next step's forward pass runs; the step's pair indices are
+    replaced as their successors are drawn. Freeing the gradients before
+    each backward pass, or all of a step's arrays together at its end, lets
+    glibc trim the heap on some runs, and the next step faults its pages in
+    again.
     """
     members = _class_members(dataset.labels)  # checks there are enough classes and items
     params = init_params(dataset.dim, cfg.layer_sizes, cfg.seed)
@@ -454,19 +471,16 @@ def train(dataset: LabeledDescriptors, cfg: TrainConfig) -> TrainResult:
     velocity = [np.zeros_like(a) for a in arrays]
     rng = np.random.default_rng(cfg.seed + 1)
     trace: list[float] = []
-    every = acts = None
     grad_w, grad_b = _gradient_arrays(params)
     for it in range(cfg.iterations):
         if cfg.mining == "aggressive":
-            del every
-            every = forward_batch(params, dataset.vectors, all_layers=True)
-            ia, ib, y = _mine_hard_indices(every[-1], members, cfg.batch_size, rng, cfg.pool_factor)
+            acts = forward_batch(params, dataset.vectors, all_layers=True)
+            ia, ib, y = _mine_hard_indices(acts[-1], members, cfg.batch_size, rng, cfg.pool_factor)
         else:
             ia, ib, y = _sample_pair_indices(members, cfg.batch_size, rng)
         rows, inv = np.unique(np.concatenate([ia, ib]), return_inverse=True)
-        del acts
         if cfg.mining == "aggressive":
-            acts, picked = every, rows
+            picked = rows
         else:
             acts, picked = forward_batch(params, dataset.vectors[rows], all_layers=True), slice(None)
         loss = _batch_gradient(

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -487,6 +488,20 @@ class TestBatchGradient:
             assert np.max(np.abs(got - want)) <= 1e-12
         assert any(np.any(g != 0.0) for g in (*got_w, *got_b))
 
+    @pytest.mark.parametrize("rows", ["all", "gathered"])
+    def test_frees_each_layer_it_consumes(self, rows):
+        # the list comes back empty and every layer above the input is
+        # dead: the embedding once the pair differences are taken, each
+        # hidden layer once its gradient and gate are computed
+        params = init_params(5, (6, 4, 3), seed=8)
+        vectors, ia, ib, y = shared_row_batch()
+        acts = forward_batch(params, vectors, all_layers=True)
+        layers = [weakref.ref(layer) for layer in acts[1:]]
+        picked = slice(None) if rows == "all" else np.arange(len(vectors))
+        _batch_gradient(params, acts, picked, ia, ib, y, 4.0, False, _gradient_arrays(params))
+        assert acts == []
+        assert [r() for r in layers] == [None] * len(layers)
+
     def test_batch_exercises_every_case(self):
         # the shared-row batch hits a repeat, both sides, and d = 0 on a negative
         params = init_params(5, (6, 4, 3), seed=8)
@@ -870,6 +885,13 @@ ZERO_CASE = (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]]), np.array([0, 0, 1])
 INF_CASE = (np.array([[np.inf, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 3.0]]), np.array([0, 0, 1, 1]))
 
 
+def switch_case(rows):
+    """rows random embeddings in six classes; with count 128 and pool_factor
+    10 the pool holds 1,280 pairs, and _gram_pays bounds it at 176 rows and
+    scores it whole at 192."""
+    return np.random.default_rng(rows).normal(size=(rows, 24)), np.arange(rows) % 6
+
+
 def embedding_d2(params, ds, ia, ib):
     emb = forward_batch(params, ds.vectors)
     return np.sum((emb[ia] - emb[ib]) ** 2, axis=1)
@@ -923,6 +945,8 @@ class TestMineHardPairs:
     @example(case=UNDERFLOW_CASE, count=1, pool_factor=10, seed=47)
     @example(case=ZERO_CASE, count=1, pool_factor=1, seed=0)
     @example(case=INF_CASE, count=2, pool_factor=10, seed=0)
+    @example(case=switch_case(176), count=128, pool_factor=10, seed=1)
+    @example(case=switch_case(192), count=128, pool_factor=10, seed=1)
     @given(
         case=mining_embeddings(),
         count=st.integers(1, 12),
@@ -930,17 +954,24 @@ class TestMineHardPairs:
         seed=st.integers(0, 2**16),
     )
     def test_certified_pool_equals_unblocked_reference(self, case, count, pool_factor, seed):
-        # both candidate sets, the bounded one and the whole pool, pick what
-        # the unblocked whole-pool score picks, bit for bit; a NaN or inf row
-        # makes the exact scores NaN or inf as it does the reference's
+        # both candidate sets, the bounded one and the whole pool, and the
+        # one _gram_pays chooses, pick what the unblocked whole-pool score
+        # picks, bit for bit; a NaN or inf row makes the exact scores NaN or
+        # inf as it does the reference's
         emb, labels = case
         members = _class_members(labels)
         with np.errstate(invalid="ignore", over="ignore"):
             want = unblocked_mine(emb, labels, count, np.random.default_rng(seed), pool_factor)
-            for bounded in (True, False):
-                with mock.patch.object(_certify, "_gram_pays", lambda rows, pool: bounded):
+            for bounded in (True, False, None):
+                rule = _certify._gram_pays if bounded is None else lambda rows, pool: bounded
+                with mock.patch.object(_certify, "_gram_pays", rule):
                     got = _mine_hard_indices(emb, members, count, np.random.default_rng(seed), pool_factor)
                 assert all(np.array_equal(g, w) for g, w in zip(got, want)), f"bounded={bounded}"
+
+    def test_switch_cases_straddle_the_rule(self):
+        # the certified-pool test's examples at 176 and 192 rows take
+        # either path under the rule as written
+        assert _certify._gram_pays(176, 1280) and not _certify._gram_pays(192, 1280)
 
     def test_permuted_pool_has_exact_ties(self):
         ds = permuted_dataset()
@@ -1012,6 +1043,50 @@ class TestTrain:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 250_000, peaks
+
+    @pytest.mark.parametrize("mining", MINING_MODES)
+    def test_frees_a_step_layers_before_the_next_forward_pass(self, monkeypatch, mining):
+        # every layer above the input that one forward_batch call returns is
+        # dead when the next call starts, and when train returns
+        import coseg.embedder as embedder
+
+        real, alive, calls = embedder.forward_batch, [], []
+
+        def probe(params, batch, **kwargs):
+            assert [r() for r in alive] == [None] * len(alive), f"call {len(calls)}"
+            acts = real(params, batch, **kwargs)
+            alive[:] = [weakref.ref(layer) for layer in acts[1:]]
+            calls.append(len(acts))
+            return acts
+
+        monkeypatch.setattr(embedder, "forward_batch", probe)
+        ds = small_dataset(seed=5, n_classes=4, per_class=8)
+        train(ds, TrainConfig(iterations=4, batch_size=6, layer_sizes=(6, 4, 3), seed=1, mining=mining))
+        assert calls == [4] * 4
+        assert [r() for r in alive] == [None] * 3
+
+    def test_aggressive_steps_hold_one_layer_set(self):
+        # two aggressive steps at train-mined's shape (432 rows of 1,024,
+        # layers (128, 256), 128 pairs) peak where the input layer is
+        # gathered at the touched rows: the weights, their momentum and
+        # the gradients, plus that gather and the first hidden layer's delta
+        # at the most rows a batch touches (two per pair), plus 256 kB for
+        # the index arrays. The step's full hidden and embedding layers
+        # (1.3 MB), kept alive beside them, break the bound.
+        rows, sizes, batch = 432, (1024, 128, 256), 128
+        rng = np.random.default_rng(30)
+        ds = LabeledDescriptors(vectors=rng.random((rows, sizes[0])), labels=np.arange(rows) % 12)
+        cfg = TrainConfig(iterations=2, batch_size=batch, layer_sizes=sizes[1:], mining="aggressive", seed=3)
+        train(ds, TrainConfig(iterations=1, layer_sizes=sizes[1:], mining="aggressive", seed=3))
+        param_bytes = 8 * sum((i + 1) * o for i, o in zip(sizes[:-1], sizes[1:]))
+        bound = 3 * param_bytes + 8 * 2 * batch * (sizes[0] + sizes[1]) + 256 * 1024
+        tracemalloc.start()
+        try:
+            train(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
     def test_seed_changes_outcome(self):
         ds = small_dataset(seed=8)
